@@ -290,12 +290,7 @@ def _parse_word(alphabet: Alphabet, text: str) -> Word:
 
 
 def cmd_canon(args: argparse.Namespace) -> int:
-    try:
-        ref = _load_dba(args.input)
-        f = build_canonical_fdfa(ref, args.flavor)
-    except (AutomatonError, OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    f = build_canonical_fdfa(_load_dba(args.input), args.flavor)
     _write_out(format_fdfa(f), args.out)
     report = size_report(f)
     sizes = ",".join(str(s) for s in report.progress)
@@ -304,12 +299,8 @@ def cmd_canon(args: argparse.Namespace) -> int:
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
-    try:
-        f = parse_fdfa(_read(args.input))
-        result = decide_dba_recognizable(f)
-    except (AutomatonError, OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    f = parse_fdfa(_read(args.input))
+    result = decide_dba_recognizable(f)
     if result.recognizable:
         print("recognizable: yes")
         return EXIT_OK
@@ -344,46 +335,31 @@ def _single_initial(nba: Nba) -> Nba:
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
-    try:
-        f = parse_fdfa(_read(args.input))
-        if args.to == "nba":
-            out = format_automaton(_single_initial(fdfa_to_nba(f)))
-        elif args.to == "ldba":
-            out = format_automaton(_single_initial(fdfa_to_ldba(f).nba))
-        else:
-            out = format_automaton(fdfa_to_dba(f))
-    except (AutomatonError, OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    f = parse_fdfa(_read(args.input))
+    if args.to == "nba":
+        out = format_automaton(_single_initial(fdfa_to_nba(f)))
+    elif args.to == "ldba":
+        out = format_automaton(_single_initial(fdfa_to_ldba(f).nba))
+    else:
+        out = format_automaton(fdfa_to_dba(f))
     _write_out(out, args.out)
     return EXIT_OK
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
-    try:
-        kind, _, path = args.teacher.partition(":")
-        if kind == "dba" and path:
-            ref = _load_dba(path)
-            log = QueryLog(ref.ts.alphabet) if args.log else None
-            teacher = DbaTeacher(ref, log=log)
-        elif kind == "fdfa" and path:
-            f = parse_fdfa(_read(path))
-            log = QueryLog(f.leading.alphabet) if args.log else None
-            teacher = FdfaTeacher(f, log=log)
-        else:
-            raise ParseError("teacher must be dba:FILE or fdfa:FILE")
-    except (AutomatonError, OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        hypothesis, stats = learn_limit_fdfa(
-            teacher, LearnerLimits(max_iterations=args.max_iterations))
-    except ResourceLimitError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except AutomatonError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    kind, _, path = args.teacher.partition(":")
+    if kind == "dba" and path:
+        ref = _load_dba(path)
+        log = QueryLog(ref.ts.alphabet) if args.log else None
+        teacher = DbaTeacher(ref, log=log)
+    elif kind == "fdfa" and path:
+        f = parse_fdfa(_read(path))
+        log = QueryLog(f.leading.alphabet) if args.log else None
+        teacher = FdfaTeacher(f, log=log)
+    else:
+        raise ParseError("teacher must be dba:FILE or fdfa:FILE")
+    hypothesis, stats = learn_limit_fdfa(
+        teacher, LearnerLimits(max_iterations=args.max_iterations))
     if args.out:
         _write_out(format_fdfa(hypothesis), args.out)
     if args.log and log is not None:
@@ -404,44 +380,36 @@ def cmd_bench_ln(args: argparse.Namespace) -> int:
             print(f"error: unknown flavor {flavor!r}", file=sys.stderr)
             return EXIT_INPUT
     print("n\tflavor\tleading\tprogress_total\ttotal\tmillis")
-    try:
-        for n in range(1, args.max_n + 1):
-            for flavor in flavors:
-                start = time.perf_counter()
-                f = build_canonical_fdfa(gen_ln(n), flavor)
-                millis = int((time.perf_counter() - start) * 1000)
-                report = size_report(f)
-                print(f"{n}\t{flavor}\t{report.leading}\t"
-                      f"{sum(report.progress)}\t{report.total}\t{millis}")
-    except ResourceLimitError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RESOURCE
+    for n in range(1, args.max_n + 1):
+        for flavor in flavors:
+            start = time.perf_counter()
+            f = build_canonical_fdfa(gen_ln(n), flavor)
+            millis = int((time.perf_counter() - start) * 1000)
+            report = size_report(f)
+            print(f"{n}\t{flavor}\t{report.leading}\t"
+                  f"{sum(report.progress)}\t{report.total}\t{millis}")
     return EXIT_OK
 
 
 def cmd_accepts(args: argparse.Namespace) -> int:
-    try:
-        text = _read(args.input)
-        if _clean_lines(text) and _clean_lines(text)[0] == "fdfa":
-            f = parse_fdfa(text)
-            alphabet = f.leading.alphabet
-            w = UpWord(_parse_word(alphabet, args.u),
-                       _parse_word(alphabet, args.v))
-            member = accepts_upword(f, w, Saturated())
+    text = _read(args.input)
+    if _clean_lines(text) and _clean_lines(text)[0] == "fdfa":
+        f = parse_fdfa(text)
+        alphabet = f.leading.alphabet
+        w = UpWord(_parse_word(alphabet, args.u),
+                   _parse_word(alphabet, args.v))
+        member = accepts_upword(f, w, Saturated())
+    else:
+        obj = parse_automaton(text)
+        if isinstance(obj, Dfa):
+            raise ParseError("membership needs an omega-automaton or FDFA")
+        alphabet = obj.ts.alphabet if isinstance(obj, DetOmega) else obj.alphabet
+        w = UpWord(_parse_word(alphabet, args.u),
+                   _parse_word(alphabet, args.v))
+        if isinstance(obj, DetOmega):
+            member = member_upword_det(obj, w)
         else:
-            obj = parse_automaton(text)
-            if isinstance(obj, Dfa):
-                raise ParseError("membership needs an omega-automaton or FDFA")
-            alphabet = obj.ts.alphabet if isinstance(obj, DetOmega) else obj.alphabet
-            w = UpWord(_parse_word(alphabet, args.u),
-                       _parse_word(alphabet, args.v))
-            if isinstance(obj, DetOmega):
-                member = member_upword_det(obj, w)
-            else:
-                member = member_upword_nba(obj, w)
-    except (AutomatonError, OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+            member = member_upword_nba(obj, w)
     print("member" if member else "non-member")
     return EXIT_OK
 
@@ -493,7 +461,14 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "v", None) == "":
         print("error: the period must be nonempty", file=sys.stderr)
         return EXIT_INPUT
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ResourceLimitError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (AutomatonError, OSError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -15,12 +15,13 @@ from .core_automata import (
     ResourceLimitError,
     UpWord,
     Word,
-    _reachable_order,
     _scc_ids,
     dba_state_equiv,
     dfa_minimize,
     dfa_product,
+    explore,
     member_upword_det,
+    short_words,
     shortest_state_words,
 )
 from .fdfa import Fdfa, LIMIT, PERIODIC, RECURRENT, SYNTACTIC
@@ -50,7 +51,7 @@ def compute_leading(d: DetOmega) -> LeadingQuotient:
     if d.polarity != BUCHI:
         raise AutomatonError("reference must be a deterministic Buchi automaton")
     ts = d.ts
-    reachable = sorted(_reachable_order(ts))
+    reachable = sorted(explore([ts.initial], ts.delta.__getitem__)[0])
     groups: list[list[int]] = []
     for s in reachable:
         for g in groups:
@@ -75,22 +76,11 @@ def compute_leading(d: DetOmega) -> LeadingQuotient:
         raw_delta.append(row)
 
     # canonical class numbering: BFS from the initial class in letter order
-    order = [provisional[ts.initial]]
-    seen = set(order)
-    i = 0
-    while i < len(order):
-        for a in range(ts.alphabet.size):
-            t = raw_delta[order[i]][a]
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-        i += 1
+    order, delta = explore([provisional[ts.initial]], raw_delta.__getitem__)
     rename = {g: c for c, g in enumerate(order)}
     class_of = tuple(rename[provisional[s]] if provisional[s] >= 0 else -1
                      for s in range(ts.state_count))
-    delta = tuple(tuple(rename[raw_delta[g][a]] for a in range(ts.alphabet.size))
-                  for g in order)
-    leading = DetTS(ts.alphabet, len(order), 0, delta)
+    leading = DetTS(ts.alphabet, len(order), 0, tuple(delta))
     reps = tuple(min(groups[g]) for g in order)
     words = shortest_state_words(leading)
     rep_words = tuple(words[c] for c in range(len(order)))
@@ -126,26 +116,14 @@ def periodic_lang_dfa(lq: LeadingQuotient, u_class: int,
     """DFA over profile elements recognizing {z : u . z^omega in L};
     epsilon is non-final by convention (the identity profile has no bits)."""
     d = lq.ref
-    nletters = d.ts.alphabet.size
     letters = _letter_profiles(d)
     identity: Profile = tuple((q, 0) for q in range(d.ts.state_count))
-    index: dict[Profile, int] = {identity: 0}
-    profiles: list[Profile] = [identity]
-    delta: list[tuple[int, ...]] = []
-    i = 0
-    while i < len(profiles):
-        row = []
-        for a in range(nletters):
-            nxt = _compose(profiles[i], letters[a])
-            if nxt not in index:
-                if len(profiles) >= cap:
-                    raise ResourceLimitError(
-                        f"profile DFA exceeded cap of {cap} states")
-                index[nxt] = len(profiles)
-                profiles.append(nxt)
-            row.append(index[nxt])
-        delta.append(tuple(row))
-        i += 1
+    try:
+        profiles, delta = explore(
+            [identity], lambda p: [_compose(p, lp) for lp in letters], cap)
+    except ResourceLimitError:
+        raise ResourceLimitError(
+            f"profile DFA exceeded cap of {cap} states") from None
     rep = lq.reps[u_class]
     finals = frozenset(i for i, p in enumerate(profiles)
                        if _profile_omega_accepts(p, rep))
@@ -170,17 +148,9 @@ def _epsilon_joins_accepted_returns(d: Dfa) -> Dfa:
     places epsilon with the accepted returns whenever any exist, which keeps
     the automaton at its canonical size."""
     ts = d.ts
-    start = {ts.delta[ts.initial][a] for a in range(ts.alphabet.size)}
-    seen = set(start)
-    queue = list(start)
-    while queue:
-        s = queue.pop()
-        for a in range(ts.alphabet.size):
-            t = ts.delta[s][a]
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    nonempty = any(s in d.finals for s in seen)
+    # the states reached by nonempty words
+    reached, _ = explore(ts.delta[ts.initial], ts.delta.__getitem__)
+    nonempty = any(s in d.finals for s in reached)
     if not nonempty:
         return Dfa(ts, d.finals - {ts.initial})
     iota = ts.state_count
@@ -257,15 +227,6 @@ def cosafety_vu_dfa(lq: LeadingQuotient, u_class: int) -> Dfa:
     return dfa_minimize(result)
 
 
-def _short_words(nletters: int, bound: int) -> list[Word]:
-    out: list[Word] = [()]
-    layer: list[Word] = [()]
-    for _ in range(bound):
-        layer = [w + (a,) for w in layer for a in range(nletters)]
-        out.extend(layer)
-    return out
-
-
 def check_rp_refinement(lq: LeadingQuotient, u_class: int, flavor: str,
                         bound: int) -> list[tuple[Word, Word, Word]]:
     """For every pair of words the flavor's progress DFA identifies, verify
@@ -276,7 +237,7 @@ def check_rp_refinement(lq: LeadingQuotient, u_class: int, flavor: str,
     d = lq.ref
     p = progress_dfa(lq, u_class, flavor)
     rep_state = lq.reps[u_class]
-    words = _short_words(d.ts.alphabet.size, bound)
+    words = short_words(d.ts.alphabet.size, bound)
 
     def returns(z: Word) -> bool:
         s = rep_state

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 Word = tuple[int, ...]
+S = TypeVar("S", bound=Hashable)
 
 BUCHI = "buchi"
 COBUCHI = "cobuchi"
@@ -147,12 +148,12 @@ class Nba:
     def __post_init__(self) -> None:
         if not self.acc <= self.trans:
             raise AutomatonError("acc must be a subset of trans")
+        n, k = self.state_count, self.alphabet.size
         for s in self.initials:
-            if not 0 <= s < self.state_count:
+            if not 0 <= s < n:
                 raise AutomatonError("initial state out of range")
         for s, a, t in self.trans:
-            ok = 0 <= s < self.state_count and 0 <= t < self.state_count
-            if not (ok and 0 <= a < self.alphabet.size):
+            if not (0 <= s < n and 0 <= t < n and 0 <= a < k):
                 raise AutomatonError("transition out of range")
 
 
@@ -184,11 +185,55 @@ class Lasso:
 
 
 def run_word(ts: DetTS, state: int, w: Word) -> int:
+    n = ts.alphabet.size
     for a in w:
-        if not 0 <= a < ts.alphabet.size:
+        if not 0 <= a < n:
             raise AlphabetError(f"letter index {a} outside alphabet")
         state = ts.delta[state][a]
     return state
+
+
+def explore(roots: Iterable[S], successors: Callable[[S], Iterable[S]],
+            cap: int | None = None) -> tuple[list[S], list[tuple[int, ...]]]:
+    """Number the states reachable from ``roots`` in breadth-first discovery
+    order: the distinct roots first, then each state's new successors in the
+    order ``successors`` lists them.  Returns ``(nodes, rows)`` where
+    ``nodes[i]`` is state i and ``rows[i]`` holds the ids of the targets that
+    ``successors(nodes[i])`` returned, in the same order.
+
+    ``successors`` runs exactly once per state, in id order, so a caller can
+    collect per-edge data (such as acceptance marks) alongside.  Raises
+    ResourceLimitError when more than ``cap`` states are reachable."""
+    index: dict[S, int] = {}
+    nodes: list[S] = []
+    for r in roots:
+        if r not in index:
+            index[r] = len(nodes)
+            nodes.append(r)
+    rows: list[tuple[int, ...]] = []
+    for state in nodes:  # nodes grows while it is walked
+        row = []
+        for t in successors(state):
+            i = index.get(t)
+            if i is None:
+                if cap is not None and len(nodes) >= cap:
+                    raise ResourceLimitError(
+                        f"more than {cap} reachable states")
+                i = index[t] = len(nodes)
+                nodes.append(t)
+            row.append(i)
+        rows.append(tuple(row))
+    return nodes, rows
+
+
+def short_words(nletters: int, max_len: int) -> list[Word]:
+    """All words of length at most max_len, in length-then-lex order."""
+    out: list[Word] = [()]
+    layer: list[Word] = [()]
+    for _ in range(max_len):
+        layer = [w + (a,) for w in layer for a in range(nletters)]
+        out.extend(layer)
+    return out
 
 
 def member_upword_det(a: DetOmega, w: UpWord) -> bool:
@@ -225,105 +270,51 @@ def member_upword_nba(a: Nba, w: UpWord) -> bool:
     by_source: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for tr in a.trans:
         by_source.setdefault((tr[0], tr[1]), []).append(tr)
+    hits: list[bool] = []
 
-    index: dict[tuple[int, int], int] = {}
-    nodes: list[tuple[int, int]] = []
-
-    def node(q: int, pos: int) -> int:
-        key = (q, pos)
-        if key not in index:
-            index[key] = len(nodes)
-            nodes.append(key)
-        return index[key]
-
-    queue = deque(node(q, 0) for q in sorted(a.initials))
-    edges: list[tuple[int, int, bool]] = []
-    visited = set(queue)
-    while queue:
-        n = queue.popleft()
-        q, pos = nodes[n]
-        letter = letters[pos]
+    def successors(node: tuple[int, int]) -> list[tuple[int, int]]:
+        q, pos = node
         nxt_pos = pos + 1 if pos + 1 < length else loop_start
-        for tr in by_source.get((q, letter), ()):
-            m = node(tr[2], nxt_pos)
-            edges.append((n, m, tr in a.acc))
-            if m not in visited:
-                visited.add(m)
-                queue.append(m)
+        trs = by_source.get((q, letters[pos]), ())
+        hits.extend(tr in a.acc for tr in trs)
+        return [(tr[2], nxt_pos) for tr in trs]
 
-    succ: list[list[int]] = [[] for _ in nodes]
-    for s, t, _ in edges:
-        succ[s].append(t)
+    _, succ = explore(((q, 0) for q in sorted(a.initials)), successors)
     comp = _scc_ids(succ)
-    return any(comp[s] == comp[t] for s, t, hit in edges if hit)
+    edges = ((s, t) for s, row in enumerate(succ) for t in row)
+    return any(comp[s] == comp[t] for (s, t), hit in zip(edges, hits) if hit)
 
 
 def dfa_product(a: Dfa, b: Dfa, final_rule: Callable[[bool, bool], bool]) -> Dfa:
     """Reachable product DFA; (s, t) is final per final_rule."""
     if a.ts.alphabet != b.ts.alphabet:
         raise AlphabetError("alphabet mismatch in dfa_product")
-    alphabet = a.ts.alphabet
-    index: dict[tuple[int, int], int] = {}
-    pairs: list[tuple[int, int]] = []
-
-    def node(p: tuple[int, int]) -> int:
-        if p not in index:
-            index[p] = len(pairs)
-            pairs.append(p)
-        return index[p]
-
-    node((a.ts.initial, b.ts.initial))
-    delta: list[tuple[int, ...]] = []
-    i = 0
-    while i < len(pairs):
-        s, t = pairs[i]
-        delta.append(tuple(node((a.ts.delta[s][x], b.ts.delta[t][x]))
-                           for x in range(alphabet.size)))
-        i += 1
+    da, db = a.ts.delta, b.ts.delta
+    pairs, delta = explore([(a.ts.initial, b.ts.initial)],
+                           lambda p: zip(da[p[0]], db[p[1]]))
     finals = frozenset(i for i, (s, t) in enumerate(pairs)
                        if final_rule(s in a.finals, t in b.finals))
-    ts = DetTS(alphabet, len(pairs), 0, tuple(delta))
+    ts = DetTS(a.ts.alphabet, len(pairs), 0, tuple(delta))
     return Dfa(ts, finals)
-
-
-def _reachable_order(ts: DetTS) -> list[int]:
-    order = [ts.initial]
-    seen = {ts.initial}
-    i = 0
-    while i < len(order):
-        s = order[i]
-        for a in range(ts.alphabet.size):
-            t = ts.delta[s][a]
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-        i += 1
-    return order
 
 
 def canonical_dfa(a: Dfa) -> Dfa:
     """Renumber reachable states in BFS order (letters in alphabet order)."""
-    order = _reachable_order(a.ts)
-    rename = {s: i for i, s in enumerate(order)}
-    delta = tuple(tuple(rename[a.ts.delta[s][x]] for x in range(a.ts.alphabet.size))
-                  for s in order)
-    finals = frozenset(rename[s] for s in a.finals if s in rename)
-    return Dfa(DetTS(a.ts.alphabet, len(order), 0, delta), finals)
+    order, delta = explore([a.ts.initial], a.ts.delta.__getitem__)
+    finals = frozenset(i for i, s in enumerate(order) if s in a.finals)
+    return Dfa(DetTS(a.ts.alphabet, len(order), 0, tuple(delta)), finals)
 
 
 def dfa_minimize(a: Dfa) -> Dfa:
     """Minimal complete DFA via partition refinement; states are exactly the
     Nerode classes of L(a)."""
-    order = _reachable_order(a.ts)
-    pos = {s: i for i, s in enumerate(order)}
-    nletters = a.ts.alphabet.size
+    order, rows = explore([a.ts.initial], a.ts.delta.__getitem__)
     block = [1 if s in a.finals else 0 for s in order]
     while True:
         sigs: dict[tuple[int, ...], int] = {}
         new_block = []
-        for i, s in enumerate(order):
-            sig = (block[i],) + tuple(block[pos[a.ts.delta[s][x]]]
-                                      for x in range(nletters))
+        for i, row in enumerate(rows):
+            sig = (block[i],) + tuple(block[t] for t in row)
             if sig not in sigs:
                 sigs[sig] = len(sigs)
             new_block.append(sigs[sig])
@@ -335,8 +326,8 @@ def dfa_minimize(a: Dfa) -> Dfa:
     for i in range(len(order)):
         if rep[block[i]] < 0:
             rep[block[i]] = i
-    delta = tuple(tuple(block[pos[a.ts.delta[order[rep[b]]][x]]]
-                        for x in range(nletters)) for b in range(nblocks))
+    delta = tuple(tuple(block[t] for t in rows[rep[b]])
+                  for b in range(nblocks))
     finals = frozenset(b for b in range(nblocks) if order[rep[b]] in a.finals)
     ts = DetTS(a.ts.alphabet, nblocks, block[0], delta)
     return canonical_dfa(Dfa(ts, finals))
@@ -486,6 +477,40 @@ def det_to_nba(d: DetOmega, initial: int | None = None) -> Nba:
     return Nba(ts.alphabet, ts.state_count, frozenset([start]), trans, acc)
 
 
+Move = tuple[int, S, bool, bool]
+
+
+def _marked_product(alphabet: Alphabet, roots: list[S],
+                    moves: Callable[[S], list[Move]]) -> tuple[
+        Nba, frozenset[tuple[int, int, int]]]:
+    """Reachable NBA over the states ``moves`` leads to from the distinct
+    ``roots``.  ``moves(p)`` lists p's edges as (letter, target, first,
+    second); the NBA accepts the first-marked edges, and the second-marked
+    edges are returned beside it."""
+    marks: list[list[Move]] = []
+
+    def successors(p: S) -> list[S]:
+        edges = moves(p)
+        marks.append(edges)
+        return [e[1] for e in edges]
+
+    nodes, rows = explore(roots, successors)
+    trans: set[tuple[int, int, int]] = set()
+    acc: set[tuple[int, int, int]] = set()
+    second_acc: set[tuple[int, int, int]] = set()
+    for s, (row, edges) in enumerate(zip(rows, marks)):
+        for t, (l, _, first, second) in zip(row, edges):
+            tr = (s, l, t)
+            trans.add(tr)
+            if first:
+                acc.add(tr)
+            if second:
+                second_acc.add(tr)
+    product = Nba(alphabet, len(nodes), frozenset(range(len(roots))),
+                  frozenset(trans), frozenset(acc))
+    return product, frozenset(second_acc)
+
+
 def _product_with_det(a: Nba, b: DetOmega) -> tuple[
         Nba, frozenset[tuple[int, int, int]]]:
     """Reachable product of an NBA with a deterministic Buchi automaton.
@@ -493,38 +518,20 @@ def _product_with_det(a: Nba, b: DetOmega) -> tuple[
     set stemming from b's accepting transitions."""
     if a.alphabet != b.ts.alphabet:
         raise AlphabetError("alphabet mismatch")
-    by_source: dict[int, list[tuple[int, int, int]]] = {}
+    by_source: dict[int, list[tuple[int, int, bool]]] = {}
     for tr in sorted(a.trans):
-        by_source.setdefault(tr[0], []).append(tr)
+        by_source.setdefault(tr[0], []).append((tr[1], tr[2], tr in a.acc))
+    b_marked = [[(q, l) in b.acc for l in range(a.alphabet.size)]
+                for q in range(b.ts.state_count)]
 
-    index: dict[tuple[int, int], int] = {}
-    nodes: list[tuple[int, int]] = []
+    def moves(p: tuple[int, int]) -> list[Move]:
+        qa, qb = p
+        step, marked = b.ts.delta[qb], b_marked[qb]
+        return [(l, (t, step[l]), first, marked[l])
+                for l, t, first in by_source.get(qa, ())]
 
-    def node(p: tuple[int, int]) -> int:
-        if p not in index:
-            index[p] = len(nodes)
-            nodes.append(p)
-        return index[p]
-
-    initials = frozenset(node((q, b.ts.initial)) for q in sorted(a.initials))
-    trans: set[tuple[int, int, int]] = set()
-    acc: set[tuple[int, int, int]] = set()
-    b_acc: set[tuple[int, int, int]] = set()
-    i = 0
-    while i < len(nodes):
-        qa, qb = nodes[i]
-        for s, l, t in by_source.get(qa, ()):
-            m = node((t, b.ts.delta[qb][l]))
-            tr = (i, l, m)
-            trans.add(tr)
-            if (s, l, t) in a.acc:
-                acc.add(tr)
-            if (qb, l) in b.acc:
-                b_acc.add(tr)
-        i += 1
-    product = Nba(a.alphabet, len(nodes), initials,
-                  frozenset(trans), frozenset(acc))
-    return product, frozenset(b_acc)
+    roots = [(q, b.ts.initial) for q in sorted(a.initials)]
+    return _marked_product(a.alphabet, roots, moves)
 
 
 def nba_dba_included(a: Nba, b: DetOmega) -> Lasso | bool:
@@ -555,75 +562,40 @@ def nba_nba_intersection_witness(a: Nba, b: Nba) -> Lasso | None:
     for s, l, t in sorted(b.trans):
         b_by.setdefault((s, l), []).append(t)
 
-    index: dict[tuple[int, int], int] = {}
-    nodes: list[tuple[int, int]] = []
+    def moves(p: tuple[int, int]) -> list[Move]:
+        qa, qb = p
+        return [(l, (ta, tb), (qa, l, ta) in a.acc, (qb, l, tb) in b.acc)
+                for l in range(a.alphabet.size)
+                for ta in a_by.get((qa, l), ()) for tb in b_by.get((qb, l), ())]
 
-    def node(p: tuple[int, int]) -> int:
-        if p not in index:
-            index[p] = len(nodes)
-            nodes.append(p)
-        return index[p]
-
-    initials = frozenset(node((p, q))
-                         for p in sorted(a.initials) for q in sorted(b.initials))
-    trans: set[tuple[int, int, int]] = set()
-    a_acc: set[tuple[int, int, int]] = set()
-    b_acc: set[tuple[int, int, int]] = set()
-    i = 0
-    while i < len(nodes):
-        qa, qb = nodes[i]
-        for l in range(a.alphabet.size):
-            for ta in a_by.get((qa, l), ()):
-                for tb in b_by.get((qb, l), ()):
-                    tr = (i, l, node((ta, tb)))
-                    trans.add(tr)
-                    if (qa, l, ta) in a.acc:
-                        a_acc.add(tr)
-                    if (qb, l, tb) in b.acc:
-                        b_acc.add(tr)
-        i += 1
-    product = Nba(a.alphabet, len(nodes), initials,
-                  frozenset(trans), frozenset(a_acc))
-    return _two_buchi_witness(product, frozenset(a_acc), frozenset(b_acc))
+    roots = [(p, q) for p in sorted(a.initials) for q in sorted(b.initials)]
+    product, b_acc = _marked_product(a.alphabet, roots, moves)
+    return _two_buchi_witness(product, product.acc, b_acc)
 
 
 def _two_buchi_witness(g: Nba, first: frozenset[tuple[int, int, int]],
                        second: frozenset[tuple[int, int, int]]) -> Lasso | None:
     """Witness for a run of g hitting both transition sets infinitely often,
-    via the standard two-phase degeneralization."""
-    index: dict[tuple[int, int], int] = {}
-    nodes: list[tuple[int, int]] = []
-
-    def node(p: tuple[int, int]) -> int:
-        if p not in index:
-            index[p] = len(nodes)
-            nodes.append(p)
-        return index[p]
-
+    via the standard two-phase degeneralization: phase 0 waits for a first
+    edge, phase 1 for a second edge, which is marked and resets the phase."""
     by_source: dict[int, list[tuple[int, int, int]]] = {}
     for tr in sorted(g.trans):
         by_source.setdefault(tr[0], []).append(tr)
-    initials = frozenset(node((q, 0)) for q in sorted(g.initials))
-    trans: set[tuple[int, int, int]] = set()
-    acc: set[tuple[int, int, int]] = set()
-    i = 0
-    while i < len(nodes):
-        q, phase = nodes[i]
+
+    def moves(p: tuple[int, int]) -> list[Move]:
+        q, phase = p
+        out: list[Move] = []
         for tr in by_source.get(q, ()):
-            _, l, t = tr
             if phase == 0:
-                nphase = 1 if tr in first else 0
-                marked = False
+                nxt, hit = (1 if tr in first else 0), False
             else:
-                nphase = 0 if tr in second else 1
-                marked = tr in second
-            ptr = (i, l, node((t, nphase)))
-            trans.add(ptr)
-            if marked:
-                acc.add(ptr)
-        i += 1
-    product = Nba(g.alphabet, len(nodes), initials,
-                  frozenset(trans), frozenset(acc))
+                hit = tr in second
+                nxt = 0 if hit else 1
+            out.append((tr[1], (tr[2], nxt), hit, False))
+        return out
+
+    roots = [(q, 0) for q in sorted(g.initials)]
+    product, _ = _marked_product(g.alphabet, roots, moves)
     return one_pair_rabin_empty(product)
 
 

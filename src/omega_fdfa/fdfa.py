@@ -12,6 +12,7 @@ from .core_automata import (
     UpWord,
     Word,
     run_word,
+    short_words,
 )
 
 PERIODIC = "periodic"
@@ -123,21 +124,12 @@ def _is_normalized(f: Fdfa, w: UpWord) -> bool:
     return run_word(m, q, w.period) == q
 
 
-def _short_words(nletters: int, bound: int) -> list[Word]:
-    out: list[Word] = [()]
-    layer: list[Word] = [()]
-    for _ in range(bound):
-        layer = [w + (a,) for w in layer for a in range(nletters)]
-        out.extend(layer)
-    return out
-
-
 def is_saturated_bounded(f: Fdfa, bound: int) -> tuple[UpWord, UpWord] | None:
     """Check all UP-words with |u|, |v| <= bound: every normalized
     decomposition within the bound must agree on acceptance.  Returns a
     disagreeing pair of decompositions, or None when saturated so far."""
     nletters = f.leading.alphabet.size
-    words = _short_words(nletters, bound)
+    words = short_words(nletters, bound)
     periods = [w for w in words if w]
     for u in words:
         for v in periods:

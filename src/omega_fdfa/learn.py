@@ -5,6 +5,7 @@ analysis, and two teacher realizations."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .core_automata import (
     Alphabet,
@@ -12,6 +13,7 @@ from .core_automata import (
     DetOmega,
     DetTS,
     Dfa,
+    Lasso,
     ResourceLimitError,
     UpWord,
     Word,
@@ -20,9 +22,9 @@ from .core_automata import (
     nba_dba_intersection_witness,
     nba_nba_intersection_witness,
     run_word,
+    short_words,
 )
 from .fdfa import (
-    ExhaustiveBounded,
     Fdfa,
     LIMIT,
     Saturated,
@@ -32,6 +34,10 @@ from .fdfa import (
     normalize,
 )
 from .translate import fdfa_to_nba
+
+# Word budget of the bounded counterexample search: prefixes and periods are
+# the words of the longest lengths whose whole length layers fit in it.
+FALLBACK_WORDS = 360
 
 
 class LearnLimitExceeded(ResourceLimitError):
@@ -76,45 +82,46 @@ class QueryLog:
         self.lines.append(f"EQ -> ce {u} {v}")
 
 
-def _short_words(nletters: int, max_words: int) -> list[Word]:
-    """Words in length-then-lex order, at most max_words of them."""
-    out: list[Word] = [()]
-    layer: list[Word] = [()]
-    while True:
-        layer = [w + (a,) for w in layer for a in range(nletters)]
-        if not layer or len(out) + len(layer) > max_words:
-            return out
-        out.extend(layer)
+def _fallback_len(nletters: int) -> int:
+    """Longest max_len for which short_words(nletters, max_len) holds at most
+    FALLBACK_WORDS words."""
+    max_len, total, layer = 0, 1, 1
+    while total + layer * nletters <= FALLBACK_WORDS:
+        layer *= nletters
+        total += layer
+        max_len += 1
+    return max_len
 
 
 def _is_valid_counterexample(h: Fdfa, w: UpWord, member: bool) -> bool:
     return accepts_decomposition(h, normalize(h, w)) != member
 
 
-class DbaTeacher:
-    """Oracle backed by a reference DBA.  Equivalence queries layer two exact
-    automata checks over a bounded enumeration fallback; every candidate is
-    validated against the hypothesis' normalized acceptance before being
-    returned, so unsound intermediate constructions only cost time."""
+class _Teacher:
+    """Query plumbing shared by the teachers: counters, the optional log, and
+    equivalence queries that try the subclass' exact candidates and then a
+    bounded enumeration.  Every candidate is validated against the
+    hypothesis' normalized acceptance before being returned, so unsound
+    intermediate constructions only cost time."""
 
-    def __init__(self, ref: DetOmega, fallback_words: int = 360,
-                 log: QueryLog | None = None):
-        self.ref = ref
-        self.alphabet = ref.ts.alphabet
-        self.fallback_words = fallback_words
+    def __init__(self, alphabet: Alphabet, log: QueryLog | None):
+        self.alphabet = alphabet
         self.log = log
         self.mq_count = 0
         self.eq_count = 0
 
+    def _member(self, w: UpWord) -> bool:
+        raise NotImplementedError
+
+    def _exact_candidates(self, h: Fdfa) -> Iterator[Lasso]:
+        raise NotImplementedError
+
     def mq(self, prefix: Word, period: Word) -> bool:
         self.mq_count += 1
-        result = member_upword_det(self.ref, UpWord(prefix, period))
+        result = self._member(UpWord(prefix, period))
         if self.log:
             self.log.mq(prefix, period, result)
         return result
-
-    def _member(self, w: UpWord) -> bool:
-        return member_upword_det(self.ref, w)
 
     def eq(self, h: Fdfa) -> UpWord | None:
         self.eq_count += 1
@@ -127,24 +134,15 @@ class DbaTeacher:
         return ce
 
     def _find_counterexample(self, h: Fdfa) -> UpWord | None:
-        # (a) exact: everything the hypothesis NBA accepts must be in L(ref)
-        verdict = nba_dba_included(fdfa_to_nba(h), self.ref)
-        if verdict is not True:
-            w = verdict.upword()
+        for lasso in self._exact_candidates(h):
+            w = lasso.upword()
             if _is_valid_counterexample(h, w, self._member(w)):
                 return w
-        # (b) exact: nothing in L(ref) may be accepted by the complement
-        witness = nba_dba_intersection_witness(
-            fdfa_to_nba(complement_finals(h)), self.ref)
-        if witness is not None:
-            w = witness.upword()
-            if _is_valid_counterexample(h, w, self._member(w)):
-                return w
-        # (c) bounded enumeration fallback
         return self._bounded_search(h)
 
     def _bounded_search(self, h: Fdfa) -> UpWord | None:
-        words = _short_words(self.alphabet.size, self.fallback_words)
+        k = self.alphabet.size
+        words = short_words(k, _fallback_len(k))
         for u in words:
             for v in words:
                 if not v:
@@ -155,39 +153,39 @@ class DbaTeacher:
         return None
 
 
-class FdfaTeacher:
+class DbaTeacher(_Teacher):
+    """Oracle backed by a reference DBA."""
+
+    def __init__(self, ref: DetOmega, log: QueryLog | None = None):
+        super().__init__(ref.ts.alphabet, log)
+        self.ref = ref
+
+    def _member(self, w: UpWord) -> bool:
+        return member_upword_det(self.ref, w)
+
+    def _exact_candidates(self, h: Fdfa) -> Iterator[Lasso]:
+        # everything the hypothesis NBA accepts must be in L(ref)
+        verdict = nba_dba_included(fdfa_to_nba(h), self.ref)
+        if verdict is not True:
+            yield verdict
+        # nothing in L(ref) may be accepted by the complement
+        witness = nba_dba_intersection_witness(
+            fdfa_to_nba(complement_finals(h)), self.ref)
+        if witness is not None:
+            yield witness
+
+
+class FdfaTeacher(_Teacher):
     """Oracle backed by a saturated FDFA (for targets no DBA recognizes)."""
 
-    def __init__(self, ref: Fdfa, fallback_words: int = 360,
-                 log: QueryLog | None = None):
+    def __init__(self, ref: Fdfa, log: QueryLog | None = None):
+        super().__init__(ref.leading.alphabet, log)
         self.ref = ref
-        self.alphabet = ref.leading.alphabet
-        self.fallback_words = fallback_words
-        self.log = log
-        self.mq_count = 0
-        self.eq_count = 0
-
-    def mq(self, prefix: Word, period: Word) -> bool:
-        self.mq_count += 1
-        result = accepts_upword(self.ref, UpWord(prefix, period), Saturated())
-        if self.log:
-            self.log.mq(prefix, period, result)
-        return result
 
     def _member(self, w: UpWord) -> bool:
         return accepts_upword(self.ref, w, Saturated())
 
-    def eq(self, h: Fdfa) -> UpWord | None:
-        self.eq_count += 1
-        ce = self._find_counterexample(h)
-        if self.log:
-            if ce is None:
-                self.log.eq_accept()
-            else:
-                self.log.eq_counterexample(ce)
-        return ce
-
-    def _find_counterexample(self, h: Fdfa) -> UpWord | None:
+    def _exact_candidates(self, h: Fdfa) -> Iterator[Lasso]:
         # hypothesis-not-included direction, then target-not-included
         pairs = (
             (fdfa_to_nba(h), fdfa_to_nba(complement_finals(self.ref))),
@@ -196,18 +194,7 @@ class FdfaTeacher:
         for left, right in pairs:
             witness = nba_nba_intersection_witness(left, right)
             if witness is not None:
-                w = witness.upword()
-                if _is_valid_counterexample(h, w, self._member(w)):
-                    return w
-        words = _short_words(self.alphabet.size, self.fallback_words)
-        for u in words:
-            for v in words:
-                if not v:
-                    continue
-                w = UpWord(u, v)
-                if _is_valid_counterexample(h, w, self._member(w)):
-                    return w
-        return None
+                yield witness
 
 
 class _Session:

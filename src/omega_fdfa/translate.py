@@ -13,6 +13,7 @@ from .core_automata import (
     Dfa,
     Nba,
     dfa_product,
+    explore,
 )
 from .fdfa import Fdfa, sink_final_state
 
@@ -103,33 +104,26 @@ def fdfa_to_dba(f: Fdfa) -> DetOmega:
             raise AutomatonError(
                 f"progress DFA of leading state {u_class} is not sink-final-only")
     m = f.leading
-    nletters = m.alphabet.size
+    letters = range(m.alphabet.size)
 
-    index: dict[tuple[int, int, int], int] = {}
-    nodes: list[tuple[int, int, int]] = []
+    def resets(owner: int, q: int, a: int) -> bool:
+        p = f.progress[owner]
+        return p.ts.delta[q][a] in p.finals
 
-    def node(p: tuple[int, int, int]) -> int:
-        if p not in index:
-            index[p] = len(nodes)
-            nodes.append(p)
-        return index[p]
-
-    node((m.initial, m.initial, f.progress[m.initial].ts.initial))
-    delta: list[tuple[int, ...]] = []
-    acc: set[tuple[int, int]] = set()
-    i = 0
-    while i < len(nodes):
-        lead, owner, q = nodes[i]
-        row = []
-        for a in range(nletters):
+    def successors(node: tuple[int, int, int]) -> list[tuple[int, int, int]]:
+        lead, owner, q = node
+        out = []
+        for a in letters:
             lead2 = m.delta[lead][a]
-            q2 = f.progress[owner].ts.delta[q][a]
-            if q2 in f.progress[owner].finals:
-                row.append(node((lead2, lead2, f.progress[lead2].ts.initial)))
-                acc.add((i, a))
+            if resets(owner, q, a):
+                out.append((lead2, lead2, f.progress[lead2].ts.initial))
             else:
-                row.append(node((lead2, owner, q2)))
-        delta.append(tuple(row))
-        i += 1
+                out.append((lead2, owner, f.progress[owner].ts.delta[q][a]))
+        return out
+
+    nodes, delta = explore(
+        [(m.initial, m.initial, f.progress[m.initial].ts.initial)], successors)
+    acc = frozenset((i, a) for i, (_, owner, q) in enumerate(nodes)
+                    for a in letters if resets(owner, q, a))
     ts = DetTS(m.alphabet, len(nodes), 0, tuple(delta))
-    return DetOmega(ts, frozenset(acc), BUCHI)
+    return DetOmega(ts, acc, BUCHI)

@@ -13,6 +13,7 @@ from omega_fdfa import (
     gen_fig1,
     gen_fig5_fdfa,
     gen_ln,
+    gen_random_dba,
     gen_sigma_star_aa,
 )
 from omega_fdfa.cli import (
@@ -181,6 +182,21 @@ def test_cmd_canon_rejects_bad_input(cli, tmp_path):
     path = _write(tmp_path, "bad.aut", "alphabet: a\n")
     assert cli("canon", path)[0] == 2
     assert cli("canon", str(tmp_path / "missing.aut"))[0] == 2
+
+
+def test_cmd_canon_profile_cap_exits_4(cli, tmp_path):
+    path = _write(tmp_path, "cap.aut",
+                  format_automaton(gen_random_dba(2, 8, 2)))
+    code, _, err = cli("canon", path, "--flavor", "limit")
+    assert code == 4
+    assert err == "error: profile DFA exceeded cap of 200000 states\n"
+
+
+def test_cmd_canon_unwritable_out_exits_2(cli, fig1_file, tmp_path):
+    out = tmp_path / "missing" / "x.fdfa"
+    code, _, err = cli("canon", fig1_file, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cmd_decide_yes(cli, fig1_fdfa_file):

@@ -14,6 +14,7 @@ from omega_fdfa import (
     Dfa,
     Lasso,
     Nba,
+    ResourceLimitError,
     UpWord,
     dfa_lang_equal,
     dfa_minimize,
@@ -32,8 +33,10 @@ from omega_fdfa.core_automata import (
     dba_state_equiv,
     det_to_nba,
     dfa_isomorphic,
+    explore,
     one_pair_rabin_empty,
     sccs,
+    short_words,
     shortest_state_words,
 )
 
@@ -94,6 +97,36 @@ def test_run_word_rejects_bad_letter():
     d = gen_fig1()
     with pytest.raises(AlphabetError):
         run_word(d.ts, 0, (7,))
+
+
+def test_explore_numbers_in_discovery_order():
+    graph = {"a": ["c", "b", "c"], "b": ["a", "d"], "c": [], "d": ["d"],
+             "e": ["a"]}
+    calls = []
+
+    def successors(state):
+        calls.append(state)
+        return graph[state]
+
+    nodes, rows = explore(["a", "b", "a"], successors)
+    assert nodes == ["a", "b", "c", "d"]  # duplicate root dropped, e unreached
+    assert calls == nodes  # once per state, in id order
+    assert rows == [(2, 1, 2), (0, 3), (), (3,)]  # aligned with successors
+
+
+def test_explore_cap():
+    def chain(n):
+        return [n + 1] if n < 9 else []
+
+    assert len(explore([0], chain, cap=10)[0]) == 10
+    with pytest.raises(ResourceLimitError):
+        explore([0], chain, cap=9)
+
+
+def test_short_words_length_then_lex():
+    assert short_words(2, 2) == [(), (0,), (1,), (0, 0), (0, 1), (1, 0),
+                                 (1, 1)]
+    assert short_words(3, 0) == [()]
 
 
 def _dfa_suffix_a():

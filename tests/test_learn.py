@@ -24,6 +24,9 @@ from omega_fdfa import (
     size_report,
 )
 
+from omega_fdfa.core_automata import short_words
+from omega_fdfa.learn import FALLBACK_WORDS, _fallback_len
+
 from oracles import words_upto
 
 
@@ -105,3 +108,10 @@ def test_iteration_cap(fig1):
 def test_learned_hypothesis_passes_fresh_equivalence(fig1):
     h, _ = learn_limit_fdfa(DbaTeacher(fig1))
     assert DbaTeacher(fig1).eq(h) is None
+
+
+@pytest.mark.parametrize("nletters", [1, 2, 3, 4])
+def test_fallback_takes_whole_length_layers_within_budget(nletters):
+    max_len = _fallback_len(nletters)
+    assert len(short_words(nletters, max_len)) <= FALLBACK_WORDS
+    assert len(short_words(nletters, max_len + 1)) > FALLBACK_WORDS
