@@ -44,6 +44,10 @@ EXIT_INPUT = 2
 EXIT_NO = 3
 EXIT_RESOURCE = 4
 
+# Largest `states:` a block may declare: every declared state gets a table
+# row before any transition is read.
+MAX_STATES = 100_000
+
 
 # --------------------------------------------------------------------------
 # text formats
@@ -111,6 +115,9 @@ def _block_to_automaton(fields: dict) -> Dfa | DetOmega | Nba:
     n = fields["states"]
     if n < 1:
         raise ParseError("states must be >= 1")
+    if n > MAX_STATES:
+        raise ResourceLimitError(
+            f"states: {n} exceeds the parser cap of {MAX_STATES}")
     initial = fields["initial"]
     if not 0 <= initial < n:
         raise ParseError("initial out of range")
@@ -414,6 +421,13 @@ def cmd_accepts(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omega-fdfa",
@@ -440,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--teacher", required=True, metavar="dba:FILE|fdfa:FILE")
     p.add_argument("--log")
     p.add_argument("--out")
-    p.add_argument("--max-iterations", type=int, default=500)
+    p.add_argument("--max-iterations", type=_positive_int, default=500)
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("bench-ln", help="size/time table for the L_n family")

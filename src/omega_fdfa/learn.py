@@ -197,27 +197,98 @@ class FdfaTeacher(_Teacher):
                 yield witness
 
 
+class _Table:
+    """An observation table: rows, the representatives among them, and the
+    experiments, with cells given by entry(row, exp).  The leading table and
+    every progress table are instances."""
+
+    def __init__(self, nletters: int, exps: list, entry):
+        self.nletters = nletters
+        self.rows: list[Word] = [()]
+        self.reps: list[Word] = [()]
+        self.exps = exps
+        self.entry = entry
+
+    def vector(self, row: Word) -> tuple[bool, ...]:
+        return tuple(self.entry(row, exp) for exp in self.exps)
+
+    def add_exp(self, exp) -> None:
+        if exp in self.exps:
+            raise CounterexampleError("experiment already present")
+        self.exps.append(exp)
+
+    def close(self) -> None:
+        # progress entries depend on the leading DFA, so representatives
+        # promoted before a leading refinement may have collapsed; drop the
+        # later duplicates (their rows stay, and closing re-promotes freely).
+        # Leading entries are plain membership queries and never collapse.
+        rep_vecs: list[tuple[bool, ...]] = []
+        kept = []
+        for rep in self.reps:
+            vec = self.vector(rep)
+            if vec not in rep_vecs:
+                rep_vecs.append(vec)
+                kept.append(rep)
+        self.reps = kept
+        row_set = set(self.rows)
+        while True:
+            for rep in self.reps:
+                for a in range(self.nletters):
+                    if rep + (a,) not in row_set:
+                        row_set.add(rep + (a,))
+                        self.rows.append(rep + (a,))
+            for row in sorted(self.rows, key=lambda w: (len(w), w)):
+                vec = self.vector(row)
+                if vec not in rep_vecs:
+                    self.reps.append(row)
+                    rep_vecs.append(vec)
+                    break
+            else:
+                return
+
+    def delta(self) -> tuple[tuple[int, ...], ...]:
+        index = {self.vector(r): i for i, r in enumerate(self.reps)}
+        succ = [[self.vector(rep + (a,)) for a in range(self.nletters)]
+                for rep in self.reps]
+        if any(vec not in index for row in succ for vec in row):
+            raise AutomatonError("observation table is not closed")
+        return tuple(tuple(index[vec] for vec in row) for row in succ)
+
+
+def _breakpoint(value, n: int) -> int | None:
+    """Least j in 1..n with value(j) != value(j - 1), evaluating value(0),
+    value(1), ... in order and no further than needed; None if there is
+    none."""
+    prev = value(0)
+    for j in range(1, n + 1):
+        cur = value(j)
+        if cur != prev:
+            return j
+        prev = cur
+    return None
+
+
+def _shape(h: Fdfa) -> tuple:
+    """Transitions and finals of a hypothesis, and with them its size."""
+    return (h.leading.delta,
+            tuple((p.ts.delta, tuple(sorted(p.finals))) for p in h.progress))
+
+
 class _Session:
-    """One learning run: leading and progress observation tables plus the
-    membership-query cache."""
+    """One learning run: the membership-query cache, the leading table, and
+    one progress table per leading representative."""
 
     def __init__(self, teacher, limits: LearnerLimits):
         self.teacher = teacher
         self.limits = limits
         self.alphabet: Alphabet = teacher.alphabet
         self.cache: dict[tuple[Word, Word], bool] = {}
-        # leading table
-        self.rows: list[Word] = [()]
-        self.reps: list[Word] = [()]
-        self.exps: list[tuple[Word, Word]] = [((), (a,))
-                                              for a in range(self.alphabet.size)]
-        # progress tables, keyed by leading representative word
-        self.p_rows: dict[Word, list[Word]] = {}
-        self.p_reps: dict[Word, list[Word]] = {}
-        self.p_exps: dict[Word, list[Word]] = {}
+        k = self.alphabet.size
+        self.lead = _Table(k, [((), (a,)) for a in range(k)],
+                           lambda row, exp: self.mq(row + exp[0], exp[1]))
+        self.progress: dict[Word, _Table] = {}
         self.leading: DetTS | None = None
 
-    # --- membership plumbing -------------------------------------------
     def mq(self, prefix: Word, period: Word) -> bool:
         if not period:
             return False  # the epsilon^omega convention
@@ -229,189 +300,76 @@ class _Session:
             self.cache[key] = self.teacher.mq(prefix, period)
         return self.cache[key]
 
-    # --- leading table ---------------------------------------------------
-    def _leading_vector(self, row: Word) -> tuple[bool, ...]:
-        return tuple(self.mq(row + x, y) for x, y in self.exps)
-
-    def close_leading(self) -> None:
-        while True:
-            row_set = set(self.rows)
-            for rep in self.reps:
-                for a in range(self.alphabet.size):
-                    if rep + (a,) not in row_set:
-                        row_set.add(rep + (a,))
-                        self.rows.append(rep + (a,))
-            rep_vecs = [self._leading_vector(r) for r in self.reps]
-            promoted = False
-            for row in sorted(self.rows, key=lambda w: (len(w), w)):
-                vec = self._leading_vector(row)
-                if vec not in rep_vecs:
-                    self.reps.append(row)
-                    rep_vecs.append(vec)
-                    promoted = True
-                    break
-            if not promoted:
-                break
-        self._rebuild_leading()
-
-    def _rebuild_leading(self) -> None:
-        rep_vecs = {self._leading_vector(r): i for i, r in enumerate(self.reps)}
-        delta = []
-        for rep in self.reps:
-            row = []
-            for a in range(self.alphabet.size):
-                vec = self._leading_vector(rep + (a,))
-                if vec not in rep_vecs:
-                    raise AutomatonError("leading table is not closed")
-                row.append(rep_vecs[vec])
-            delta.append(tuple(row))
-        self.leading = DetTS(self.alphabet, len(self.reps), 0, tuple(delta))
-        for rep in self.reps:
-            if rep not in self.p_rows:
-                self.p_rows[rep] = [()]
-                self.p_reps[rep] = [()]
-                self.p_exps[rep] = [()]
-
     def leading_state(self, w: Word) -> int:
         assert self.leading is not None
         return run_word(self.leading, 0, w)
 
-    def rep_word(self, state: int) -> Word:
-        return self.reps[state]
-
-    # --- progress tables ---------------------------------------------------
     def _progress_entry(self, u: Word, x: Word, v: Word) -> bool:
         if self.leading_state(u + x + v) != self.leading_state(u):
             return True
         return self.mq(u, x + v)
 
-    def _progress_vector(self, u: Word, row: Word) -> tuple[bool, ...]:
-        return tuple(self._progress_entry(u, row, v) for v in self.p_exps[u])
-
-    def close_progress(self, u: Word) -> None:
-        rows, reps = self.p_rows[u], self.p_reps[u]
-        # progress entries depend on the leading DFA, so representatives
-        # promoted before a leading refinement may have collapsed; drop the
-        # later duplicates (their rows stay, and closing re-promotes freely)
-        seen_vecs: set[tuple[bool, ...]] = set()
-        kept = []
-        for rep in reps:
-            vec = self._progress_vector(u, rep)
-            if vec not in seen_vecs:
-                seen_vecs.add(vec)
-                kept.append(rep)
-        reps[:] = kept
-        while True:
-            row_set = set(rows)
-            for rep in reps:
-                for a in range(self.alphabet.size):
-                    if rep + (a,) not in row_set:
-                        row_set.add(rep + (a,))
-                        rows.append(rep + (a,))
-            rep_vecs = [self._progress_vector(u, r) for r in reps]
-            promoted = False
-            for row in sorted(rows, key=lambda w: (len(w), w)):
-                vec = self._progress_vector(u, row)
-                if vec not in rep_vecs:
-                    reps.append(row)
-                    rep_vecs.append(vec)
-                    promoted = True
-                    break
-            if not promoted:
-                break
+    def close_leading(self) -> None:
+        """Close the leading table and rebuild the leading DFA; progress
+        entries depend on it, so every progress table is re-closed."""
+        self.lead.close()
+        self.leading = DetTS(self.alphabet, len(self.lead.reps), 0,
+                             self.lead.delta())
+        for u in self.lead.reps:
+            if u not in self.progress:
+                self.progress[u] = _Table(
+                    self.alphabet.size, [()],
+                    lambda x, v, u=u: self._progress_entry(u, x, v))
+            self.progress[u].close()
 
     def progress_dfa(self, u: Word) -> Dfa:
-        reps = self.p_reps[u]
-        rep_vecs = {self._progress_vector(u, r): i for i, r in enumerate(reps)}
-        delta = []
-        finals = set()
-        for i, rep in enumerate(reps):
-            row = []
-            for a in range(self.alphabet.size):
-                vec = self._progress_vector(u, rep + (a,))
-                if vec not in rep_vecs:
-                    raise AutomatonError("progress table is not closed")
-                row.append(rep_vecs[vec])
-            delta.append(tuple(row))
-            if self._progress_entry(u, rep, ()):
-                finals.add(i)
-        ts = DetTS(self.alphabet, len(reps), 0, tuple(delta))
-        return Dfa(ts, frozenset(finals))
+        table = self.progress[u]
+        ts = DetTS(self.alphabet, len(table.reps), 0, table.delta())
+        return Dfa(ts, frozenset(i for i, rep in enumerate(table.reps)
+                                 if table.entry(rep, ())))
 
-    def refresh_progress(self) -> None:
-        """Progress entries depend on the current leading DFA, so after any
-        leading refinement every progress table is re-closed."""
-        for u in self.reps:
-            self.close_progress(u)
-
-    # --- hypothesis ----------------------------------------------------
     def hypothesis(self) -> Fdfa:
         assert self.leading is not None
-        progress = tuple(self.progress_dfa(u) for u in self.reps)
-        return Fdfa(self.leading, progress, labels=tuple(self.reps),
+        progress = tuple(self.progress_dfa(u) for u in self.lead.reps)
+        return Fdfa(self.leading, progress, labels=tuple(self.lead.reps),
                     flavor=LIMIT)
-
-    def row_total(self) -> int:
-        return len(self.reps) + sum(len(self.p_reps[u]) for u in self.reps)
-
-    def fingerprint(self) -> tuple:
-        h = self.hypothesis()
-        return (h.leading.delta,
-                tuple((p.ts.delta, tuple(sorted(p.finals))) for p in h.progress))
 
     # --- counterexample analysis ------------------------------------------
     def analyze(self, h: Fdfa, ce: UpWord) -> None:
         w = normalize(h, ce)
         x, y = w.prefix, w.period
-        x_rep = self.rep_word(self.leading_state(x))
+        x_rep = self.lead.reps[self.leading_state(x)]
         if self.mq(x, y) != self.mq(x_rep, y):
             self._refine_leading(x, y)
         else:
             self._refine_progress(x_rep, y)
 
     def _refine_leading(self, x: Word, y: Word) -> None:
-        n = len(x)
-        s = [self.rep_word(self.leading_state(x[:i])) for i in range(n + 1)]
-        prev = self.mq(s[0] + x, y)
-        for j in range(1, n + 1):
-            cur = self.mq(s[j] + x[j:], y)
-            if cur != prev:
-                exp = (x[j:], y)
-                if exp in self.exps:
-                    raise CounterexampleError(
-                        "leading experiment already present")
-                self.exps.append(exp)
-                self.close_leading()
-                self.refresh_progress()
-                return
-            prev = cur
-        raise CounterexampleError("no breakpoint found in the leading scan")
+        s = [self.lead.reps[self.leading_state(x[:i])]
+             for i in range(len(x) + 1)]
+        j = _breakpoint(lambda i: self.mq(s[i] + x[i:], y), len(x))
+        if j is None:
+            raise CounterexampleError("no breakpoint found in the leading scan")
+        self.lead.add_exp((x[j:], y))
+        self.close_leading()
 
     def _refine_progress(self, u: Word, y: Word) -> None:
         progress = self.progress_dfa(u)
-        reps = self.p_reps[u]
-        n = len(y)
+        table = self.progress[u]
 
         def value(i: int) -> bool:
-            s_i = reps[run_word(progress.ts, 0, y[:i])]
+            s_i = table.reps[run_word(progress.ts, 0, y[:i])]
             tail = s_i + y[i:]
             m_i = self.leading_state(u + tail) == self.leading_state(u)
+            # asked even when m_i is false: query logs pin this order
             c_i = self.mq(u, tail)
             return (not m_i) or c_i
 
-        prev = value(0)
-        for j in range(1, n + 1):
-            cur = value(j)
-            if cur != prev:
-                exp = y[j:]
-                if exp in self.p_exps[u]:
-                    raise CounterexampleError(
-                        "progress experiment already present")
-                self.p_exps[u].append(exp)
-                self.close_progress(u)
-                return
-            prev = cur
-        raise CounterexampleError("no flip found in the progress scan")
+        j = _breakpoint(value, len(y))
+        if j is None:
+            raise CounterexampleError("no flip found in the progress scan")
+        table.add_exp(y[j:])
+        table.close()
 
 
 def learn_limit_fdfa(teacher, limits: LearnerLimits = LearnerLimits()
@@ -419,19 +377,19 @@ def learn_limit_fdfa(teacher, limits: LearnerLimits = LearnerLimits()
     """Run the limit-FDFA learner to convergence against the teacher."""
     session = _Session(teacher, limits)
     session.close_leading()
-    session.refresh_progress()
+    h = session.hypothesis()
     stats = LearnStats()
     for iteration in range(limits.max_iterations):
         stats.iterations = iteration + 1
-        h = session.hypothesis()
         ce = teacher.eq(h)
         if ce is None:
             stats.mq = teacher.mq_count
             stats.eq = teacher.eq_count
             return h, stats
-        before = (session.row_total(), session.fingerprint())
+        before = _shape(h)
         session.analyze(h, ce)
-        if (session.row_total(), session.fingerprint()) == before:
+        h = session.hypothesis()
+        if _shape(h) == before:
             raise CounterexampleError(
                 "counterexample analysis did not change the hypothesis")
     raise LearnLimitExceeded(

@@ -17,9 +17,11 @@ from omega_fdfa import (
     gen_sigma_star_aa,
 )
 from omega_fdfa.cli import (
+    MAX_STATES,
     ParseError,
     format_automaton,
     format_fdfa,
+    main,
     parse_automaton,
     parse_fdfa,
 )
@@ -192,6 +194,21 @@ def test_cmd_canon_profile_cap_exits_4(cli, tmp_path):
     assert err == "error: profile DFA exceeded cap of 200000 states\n"
 
 
+@pytest.mark.parametrize("command, name, text", [
+    ("canon", "huge.aut", "alphabet: a\nstates: 1000000000000\ninitial: 0\n"
+     "acceptance: buchi\ntrans: 0 a 0 acc\n"),
+    ("decide", "huge.fdfa", "fdfa\nleading\nalphabet: a\nstates: 1\n"
+     "initial: 0\ntrans: 0 a 0\nprogress 0\nstates: 1000000000000\n"
+     "initial: 0\ntrans: 0 a 0\nfinals: 0\n"),
+])
+def test_huge_states_exits_4_before_allocating(cli, tmp_path, command, name,
+                                               text):
+    code, _, err = cli(command, _write(tmp_path, name, text))
+    assert code == 4
+    assert err == ("error: states: 1000000000000 exceeds the parser cap of "
+                   f"{MAX_STATES}\n")
+
+
 def test_cmd_canon_unwritable_out_exits_2(cli, fig1_file, tmp_path):
     out = tmp_path / "missing" / "x.fdfa"
     code, _, err = cli("canon", fig1_file, "--out", str(out))
@@ -263,6 +280,16 @@ def test_cmd_learn_iteration_cap(cli, fig1_file):
     code, _, err = cli("learn", "--teacher", f"dba:{fig1_file}",
                        "--max-iterations", "1")
     assert code == 4
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cmd_learn_max_iterations_below_1_exits_2(capsys, fig1_file, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["learn", "--teacher", f"dba:{fig1_file}",
+              "--max-iterations", value])
+    assert exc.value.code == 2
+    assert "argument --max-iterations: must be at least 1" \
+        in capsys.readouterr().err
 
 
 def test_cmd_bench_ln(cli):

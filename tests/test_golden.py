@@ -1,7 +1,10 @@
 """Golden outputs: the exact bytes the CLI prints and writes on the zoo's
-Figure 1 DBA and parity FDFA.  State numbering reaches these outputs through
-unminimized products (syntactic progress DFAs), the DBA translation and the
-decision witness, so any change to exploration order shows up here."""
+Figure 1 DBA and parity FDFA and on one random DBA.  State numbering reaches
+these outputs through unminimized products (syntactic progress DFAs), the DBA
+translation and the decision witness, so any change to exploration order
+shows up here.  The learner's logs pin every membership query in order; the
+random DBA's run is one where progress representatives collapse after a
+leading refinement."""
 
 from __future__ import annotations
 
@@ -9,14 +12,14 @@ import pathlib
 
 import pytest
 
-from omega_fdfa import gen_fig1, gen_fig5_fdfa
+from omega_fdfa import gen_fig1, gen_fig5_fdfa, gen_random_dba
 from omega_fdfa.cli import format_automaton, format_fdfa, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 CASES = ["canon-periodic", "canon-syntactic", "canon-recurrent", "canon-limit",
          "translate-nba", "translate-ldba", "translate-dba", "decide-fig5",
-         "learn-fig1"]
+         "learn-fig1", "learn-fig5", "learn-rand-5x3-s1"]
 
 
 def run_case(case: str, tmp: pathlib.Path, capsys) -> str:
@@ -27,6 +30,8 @@ def run_case(case: str, tmp: pathlib.Path, capsys) -> str:
     limit = tmp / "limit.fdfa"
     fig5 = tmp / "fig5.fdfa"
     fig5.write_text(format_fdfa(gen_fig5_fdfa()), encoding="utf-8")
+    rand = tmp / "rand.aut"
+    rand.write_text(format_automaton(gen_random_dba(1, 5, 3)), encoding="utf-8")
     out, log = tmp / "out", tmp / "log"
     kind, _, arg = case.partition("-")
     if kind == "canon":
@@ -37,7 +42,9 @@ def run_case(case: str, tmp: pathlib.Path, capsys) -> str:
     elif kind == "decide":
         argv = ["decide", str(fig5)]
     else:
-        argv = ["learn", "--teacher", f"dba:{fig1}", "--out", str(out),
+        teacher = {"fig1": f"dba:{fig1}", "fig5": f"fdfa:{fig5}",
+                   "rand-5x3-s1": f"dba:{rand}"}[arg]
+        argv = ["learn", "--teacher", teacher, "--out", str(out),
                 "--log", str(log)]
     capsys.readouterr()
     code = main(argv)
