@@ -1,10 +1,19 @@
 """Leading right congruence and the four canonical progress DFAs computed
 from a reference deterministic Buchi automaton, plus the co-safety
-cross-check construction and a bounded refinement checker."""
+cross-check construction and a bounded refinement checker.
+
+One construction does its per-DBA work once.  The leading congruence comes
+from one pass over the pair graph of the reference's reachable states
+(``core_automata.dba_equiv_table``).  The transition-profile monoid of the
+reference does not depend on the leading class: the first progress DFA
+explores it, the :class:`LeadingQuotient` keeps it, and every class and
+flavor then only picks its own final profiles and minimizes.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from contextlib import suppress
+from dataclasses import dataclass, field, replace
 
 from .core_automata import (
     AutomatonError,
@@ -16,7 +25,8 @@ from .core_automata import (
     UpWord,
     Word,
     _scc_ids,
-    dba_state_equiv,
+    dba_equiv_table,
+    dba_state_equiv,  # noqa: F401  (fdfabench/spans.py wraps it here)
     dfa_minimize,
     dfa_product,
     explore,
@@ -27,8 +37,7 @@ from .core_automata import (
 from .fdfa import Fdfa, LIMIT, PERIODIC, RECURRENT, SYNTACTIC
 
 PROFILE_CAP = 200_000
-
-Profile = tuple[tuple[int, int], ...]
+PAIR_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -45,21 +54,34 @@ class LeadingQuotient:
     leading: DetTS
     reps: tuple[int, ...]
     rep_words: tuple[Word, ...]
+    # (profiles, profile TS) of ``ref``, set by the first periodic_lang_dfa
+    # call on this quotient; see _profile_monoid
+    _monoid: tuple[list[tuple[int, ...]], DetTS] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
 
 def compute_leading(d: DetOmega) -> LeadingQuotient:
+    """The residual-language quotient of the reachable part of d; raises
+    ResourceLimitError when d has more than PAIR_CAP pairs of reachable
+    states, the size of the pair graph that decides it."""
     if d.polarity != BUCHI:
         raise AutomatonError("reference must be a deterministic Buchi automaton")
     ts = d.ts
     reachable = sorted(explore([ts.initial], ts.delta.__getitem__)[0])
+    if len(reachable) ** 2 > PAIR_CAP:
+        raise ResourceLimitError(
+            f"leading congruence exceeded cap of {PAIR_CAP} state pairs")
+    equiv = dba_equiv_table(d, reachable)
+    # groups of indices into reachable, then of states
     groups: list[list[int]] = []
-    for s in reachable:
+    for i in range(len(reachable)):
         for g in groups:
-            if dba_state_equiv(d, g[0], s):
-                g.append(s)
+            if equiv[g[0]][i]:
+                g.append(i)
                 break
         else:
-            groups.append([s])
+            groups.append([i])
+    groups = [[reachable[i] for i in g] for g in groups]
     provisional = [-1] * ts.state_count
     for gi, g in enumerate(groups):
         for s in g:
@@ -87,48 +109,59 @@ def compute_leading(d: DetOmega) -> LeadingQuotient:
     return LeadingQuotient(d, class_of, leading, reps, rep_words)
 
 
-def _letter_profiles(d: DetOmega) -> list[Profile]:
+def _explore_profiles(d: DetOmega,
+                      cap: int) -> tuple[list[tuple[int, ...]], DetTS]:
+    """The transition-profile TS of d, explored from the identity (the
+    profile of epsilon).  The profile of a word z holds, for each state s,
+    ``(t << 1) | bit``: z leads s to t, and bit says whether that run took
+    an accepting transition."""
     ts = d.ts
-    return [tuple((ts.delta[s][a], 1 if (s, a) in d.acc else 0)
-                  for s in range(ts.state_count))
-            for a in range(ts.alphabet.size)]
+    # steps[a][x] is the profile entry x extended by the letter a
+    steps = [[(ts.delta[x >> 1][a] << 1) | (x & 1) | ((x >> 1, a) in d.acc)
+              for x in range(2 * ts.state_count)]
+             for a in range(ts.alphabet.size)]
+    lookups = [step.__getitem__ for step in steps]
+    identity = tuple(s << 1 for s in range(ts.state_count))
+    profiles, delta = explore(
+        [identity], lambda p: [tuple(map(f, p)) for f in lookups], cap)
+    return profiles, DetTS(ts.alphabet, len(profiles), 0, tuple(delta))
 
 
-def _compose(p: Profile, lp: Profile) -> Profile:
-    return tuple((lp[s][0], b | lp[s][1]) for s, b in p)
-
-
-def _profile_omega_accepts(p: Profile, start: int) -> bool:
-    """Whether z^omega is accepted from ``start`` when z has profile p."""
-    seen: dict[int, int] = {}
-    bits: list[int] = []
-    s = start
-    while s not in seen:
-        seen[s] = len(bits)
-        t, b = p[s]
-        bits.append(b)
-        s = t
-    return any(bits[seen[s]:])
+def _profile_monoid(lq: LeadingQuotient,
+                    cap: int) -> tuple[list[tuple[int, ...]], DetTS]:
+    """The reference's profile TS, explored by the first call on lq and
+    shared by every later one, for any class and flavor."""
+    if lq._monoid is None:
+        with suppress(ResourceLimitError):
+            object.__setattr__(lq, "_monoid", _explore_profiles(lq.ref, cap))
+    if lq._monoid is None or len(lq._monoid[0]) > cap:
+        raise ResourceLimitError(f"profile DFA exceeded cap of {cap} states")
+    return lq._monoid
 
 
 def periodic_lang_dfa(lq: LeadingQuotient, u_class: int,
                       cap: int = PROFILE_CAP) -> Dfa:
     """DFA over profile elements recognizing {z : u . z^omega in L};
     epsilon is non-final by convention (the identity profile has no bits)."""
-    d = lq.ref
-    letters = _letter_profiles(d)
-    identity: Profile = tuple((q, 0) for q in range(d.ts.state_count))
-    try:
-        profiles, delta = explore(
-            [identity], lambda p: [_compose(p, lp) for lp in letters], cap)
-    except ResourceLimitError:
-        raise ResourceLimitError(
-            f"profile DFA exceeded cap of {cap} states") from None
+    if not 0 <= u_class < lq.leading.state_count:
+        raise AutomatonError("invalid leading class")
+    profiles, ts = _profile_monoid(lq, cap)
     rep = lq.reps[u_class]
-    finals = frozenset(i for i, p in enumerate(profiles)
-                       if _profile_omega_accepts(p, rep))
-    ts = DetTS(d.ts.alphabet, len(profiles), 0, tuple(delta))
-    return Dfa(ts, finals)
+
+    def omega_accepts(p: tuple[int, ...]) -> bool:
+        # run z, z, ... from rep until a state repeats; z^omega is accepted
+        # iff the repeating part took an accepting transition
+        seen: dict[int, int] = {}
+        bits: list[int] = []
+        s = rep
+        while s not in seen:
+            seen[s] = len(bits)
+            bits.append(p[s] & 1)
+            s = p[s] >> 1
+        return any(bits[seen[s]:])
+
+    return Dfa(ts, frozenset(i for i, p in enumerate(profiles)
+                             if omega_accepts(p)))
 
 
 def cu_dfa(lq: LeadingQuotient, u_class: int) -> Dfa:
@@ -161,21 +194,28 @@ def _epsilon_joins_accepted_returns(d: Dfa) -> Dfa:
 
 def progress_dfa(lq: LeadingQuotient, u_class: int, flavor: str,
                  cap: int = PROFILE_CAP) -> Dfa:
-    per = periodic_lang_dfa(lq, u_class, cap)
-    if flavor == PERIODIC:
-        return dfa_minimize(per)
-    cu = cu_dfa(lq, u_class)
-    if flavor == RECURRENT:
-        prod = dfa_product(cu, per, lambda c, p: c and p)
-        return dfa_minimize(_epsilon_joins_accepted_returns(prod))
-    if flavor == LIMIT:
-        return dfa_minimize(dfa_product(cu, per, lambda c, p: (not c) or p))
     if flavor == SYNTACTIC:
         # classes are exactly reachable (leading-from-u, limit-class) pairs,
         # so the product stays unminimized
         limit = progress_dfa(lq, u_class, LIMIT, cap)
-        return dfa_product(cu, limit, lambda c, p: c and p)
-    raise AutomatonError(f"unknown flavor {flavor!r}")
+        return dfa_product(cu_dfa(lq, u_class), limit, lambda c, p: c and p)
+    if flavor not in (PERIODIC, RECURRENT, LIMIT):
+        raise AutomatonError(f"unknown flavor {flavor!r}")
+    per = periodic_lang_dfa(lq, u_class, cap)
+    if flavor == PERIODIC:
+        return dfa_minimize(per)
+    # cu x per is isomorphic to the profile TS: z leads u into the class of
+    # the state that z's profile sends u's representative to
+    profiles, _ = _profile_monoid(lq, cap)
+    rep = lq.reps[u_class]
+    returns = [lq.class_of[p[rep] >> 1] == u_class for p in profiles]
+    if flavor == RECURRENT:
+        finals = frozenset(i for i in per.finals if returns[i])
+        return dfa_minimize(
+            _epsilon_joins_accepted_returns(Dfa(per.ts, finals)))
+    finals = frozenset(i for i, r in enumerate(returns)
+                       if not r or i in per.finals)
+    return dfa_minimize(Dfa(per.ts, finals))
 
 
 def build_canonical_fdfa(d: DetOmega, flavor: str,

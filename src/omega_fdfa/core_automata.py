@@ -611,6 +611,59 @@ def dba_state_equiv(d: DetOmega, p: int, q: int) -> bool:
         and nba_dba_included(from_q, as_dba_p) is True
 
 
+def dba_equiv_table(d: DetOmega,
+                    states: Sequence[int]) -> list[list[bool]]:
+    """``table[i][j]`` is True iff the residual languages of d from
+    ``states[i]`` and from ``states[j]`` coincide, decided in one pass over
+    the pair graph (p, q) -a-> (delta(p, a), delta(q, a)).  ``states`` must
+    be closed under successors, such as the reachable states of d.
+
+    A word is in L(p) \\ L(q) iff its pair run ends in a cycle that takes a
+    p-accepting edge and no q-accepting one.  So a pair is bad when an SCC
+    of the pair graph without q-accepting edges holds a p-accepting edge,
+    or the same with p and q swapped, and p, q are inequivalent iff (p, q)
+    reaches a bad pair."""
+    if d.polarity != BUCHI:
+        raise AutomatonError("dba_equiv_table expects Buchi polarity")
+    n, k = len(states), d.ts.alphabet.size
+    index = {s: i for i, s in enumerate(states)}
+    step = [[index[d.ts.delta[s][a]] for a in range(k)] for s in states]
+    marked = [[(s, a) in d.acc for a in range(k)] for s in states]
+    pre: list[list[list[int]]] = [[[] for _ in range(k)] for _ in states]
+    for s in range(n):
+        for a in range(k):
+            pre[step[s][a]][a].append(s)
+    # edges are computed where they are used, so a pair costs little more
+    # than its quiet edges and its SCC id
+    pairs = range(n * n)
+
+    def succ(i: int) -> list[int]:
+        return [tp * n + tq for tp, tq in zip(step[i // n], step[i % n])]
+
+    def pred(j: int) -> list[int]:
+        return [p * n + q for a in range(k)
+                for p in pre[j // n][a] for q in pre[j % n][a]]
+
+    comp = _scc_ids([tuple(t for t, m in zip(succ(i), marked[i % n])
+                           if not m) for i in pairs])
+    bad: list[int] = []
+    for i in pairs:
+        p, q = divmod(i, n)
+        if any(mp and not mq and comp[i] == comp[t]
+               for t, mp, mq in zip(succ(i), marked[p], marked[q])):
+            bad += (i, q * n + p)
+    inequivalent = bytearray(n * n)
+    for i in bad:
+        inequivalent[i] = 1
+    while bad:
+        for i in pred(bad.pop()):
+            if not inequivalent[i]:
+                inequivalent[i] = 1
+                bad.append(i)
+    return [[not inequivalent[p * n + q] for q in range(n)]
+            for p in range(n)]
+
+
 def shortest_state_words(ts: DetTS) -> dict[int, Word]:
     """Shortest lexicographically least access word for each reachable state."""
     adj = {s: [(x, ts.delta[s][x]) for x in range(ts.alphabet.size)]

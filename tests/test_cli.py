@@ -1,6 +1,8 @@
 """Tests for the command-line surface: text formats, round trips, commands,
 and exit codes."""
 
+from math import isqrt
+
 import pytest
 
 from omega_fdfa import (
@@ -25,6 +27,7 @@ from omega_fdfa.cli import (
     parse_automaton,
     parse_fdfa,
 )
+from omega_fdfa.congruence import PAIR_CAP
 
 
 # --------------------------------------------------------------------------
@@ -192,6 +195,31 @@ def test_cmd_canon_profile_cap_exits_4(cli, tmp_path):
     code, _, err = cli("canon", path, "--flavor", "limit")
     assert code == 4
     assert err == "error: profile DFA exceeded cap of 200000 states\n"
+
+
+def test_cmd_canon_many_declared_states_few_reachable(cli, tmp_path):
+    # the parser completes the table with a sink; only state 0 and the sink
+    # are reachable, so canon reads like the two-state automaton
+    head = "alphabet: a b\nstates: {}\ninitial: 0\nacceptance: buchi\n"
+    sparse = _write(tmp_path, "sparse.aut", head.format(MAX_STATES)
+                    + "trans: 0 a 0 acc\n")
+    small = _write(tmp_path, "small.aut", head.format(2)
+                   + "trans: 0 a 0 acc\ntrans: 0 b 1\ntrans: 1 a 1\n"
+                   "trans: 1 b 1\n")
+    code, out, err = cli("canon", sparse)
+    assert (code, err) == (0, "")
+    assert out.endswith("\nleading=2 progress=2,1 total=5\n")
+    assert cli("canon", small) == (code, out, err)
+
+
+def test_cmd_canon_pair_cap_exits_4(cli, tmp_path):
+    n = isqrt(PAIR_CAP) + 1
+    text = "".join(f"trans: {s} a {(s + 1) % n}\n" for s in range(n))
+    path = _write(tmp_path, "cycle.aut", f"alphabet: a\nstates: {n}\n"
+                  f"initial: 0\nacceptance: buchi\n{text}")
+    assert cli("canon", path) == (
+        4, "", f"error: leading congruence exceeded cap of {PAIR_CAP} state "
+        "pairs\n")
 
 
 @pytest.mark.parametrize("command, name, text", [

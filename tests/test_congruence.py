@@ -2,14 +2,19 @@
 cross-check, and the bounded refinement checker — validated against the
 brute-force congruence oracle."""
 
+import random
 from dataclasses import replace
 
 import pytest
 
+import omega_fdfa.congruence as congruence
 from omega_fdfa import (
+    Alphabet,
     AutomatonError,
+    BUCHI,
     COBUCHI,
     DetOmega,
+    DetTS,
     Dfa,
     FLAVORS,
     LIMIT,
@@ -34,6 +39,7 @@ from omega_fdfa import (
     run_word,
     size_report,
 )
+from omega_fdfa.core_automata import dba_equiv_table, dba_state_equiv
 from omega_fdfa.fdfa import sink_final_state
 
 from oracles import partitions_match, words_upto
@@ -95,6 +101,112 @@ def test_periodic_lang_dfa_cap():
         periodic_lang_dfa(compute_leading(gen_ln(3)), 0, cap=2)
 
 
+def test_periodic_lang_dfa_cap_on_an_explored_monoid():
+    lq = compute_leading(gen_fig1())
+    size = periodic_lang_dfa(lq, 0).ts.state_count
+    assert size > 2
+    for c in range(lq.leading.state_count):
+        with pytest.raises(ResourceLimitError,
+                           match=f"^profile DFA exceeded cap of {size - 1} "
+                                 "states$"):
+            periodic_lang_dfa(lq, c, cap=size - 1)
+        for flavor in FLAVORS:
+            with pytest.raises(ResourceLimitError,
+                               match="^profile DFA exceeded cap of 1 states$"):
+                progress_dfa(lq, c, flavor, cap=1)
+    # the cap is inclusive, and a refused call leaves the monoid usable
+    assert periodic_lang_dfa(lq, 1, cap=size).ts.state_count == size
+
+
+def test_periodic_lang_dfa_uncapped_after_a_capped_failure():
+    lq = compute_leading(gen_fig1())
+    with pytest.raises(ResourceLimitError):
+        periodic_lang_dfa(lq, 0, cap=2)
+    fresh = compute_leading(gen_fig1())
+    assert periodic_lang_dfa(lq, 0) == periodic_lang_dfa(fresh, 0)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_profile_monoid_explored_once_per_construction(monkeypatch,
+                                                       flavor):
+    calls = []
+    explore_profiles = congruence._explore_profiles
+
+    def counting(d, cap):
+        calls.append(d)
+        return explore_profiles(d, cap)
+
+    monkeypatch.setattr(congruence, "_explore_profiles", counting)
+    d = gen_fig1()
+    assert compute_leading(d).leading.state_count == 5
+    build_canonical_fdfa(d, flavor)
+    assert len(calls) == 1
+    # nothing is kept from one construction to the next
+    build_canonical_fdfa(d, flavor)
+    assert len(calls) == 2
+
+
+def _counter_with_resets(seed: int, n: int, density: float) -> DetOmega:
+    """Letter a cycles through all n states; letter b sends every state into
+    a 2-state image; each transition accepts with the given probability."""
+    rng = random.Random(seed)
+    image = rng.sample(range(n), 2)
+    delta = tuple(((s + 1) % n, rng.choice(image)) for s in range(n))
+    acc = frozenset((s, a) for s in range(n) for a in range(2)
+                    if rng.random() < density)
+    return DetOmega(DetTS(Alphabet(("a", "b")), n, 0, delta), acc, BUCHI)
+
+
+def _leading_oracle_cases():
+    yield "fig1", gen_fig1()
+    yield "saa", gen_sigma_star_aa()
+    for n in (1, 2, 3, 4):
+        yield f"ln{n}", gen_ln(n)
+    for seed in range(104):
+        rng = random.Random(seed)
+        n, k = rng.randint(3, 12), rng.randint(2, 3)
+        density = (0.3, 0.5)[seed % 2]
+        yield (f"rand-{n}x{k}-s{seed}-{density}",
+               gen_random_dba(seed, n, k, acc_density=density))
+    for seed in range(6):
+        for n in (6, 10, 14):
+            for density in (0.3, 0.5):
+                yield (f"counter-{n}-s{seed}-{density}",
+                       _counter_with_resets(seed, n, density))
+
+
+def test_leading_matches_pairwise_inclusion_oracle():
+    for name, d in _leading_oracle_cases():
+        n = d.ts.state_count
+        table = [[p == q for q in range(n)] for p in range(n)]
+        for p in range(n):
+            for q in range(p + 1, n):
+                table[p][q] = table[q][p] = dba_state_equiv(d, p, q)
+        assert dba_equiv_table(d, range(n)) == table, name
+        lq = compute_leading(d)
+        reachable = [s for s in range(n) if lq.class_of[s] >= 0]
+        assert all((lq.class_of[p] == lq.class_of[q]) == table[p][q]
+                   for p in reachable for q in reachable), name
+
+
+def test_leading_pairs_only_reachable_states(monkeypatch):
+    fig1 = gen_fig1()
+    # 1000 unreachable copies of the sink: the pair graph stays 5 x 5
+    delta = fig1.ts.delta + ((5, 5),) * 1000
+    padded = DetOmega(replace(fig1.ts, state_count=1005, delta=delta),
+                      fig1.acc, fig1.polarity)
+    monkeypatch.setattr(congruence, "PAIR_CAP", 25)
+    lq = compute_leading(padded)
+    assert replace(lq, ref=fig1, class_of=lq.class_of[:5]) == \
+        compute_leading(fig1)
+    assert set(lq.class_of[5:]) == {-1}
+    monkeypatch.setattr(congruence, "PAIR_CAP", 24)
+    with pytest.raises(ResourceLimitError,
+                       match="^leading congruence exceeded cap of 24 state "
+                             "pairs$"):
+        compute_leading(padded)
+
+
 def test_cu_dfa_language(fig1):
     lq = compute_leading(fig1)
     for c in range(lq.leading.state_count):
@@ -132,6 +244,14 @@ def test_ln_per_class_sizes():
 def test_progress_unknown_flavor(fig1):
     with pytest.raises(AutomatonError):
         progress_dfa(compute_leading(fig1), 0, "nope")
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_progress_invalid_class(fig1, flavor):
+    lq = compute_leading(fig1)
+    for c in (-1, lq.leading.state_count):
+        with pytest.raises(AutomatonError, match="invalid leading class"):
+            progress_dfa(lq, c, flavor)
 
 
 def test_progress_partition_matches_oracle_on_zoo():
