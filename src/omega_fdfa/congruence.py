@@ -5,15 +5,24 @@ cross-check construction and a bounded refinement checker.
 One construction does its per-DBA work once.  The leading congruence comes
 from one pass over the pair graph of the reference's reachable states
 (``core_automata.dba_equiv_table``).  The transition-profile monoid of the
-reference does not depend on the leading class: the first progress DFA
-explores it, the :class:`LeadingQuotient` keeps it, and every class and
-flavor then only picks its own final profiles and minimizes.
+reference does not depend on the leading class: the first profile DFA
+(``periodic_lang_dfa``) explores it and, in one walk per profile shared
+by every class representative, finds from which representatives the
+profile's omega-power is accepted; the :class:`LeadingQuotient` keeps
+both.  Per flavor, those walks give every profile its vector of finalities, one per
+leading class, and one partition refinement of the monoid from that vector
+gives the coarsest right congruence respecting every class's final
+profiles.  Each class's progress DFA is minimized on this shared quotient
+with the class's own finals.  The quotient is often far smaller than the
+monoid (tens of blocks where it has thousands of profiles), but where the
+classes' finals are unrelated it can be nearly as large.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 from .core_automata import (
     AutomatonError,
@@ -25,6 +34,7 @@ from .core_automata import (
     UpWord,
     Word,
     _scc_ids,
+    coarsest_quotient,
     dba_equiv_table,
     dba_state_equiv,  # noqa: F401  (fdfabench/spans.py wraps it here)
     dfa_minimize,
@@ -58,6 +68,14 @@ class LeadingQuotient:
     # call on this quotient; see _profile_monoid
     _monoid: tuple[list[tuple[int, ...]], DetTS] | None = field(
         default=None, init=False, repr=False, compare=False)
+    # (acceptance vector id of each profile, the distinct vectors); see
+    # _acceptance
+    _accepts: tuple[list[int], list[tuple[bool, ...]]] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    # flavor -> (quotient of the profile TS, final blocks of each class);
+    # see _shared_quotient
+    _quotients: dict[str, tuple[DetTS, tuple[frozenset[int], ...]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
 
 def compute_leading(d: DetOmega) -> LeadingQuotient:
@@ -139,29 +157,57 @@ def _profile_monoid(lq: LeadingQuotient,
     return lq._monoid
 
 
+def _omega_accepts(p: tuple[int, ...],
+                   starts: Sequence[int]) -> tuple[bool, ...]:
+    """For each start state s, whether z^omega is accepted from s, where p is
+    the profile of z.  The run from s follows p's functional graph until a
+    state repeats, and accepts iff the repeating part took an accepting
+    transition; runs from several starts share their walks, so each state is
+    visited once."""
+    value = [-1] * len(p)  # -1 unvisited, 2 on the current walk, else 0/1
+    for s in starts:
+        path = []
+        while value[s] < 0:
+            value[s] = 2
+            path.append(s)
+            s = p[s] >> 1
+        v = value[s]
+        if v == 2:  # the walk closed a cycle at s
+            v = 0
+            for t in path[path.index(s):]:
+                if p[t] & 1:
+                    v = 1
+                    break
+        for t in path:
+            value[t] = v
+    return tuple([value[s] == 1 for s in starts])
+
+
+def _acceptance(lq: LeadingQuotient,
+                cap: int) -> tuple[list[int], list[tuple[bool, ...]]]:
+    """For each profile of lq's reference, the id of its acceptance vector,
+    which says for each leading class u whether u . z^omega is accepted (z
+    a word of that profile); and the distinct vectors by id.  Computed by
+    the first call on lq; profiles share few distinct vectors."""
+    profiles, _ = _profile_monoid(lq, cap)
+    if lq._accepts is None:
+        ids: dict[tuple[bool, ...], int] = {}
+        labels = [ids.setdefault(_omega_accepts(p, lq.reps), len(ids))
+                  for p in profiles]
+        object.__setattr__(lq, "_accepts", (labels, list(ids)))
+    return lq._accepts
+
+
 def periodic_lang_dfa(lq: LeadingQuotient, u_class: int,
                       cap: int = PROFILE_CAP) -> Dfa:
     """DFA over profile elements recognizing {z : u . z^omega in L};
     epsilon is non-final by convention (the identity profile has no bits)."""
     if not 0 <= u_class < lq.leading.state_count:
         raise AutomatonError("invalid leading class")
-    profiles, ts = _profile_monoid(lq, cap)
-    rep = lq.reps[u_class]
-
-    def omega_accepts(p: tuple[int, ...]) -> bool:
-        # run z, z, ... from rep until a state repeats; z^omega is accepted
-        # iff the repeating part took an accepting transition
-        seen: dict[int, int] = {}
-        bits: list[int] = []
-        s = rep
-        while s not in seen:
-            seen[s] = len(bits)
-            bits.append(p[s] & 1)
-            s = p[s] >> 1
-        return any(bits[seen[s]:])
-
-    return Dfa(ts, frozenset(i for i, p in enumerate(profiles)
-                             if omega_accepts(p)))
+    labels, vectors = _acceptance(lq, cap)
+    accepted = {v for v, vector in enumerate(vectors) if vector[u_class]}
+    return Dfa(lq._monoid[1], frozenset(i for i, v in enumerate(labels)
+                                        if v in accepted))
 
 
 def cu_dfa(lq: LeadingQuotient, u_class: int) -> Dfa:
@@ -192,6 +238,48 @@ def _epsilon_joins_accepted_returns(d: Dfa) -> Dfa:
     return Dfa(new_ts, d.finals | {iota})
 
 
+def _shared_quotient(lq: LeadingQuotient, flavor: str, u_class: int,
+                     cap: int) -> tuple[DetTS, tuple[frozenset[int], ...]]:
+    """The profile TS of lq's reference quotiented by the coarsest right
+    congruence that respects, for every leading class u, the flavor's final
+    profiles of u, and the final blocks of each class.  Built by the first
+    call per flavor on lq, for class u_class, and shared by every class."""
+    if flavor in lq._quotients:
+        # the cap is checked on every call, also once the quotient is cached
+        _profile_monoid(lq, cap)
+        return lq._quotients[flavor]
+    # the profile DFA of the first class asked for explores the monoid and
+    # the acceptance vectors that every class's finals come from
+    ts = periodic_lang_dfa(lq, u_class, cap).ts
+    labels, vectors = lq._accepts
+    if flavor != PERIODIC:
+        profiles, _ = lq._monoid
+        reps, class_of = lq.reps, lq.class_of
+        recurrent = flavor == RECURRENT
+
+        def finality(p: tuple[int, ...],
+                     accepts: tuple[bool, ...]) -> tuple[bool, ...]:
+            # z leads u into the class of the state that z's profile sends
+            # u's representative to
+            pairs = enumerate(zip(reps, accepts))
+            if recurrent:
+                return tuple([a and class_of[p[r] >> 1] == u
+                              for u, (r, a) in pairs])
+            return tuple([a or class_of[p[r] >> 1] != u
+                          for u, (r, a) in pairs])
+
+        ids: dict[tuple[bool, ...], int] = {}
+        labels = [ids.setdefault(finality(p, vectors[v]), len(ids))
+                  for p, v in zip(profiles, labels)]
+        vectors = list(ids)
+    blocks, quotient = coarsest_quotient(ts, labels.__getitem__)
+    finals = tuple(frozenset(b for b, i in enumerate(blocks)
+                             if vectors[labels[i]][u])
+                   for u in range(len(lq.reps)))
+    lq._quotients[flavor] = (quotient, finals)
+    return lq._quotients[flavor]
+
+
 def progress_dfa(lq: LeadingQuotient, u_class: int, flavor: str,
                  cap: int = PROFILE_CAP) -> Dfa:
     if flavor == SYNTACTIC:
@@ -201,21 +289,15 @@ def progress_dfa(lq: LeadingQuotient, u_class: int, flavor: str,
         return dfa_product(cu_dfa(lq, u_class), limit, lambda c, p: c and p)
     if flavor not in (PERIODIC, RECURRENT, LIMIT):
         raise AutomatonError(f"unknown flavor {flavor!r}")
-    per = periodic_lang_dfa(lq, u_class, cap)
-    if flavor == PERIODIC:
-        return dfa_minimize(per)
-    # cu x per is isomorphic to the profile TS: z leads u into the class of
-    # the state that z's profile sends u's representative to
-    profiles, _ = _profile_monoid(lq, cap)
-    rep = lq.reps[u_class]
-    returns = [lq.class_of[p[rep] >> 1] == u_class for p in profiles]
+    if not 0 <= u_class < lq.leading.state_count:
+        raise AutomatonError("invalid leading class")
+    # the quotient refines u's Nerode equivalence, so minimizing on it gives
+    # the same DFA as minimizing on the whole profile TS
+    ts, finals = _shared_quotient(lq, flavor, u_class, cap)
+    dfa = Dfa(ts, finals[u_class])
     if flavor == RECURRENT:
-        finals = frozenset(i for i in per.finals if returns[i])
-        return dfa_minimize(
-            _epsilon_joins_accepted_returns(Dfa(per.ts, finals)))
-    finals = frozenset(i for i, r in enumerate(returns)
-                       if not r or i in per.finals)
-    return dfa_minimize(Dfa(per.ts, finals))
+        dfa = _epsilon_joins_accepted_returns(dfa)
+    return dfa_minimize(dfa)
 
 
 def build_canonical_fdfa(d: DetOmega, flavor: str,

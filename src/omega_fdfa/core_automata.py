@@ -305,31 +305,41 @@ def canonical_dfa(a: Dfa) -> Dfa:
     return Dfa(DetTS(a.ts.alphabet, len(order), 0, tuple(delta)), finals)
 
 
-def dfa_minimize(a: Dfa) -> Dfa:
-    """Minimal complete DFA via partition refinement; states are exactly the
-    Nerode classes of L(a)."""
-    order, rows = explore([a.ts.initial], a.ts.delta.__getitem__)
-    block = [1 if s in a.finals else 0 for s in order]
+def coarsest_quotient(ts: DetTS,
+                      label: Callable[[int], Hashable]) -> tuple[list[int],
+                                                                 DetTS]:
+    """The part of ts reachable from its initial state, quotiented by the
+    coarsest right congruence in which equivalent states have equal labels
+    (Moore-style partition refinement).  Returns ``(reps, quotient)``:
+    ``reps[b]`` is the first state of block b in breadth-first order."""
+    order, rows = explore([ts.initial], ts.delta.__getitem__)
+    ids: dict[Hashable, int] = {}
+    block = [ids.setdefault(label(s), len(ids)) for s in order]
+    nblocks = len(ids)
     while True:
         sigs: dict[tuple[int, ...], int] = {}
-        new_block = []
-        for i, row in enumerate(rows):
-            sig = (block[i],) + tuple(block[t] for t in row)
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            new_block.append(sigs[sig])
-        if new_block == block:
+        block = [sigs.setdefault((b, *map(block.__getitem__, row)),
+                                 len(sigs))
+                 for b, row in zip(block, rows)]
+        # blocks only ever split, so an unchanged count means stable
+        if len(sigs) == nblocks:
             break
-        block = new_block
-    nblocks = max(block) + 1
+        nblocks = len(sigs)
     rep = [-1] * nblocks
     for i in range(len(order)):
         if rep[block[i]] < 0:
             rep[block[i]] = i
     delta = tuple(tuple(block[t] for t in rows[rep[b]])
                   for b in range(nblocks))
-    finals = frozenset(b for b in range(nblocks) if order[rep[b]] in a.finals)
-    ts = DetTS(a.ts.alphabet, nblocks, block[0], delta)
+    return ([order[i] for i in rep],
+            DetTS(ts.alphabet, nblocks, block[0], delta))
+
+
+def dfa_minimize(a: Dfa) -> Dfa:
+    """Minimal complete DFA via partition refinement; states are exactly the
+    Nerode classes of L(a)."""
+    reps, ts = coarsest_quotient(a.ts, a.finals.__contains__)
+    finals = frozenset(b for b, s in enumerate(reps) if s in a.finals)
     return canonical_dfa(Dfa(ts, finals))
 
 

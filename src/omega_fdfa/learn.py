@@ -359,11 +359,7 @@ class _Session:
 
         def value(i: int) -> bool:
             s_i = table.reps[run_word(progress.ts, 0, y[:i])]
-            tail = s_i + y[i:]
-            m_i = self.leading_state(u + tail) == self.leading_state(u)
-            # asked even when m_i is false: query logs pin this order
-            c_i = self.mq(u, tail)
-            return (not m_i) or c_i
+            return self._progress_entry(u, s_i, y[i:])
 
         j = _breakpoint(value, len(y))
         if j is None:

@@ -29,6 +29,8 @@ from omega_fdfa import (
     cosafety_vu_dfa,
     cu_dfa,
     dfa_lang_equal,
+    dfa_minimize,
+    dfa_product,
     gen_fig1,
     gen_ln,
     gen_random_dba,
@@ -205,6 +207,138 @@ def test_leading_pairs_only_reachable_states(monkeypatch):
                        match="^leading congruence exceeded cap of 24 state "
                              "pairs$"):
         compute_leading(padded)
+
+
+def _walked_periodic_finals(profiles, rep):
+    """The profiles z with z^omega accepted from rep, one walk per profile:
+    follow z from rep until a state repeats, and accept iff the repeating
+    part took an accepting transition."""
+    finals = set()
+    for i, p in enumerate(profiles):
+        seen, bits, s = {}, [], rep
+        while s not in seen:
+            seen[s] = len(bits)
+            bits.append(p[s] & 1)
+            s = p[s] >> 1
+        if any(bits[seen[s]:]):
+            finals.add(i)
+    return finals
+
+
+def _minimized_on_the_whole_monoid(lq, c, flavor, cap):
+    """Class c's progress DFA as built one class at a time: its finals picked
+    on the whole profile TS, then minimized."""
+    if flavor == SYNTACTIC:
+        limit = _minimized_on_the_whole_monoid(lq, c, LIMIT, cap)
+        return dfa_product(cu_dfa(lq, c), limit, lambda x, y: x and y)
+    per = periodic_lang_dfa(lq, c, cap)
+    profiles, _ = congruence._profile_monoid(lq, cap)
+    rep = lq.reps[c]
+    assert per.finals == _walked_periodic_finals(profiles, rep)
+    if flavor == PERIODIC:
+        return dfa_minimize(per)
+    returns = frozenset(i for i, p in enumerate(profiles)
+                        if lq.class_of[p[rep] >> 1] == c)
+    if flavor == RECURRENT:
+        return dfa_minimize(congruence._epsilon_joins_accepted_returns(
+            Dfa(per.ts, per.finals & returns)))
+    leaves = frozenset(range(len(profiles))) - returns
+    return dfa_minimize(Dfa(per.ts, per.finals | leaves))
+
+
+def _exactness_cases():
+    yield "fig1", gen_fig1()
+    yield "saa", gen_sigma_star_aa()
+    for n in (1, 2, 3, 4):
+        yield f"ln{n}", gen_ln(n)
+    for seed in range(24):
+        rng = random.Random(seed)
+        n, k = rng.randint(4, 8), rng.randint(2, 3)
+        yield f"rand-{n}x{k}-s{seed}", gen_random_dba(seed, n, k)
+    for seed in range(6):
+        for n in (6, 10, 14):
+            for density in (0.3, 0.5):
+                yield (f"counter-{n}-s{seed}-{density}",
+                       _counter_with_resets(seed, n, density))
+    # fig1 with three unreachable states whose own transitions accept, so
+    # they enlarge the profile monoid but belong to no leading class
+    fig1 = gen_fig1()
+    delta = fig1.ts.delta + ((5, 6), (7, 5), (6, 0))
+    acc = fig1.acc | {(5, 0), (6, 1), (7, 0)}
+    yield "fig1-unreachable", DetOmega(
+        replace(fig1.ts, state_count=8, delta=delta), acc, BUCHI)
+
+
+def test_shared_quotient_matches_minimizing_on_the_whole_monoid():
+    # monoids above the cap must be refused by both constructions alike
+    cap = 2500
+    for name, d in _exactness_cases():
+        lq, ref = compute_leading(d), compute_leading(d)
+        for flavor in FLAVORS:
+            for c in range(lq.leading.state_count):
+                try:
+                    want = _minimized_on_the_whole_monoid(ref, c, flavor, cap)
+                except ResourceLimitError:
+                    with pytest.raises(ResourceLimitError):
+                        progress_dfa(lq, c, flavor, cap)
+                    continue
+                assert progress_dfa(lq, c, flavor, cap) == want, \
+                    (name, flavor, c)
+
+
+def test_shared_quotient_built_once_per_construction_and_flavor(
+        monkeypatch):
+    calls = []
+    coarsest_quotient = congruence.coarsest_quotient
+
+    def counting(ts, label):
+        calls.append(ts.state_count)
+        return coarsest_quotient(ts, label)
+
+    monkeypatch.setattr(congruence, "coarsest_quotient", counting)
+    lq = compute_leading(gen_fig1())
+    classes = range(lq.leading.state_count)
+    # syntactic is the product of cu_dfa with limit, so it shares limit's
+    for flavor, built in ((PERIODIC, 1), (SYNTACTIC, 2), (LIMIT, 2),
+                          (RECURRENT, 3)):
+        for c in classes:
+            progress_dfa(lq, c, flavor)
+        assert len(calls) == built, flavor
+        # the cap is still checked on every call, also on a cached quotient
+        for c in classes:
+            with pytest.raises(ResourceLimitError,
+                               match="^profile DFA exceeded cap of 1 "
+                                     "states$"):
+                progress_dfa(lq, c, flavor, cap=1)
+    assert len(calls) == 3
+    # every construction builds its own
+    for flavor in FLAVORS:
+        build_canonical_fdfa(gen_fig1(), flavor)
+    assert len(calls) == 7
+
+
+def test_each_shared_quotient_starts_from_one_profile_dfa(monkeypatch):
+    # the benchmark's traced run times the profile layer and counts cap hits
+    # at congruence.periodic_lang_dfa: one call per shared quotient, and a
+    # monoid above the cap is refused inside it
+    calls = []
+    periodic_lang_dfa = congruence.periodic_lang_dfa
+
+    def counting(lq, u_class, cap=congruence.PROFILE_CAP):
+        calls.append(u_class)
+        try:
+            return periodic_lang_dfa(lq, u_class, cap)
+        except ResourceLimitError:
+            calls.append("refused")
+            raise
+
+    monkeypatch.setattr(congruence, "periodic_lang_dfa", counting)
+    for flavor in FLAVORS:
+        build_canonical_fdfa(gen_fig1(), flavor)
+    assert calls == [0, 0, 0, 0]
+    with pytest.raises(ResourceLimitError):
+        build_canonical_fdfa(gen_ln(3), LIMIT, cap=2)
+    assert calls[4:] == [0, "refused"]
 
 
 def test_cu_dfa_language(fig1):
