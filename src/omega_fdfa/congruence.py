@@ -5,17 +5,22 @@ cross-check construction and a bounded refinement checker.
 One construction does its per-DBA work once.  The leading congruence comes
 from one pass over the pair graph of the reference's reachable states
 (``core_automata.dba_equiv_table``).  The transition-profile monoid of the
-reference does not depend on the leading class: the first profile DFA
-(``periodic_lang_dfa``) explores it and, in one walk per profile shared
-by every class representative, finds from which representatives the
-profile's omega-power is accepted; the :class:`LeadingQuotient` keeps
-both.  Per flavor, those walks give every profile its vector of finalities, one per
-leading class, and one partition refinement of the monoid from that vector
-gives the coarsest right congruence respecting every class's final
-profiles.  Each class's progress DFA is minimized on this shared quotient
-with the class's own finals.  The quotient is often far smaller than the
-monoid (tens of blocks where it has thousands of profiles), but where the
-classes' finals are unrelated it can be nearly as large.
+reference does not depend on the leading class or the flavor; it is
+explored once, over the reachable states only, and its profiles are bytes
+when at most 128 states are reachable.  Each flavor then computes only the
+finalities it reads.  Periodic alone builds, per profile, the vector of
+classes from whose representative the profile's omega-power is accepted.
+Limit walks only the representatives that a profile returns into their own
+class: every other class finds the profile final.  For each of the two, one
+partition refinement of the monoid by those finalities gives the coarsest
+right congruence respecting every class's final profiles, and each class's
+progress DFA is minimized on this shared quotient with its own finals.  The
+quotient is often far smaller than the monoid (tens of blocks where it has
+thousands of profiles), but where the classes' finals are unrelated it can
+be nearly as large.  Syntactic and recurrent need no quotient of their own:
+on nonempty periods both are limit_u intersected with
+C_u = {v : u . v ~ u}, the product of the leading TS rooted at u with the
+limit DFA, and recurrent is that product minimized.
 """
 
 from __future__ import annotations
@@ -48,6 +53,13 @@ from .fdfa import Fdfa, LIMIT, PERIODIC, RECURRENT, SYNTACTIC
 
 PROFILE_CAP = 200_000
 PAIR_CAP = 1_000_000
+# profiles are bytes up to this many reachable states, whose entries
+# (state << 1 | bit) then fit in a byte
+BYTE_PROFILES = 128
+
+# (profiles, profile TS, reachable states in profile-entry order); see
+# _explore_profiles
+Monoid = tuple[list[Sequence[int]], DetTS, list[int]]
 
 
 @dataclass(frozen=True)
@@ -64,12 +76,12 @@ class LeadingQuotient:
     leading: DetTS
     reps: tuple[int, ...]
     rep_words: tuple[Word, ...]
-    # (profiles, profile TS) of ``ref``, set by the first periodic_lang_dfa
-    # call on this quotient; see _profile_monoid
-    _monoid: tuple[list[tuple[int, ...]], DetTS] | None = field(
+    # the profile monoid of ``ref``, set by the first profile DFA or shared
+    # quotient built on this quotient; see _profile_monoid
+    _monoid: Monoid | None = field(
         default=None, init=False, repr=False, compare=False)
-    # (acceptance vector id of each profile, the distinct vectors); see
-    # _acceptance
+    # (acceptance vector id of each profile, the distinct vectors), set by
+    # the first periodic_lang_dfa call; see _acceptance
     _accepts: tuple[list[int], list[tuple[bool, ...]]] | None = field(
         default=None, init=False, repr=False, compare=False)
     # flavor -> (quotient of the profile TS, final blocks of each class);
@@ -127,26 +139,34 @@ def compute_leading(d: DetOmega) -> LeadingQuotient:
     return LeadingQuotient(d, class_of, leading, reps, rep_words)
 
 
-def _explore_profiles(d: DetOmega,
-                      cap: int) -> tuple[list[tuple[int, ...]], DetTS]:
+def _explore_profiles(d: DetOmega, cap: int) -> Monoid:
     """The transition-profile TS of d, explored from the identity (the
-    profile of epsilon).  The profile of a word z holds, for each state s,
-    ``(t << 1) | bit``: z leads s to t, and bit says whether that run took
-    an accepting transition."""
+    profile of epsilon), and d's reachable states in the order that profile
+    entries follow.  The profile of a word z holds, for the i-th reachable
+    state, ``(j << 1) | bit``: z leads it to the j-th, and bit says whether
+    that run took an accepting transition.  Profiles are bytes when at most
+    BYTE_PROFILES states are reachable, else tuples."""
     ts = d.ts
+    states, moves = explore([ts.initial], ts.delta.__getitem__)
+    entries = range(2 * len(states))
     # steps[a][x] is the profile entry x extended by the letter a
-    steps = [[(ts.delta[x >> 1][a] << 1) | (x & 1) | ((x >> 1, a) in d.acc)
-              for x in range(2 * ts.state_count)]
+    steps = [[(moves[x >> 1][a] << 1) | (x & 1)
+              | ((states[x >> 1], a) in d.acc) for x in entries]
              for a in range(ts.alphabet.size)]
-    lookups = [step.__getitem__ for step in steps]
-    identity = tuple(s << 1 for s in range(ts.state_count))
-    profiles, delta = explore(
-        [identity], lambda p: [tuple(map(f, p)) for f in lookups], cap)
-    return profiles, DetTS(ts.alphabet, len(profiles), 0, tuple(delta))
+    if len(states) <= BYTE_PROFILES:
+        # bytes.translate maps every entry through a 256-byte table at once
+        tables = [bytes(step).ljust(256, b"\0") for step in steps]
+        identity, extend = (bytes(entries[::2]),
+                            lambda p: [p.translate(t) for t in tables])
+    else:
+        lookups = [step.__getitem__ for step in steps]
+        identity, extend = (tuple(entries[::2]),
+                            lambda p: [tuple(map(f, p)) for f in lookups])
+    profiles, delta = explore([identity], extend, cap)
+    return profiles, DetTS(ts.alphabet, len(profiles), 0, tuple(delta)), states
 
 
-def _profile_monoid(lq: LeadingQuotient,
-                    cap: int) -> tuple[list[tuple[int, ...]], DetTS]:
+def _profile_monoid(lq: LeadingQuotient, cap: int) -> Monoid:
     """The reference's profile TS, explored by the first call on lq and
     shared by every later one, for any class and flavor."""
     if lq._monoid is None:
@@ -157,7 +177,15 @@ def _profile_monoid(lq: LeadingQuotient,
     return lq._monoid
 
 
-def _omega_accepts(p: tuple[int, ...],
+def _by_entry(lq: LeadingQuotient,
+              states: list[int]) -> tuple[list[int], list[int]]:
+    """lq's class representatives as profile entries, and the leading class
+    of each profile entry."""
+    entry = {s: i for i, s in enumerate(states)}
+    return [entry[r] for r in lq.reps], [lq.class_of[s] for s in states]
+
+
+def _omega_accepts(p: Sequence[int],
                    starts: Sequence[int]) -> tuple[bool, ...]:
     """For each start state s, whether z^omega is accepted from s, where p is
     the profile of z.  The run from s follows p's functional graph until a
@@ -189,10 +217,11 @@ def _acceptance(lq: LeadingQuotient,
     which says for each leading class u whether u . z^omega is accepted (z
     a word of that profile); and the distinct vectors by id.  Computed by
     the first call on lq; profiles share few distinct vectors."""
-    profiles, _ = _profile_monoid(lq, cap)
+    profiles, _, states = _profile_monoid(lq, cap)
     if lq._accepts is None:
+        reps, _ = _by_entry(lq, states)
         ids: dict[tuple[bool, ...], int] = {}
-        labels = [ids.setdefault(_omega_accepts(p, lq.reps), len(ids))
+        labels = [ids.setdefault(_omega_accepts(p, reps), len(ids))
                   for p in profiles]
         object.__setattr__(lq, "_accepts", (labels, list(ids)))
     return lq._accepts
@@ -243,35 +272,33 @@ def _shared_quotient(lq: LeadingQuotient, flavor: str, u_class: int,
     """The profile TS of lq's reference quotiented by the coarsest right
     congruence that respects, for every leading class u, the flavor's final
     profiles of u, and the final blocks of each class.  Built by the first
-    call per flavor on lq, for class u_class, and shared by every class."""
+    call per flavor (periodic or limit) on lq, for class u_class, and shared
+    by every class."""
     if flavor in lq._quotients:
         # the cap is checked on every call, also once the quotient is cached
         _profile_monoid(lq, cap)
         return lq._quotients[flavor]
-    # the profile DFA of the first class asked for explores the monoid and
-    # the acceptance vectors that every class's finals come from
-    ts = periodic_lang_dfa(lq, u_class, cap).ts
-    labels, vectors = lq._accepts
-    if flavor != PERIODIC:
-        profiles, _ = lq._monoid
-        reps, class_of = lq.reps, lq.class_of
-        recurrent = flavor == RECURRENT
+    if flavor == PERIODIC:
+        # the profile DFA of the first class asked for explores the monoid and
+        # the acceptance vectors that every class's finals come from
+        ts = periodic_lang_dfa(lq, u_class, cap).ts
+        labels, vectors = lq._accepts
+    else:
+        profiles, ts, states = _profile_monoid(lq, cap)
+        reps, class_of = _by_entry(lq, states)
 
-        def finality(p: tuple[int, ...],
-                     accepts: tuple[bool, ...]) -> tuple[bool, ...]:
-            # z leads u into the class of the state that z's profile sends
-            # u's representative to
-            pairs = enumerate(zip(reps, accepts))
-            if recurrent:
-                return tuple([a and class_of[p[r] >> 1] == u
-                              for u, (r, a) in pairs])
-            return tuple([a or class_of[p[r] >> 1] != u
-                          for u, (r, a) in pairs])
+        def rejected(p: Sequence[int]) -> tuple[int, ...]:
+            # z is final for u unless it returns u's representative into u's
+            # class and z^omega is rejected from there, so only the returning
+            # representatives are walked
+            back = [u for u, r in enumerate(reps) if class_of[p[r] >> 1] == u]
+            accepts = _omega_accepts(p, [reps[u] for u in back])
+            return tuple([u for u, a in zip(back, accepts) if not a])
 
-        ids: dict[tuple[bool, ...], int] = {}
-        labels = [ids.setdefault(finality(p, vectors[v]), len(ids))
-                  for p, v in zip(profiles, labels)]
-        vectors = list(ids)
+        ids: dict[tuple[int, ...], int] = {}
+        labels = [ids.setdefault(rejected(p), len(ids)) for p in profiles]
+        vectors = [tuple(u not in rejects for u in range(len(reps)))
+                   for rejects in ids]
     blocks, quotient = coarsest_quotient(ts, labels.__getitem__)
     finals = tuple(frozenset(b for b, i in enumerate(blocks)
                              if vectors[labels[i]][u])
@@ -282,22 +309,24 @@ def _shared_quotient(lq: LeadingQuotient, flavor: str, u_class: int,
 
 def progress_dfa(lq: LeadingQuotient, u_class: int, flavor: str,
                  cap: int = PROFILE_CAP) -> Dfa:
-    if flavor == SYNTACTIC:
-        # classes are exactly reachable (leading-from-u, limit-class) pairs,
-        # so the product stays unminimized
+    if flavor in (SYNTACTIC, RECURRENT):
+        # on nonempty periods both are limit_u restricted to
+        # C_u = {v : u . v ~ u}.  The syntactic DFA's classes are exactly the
+        # reachable (leading-from-u, limit-class) pairs, so its product stays
+        # unminimized; the recurrent DFA places epsilon and is minimized.
         limit = progress_dfa(lq, u_class, LIMIT, cap)
-        return dfa_product(cu_dfa(lq, u_class), limit, lambda c, p: c and p)
-    if flavor not in (PERIODIC, RECURRENT, LIMIT):
+        product = dfa_product(cu_dfa(lq, u_class), limit, lambda c, p: c and p)
+        if flavor == SYNTACTIC:
+            return product
+        return dfa_minimize(_epsilon_joins_accepted_returns(product))
+    if flavor not in (PERIODIC, LIMIT):
         raise AutomatonError(f"unknown flavor {flavor!r}")
     if not 0 <= u_class < lq.leading.state_count:
         raise AutomatonError("invalid leading class")
     # the quotient refines u's Nerode equivalence, so minimizing on it gives
     # the same DFA as minimizing on the whole profile TS
     ts, finals = _shared_quotient(lq, flavor, u_class, cap)
-    dfa = Dfa(ts, finals[u_class])
-    if flavor == RECURRENT:
-        dfa = _epsilon_joins_accepted_returns(dfa)
-    return dfa_minimize(dfa)
+    return dfa_minimize(Dfa(ts, finals[u_class]))
 
 
 def build_canonical_fdfa(d: DetOmega, flavor: str,

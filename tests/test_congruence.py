@@ -232,13 +232,14 @@ def _minimized_on_the_whole_monoid(lq, c, flavor, cap):
         limit = _minimized_on_the_whole_monoid(lq, c, LIMIT, cap)
         return dfa_product(cu_dfa(lq, c), limit, lambda x, y: x and y)
     per = periodic_lang_dfa(lq, c, cap)
-    profiles, _ = congruence._profile_monoid(lq, cap)
-    rep = lq.reps[c]
+    # profile entry i is the i-th of the reference's reachable states
+    profiles, _, states = congruence._profile_monoid(lq, cap)
+    rep = states.index(lq.reps[c])
     assert per.finals == _walked_periodic_finals(profiles, rep)
     if flavor == PERIODIC:
         return dfa_minimize(per)
     returns = frozenset(i for i, p in enumerate(profiles)
-                        if lq.class_of[p[rep] >> 1] == c)
+                        if lq.class_of[states[p[rep] >> 1]] == c)
     if flavor == RECURRENT:
         return dfa_minimize(congruence._epsilon_joins_accepted_returns(
             Dfa(per.ts, per.finals & returns)))
@@ -298,9 +299,10 @@ def test_shared_quotient_built_once_per_construction_and_flavor(
     monkeypatch.setattr(congruence, "coarsest_quotient", counting)
     lq = compute_leading(gen_fig1())
     classes = range(lq.leading.state_count)
-    # syntactic is the product of cu_dfa with limit, so it shares limit's
+    # syntactic and recurrent are products of cu_dfa with limit, so they
+    # share limit's
     for flavor, built in ((PERIODIC, 1), (SYNTACTIC, 2), (LIMIT, 2),
-                          (RECURRENT, 3)):
+                          (RECURRENT, 2)):
         for c in classes:
             progress_dfa(lq, c, flavor)
         assert len(calls) == built, flavor
@@ -310,17 +312,18 @@ def test_shared_quotient_built_once_per_construction_and_flavor(
                                match="^profile DFA exceeded cap of 1 "
                                      "states$"):
                 progress_dfa(lq, c, flavor, cap=1)
-    assert len(calls) == 3
+    assert len(calls) == 2
     # every construction builds its own
     for flavor in FLAVORS:
         build_canonical_fdfa(gen_fig1(), flavor)
-    assert len(calls) == 7
+    assert len(calls) == 6
 
 
-def test_each_shared_quotient_starts_from_one_profile_dfa(monkeypatch):
+def test_only_the_periodic_quotient_starts_from_a_profile_dfa(monkeypatch):
     # the benchmark's traced run times the profile layer and counts cap hits
-    # at congruence.periodic_lang_dfa: one call per shared quotient, and a
-    # monoid above the cap is refused inside it
+    # at congruence.periodic_lang_dfa: one call for the periodic quotient,
+    # none for limit (which syntactic and recurrent build on), and a monoid
+    # above the cap is refused in every flavor
     calls = []
     periodic_lang_dfa = congruence.periodic_lang_dfa
 
@@ -335,10 +338,84 @@ def test_each_shared_quotient_starts_from_one_profile_dfa(monkeypatch):
     monkeypatch.setattr(congruence, "periodic_lang_dfa", counting)
     for flavor in FLAVORS:
         build_canonical_fdfa(gen_fig1(), flavor)
-    assert calls == [0, 0, 0, 0]
-    with pytest.raises(ResourceLimitError):
-        build_canonical_fdfa(gen_ln(3), LIMIT, cap=2)
-    assert calls[4:] == [0, "refused"]
+    assert calls == [0]
+    for flavor in FLAVORS:
+        with pytest.raises(ResourceLimitError,
+                           match="^profile DFA exceeded cap of 2 states$"):
+            build_canonical_fdfa(gen_ln(3), flavor, cap=2)
+    assert calls[1:] == [0, "refused"]
+
+
+def _with_length_counter(d: DetOmega, m: int) -> DetOmega:
+    """d with the length mod m of the word read so far kept in every state:
+    the same language on m times as many states."""
+    ts = d.ts
+    delta = tuple(tuple(t * m + (i + 1) % m for t in ts.delta[s])
+                  for s in range(ts.state_count) for i in range(m))
+    acc = frozenset((s * m + i, a) for s, a in d.acc for i in range(m))
+    return DetOmega(DetTS(ts.alphabet, ts.state_count * m, ts.initial * m,
+                          delta), acc, BUCHI)
+
+
+def test_profiles_are_tuples_above_128_reachable_states():
+    fig1 = gen_fig1()
+    big = _with_length_counter(fig1, 43)
+    profiles, _, states = congruence._explore_profiles(big, 10_000)
+    assert len(states) > congruence.BYTE_PROFILES == 128
+    assert {type(p) for p in profiles} == {tuple}
+    for flavor in FLAVORS:
+        assert build_canonical_fdfa(big, flavor) == \
+            build_canonical_fdfa(fig1, flavor), flavor
+
+
+def test_bytes_and_tuple_profiles_number_the_monoid_alike(monkeypatch):
+    cap = congruence.PROFILE_CAP
+    for d in (gen_fig1(), gen_ln(3), gen_random_dba(0, 7, 3),
+              gen_random_dba(5, 8, 3)):
+        as_bytes = congruence._explore_profiles(d, cap)
+        fdfas = [build_canonical_fdfa(d, flavor) for flavor in FLAVORS]
+        monkeypatch.setattr(congruence, "BYTE_PROFILES", 0)
+        as_tuples = congruence._explore_profiles(d, cap)
+        assert {type(p) for p in as_bytes[0]} == {bytes}
+        assert [tuple(p) for p in as_bytes[0]] == as_tuples[0]
+        assert as_bytes[1:] == as_tuples[1:]
+        assert [build_canonical_fdfa(d, flavor) for flavor in FLAVORS] == fdfas
+        monkeypatch.undo()
+
+
+def test_profiles_cover_only_reachable_states():
+    fig1 = gen_fig1()
+    # 99,995 unreachable states on one accepting a-cycle: over every declared
+    # state the monoid would hold a profile per power of that cycle
+    n = 100_000
+    delta = fig1.ts.delta + tuple((s + 1 if s + 1 < n else 5, s)
+                                  for s in range(5, n))
+    acc = fig1.acc | {(s, 0) for s in range(5, n)}
+    padded = DetOmega(replace(fig1.ts, state_count=n, delta=delta), acc,
+                      BUCHI)
+    profiles, ts, states = congruence._explore_profiles(padded, 100)
+    assert (profiles, ts, states) == congruence._explore_profiles(fig1, 100)
+    assert {len(p) for p in profiles} == {5}
+    for flavor in FLAVORS:
+        assert build_canonical_fdfa(padded, flavor, cap=len(profiles)) == \
+            build_canonical_fdfa(fig1, flavor), flavor
+
+
+def test_recurrent_from_limit_matches_recurrent_on_the_whole_monoid():
+    # recurrent_u is limit_u restricted to {v : u . v ~ u}; the recurrent DFA
+    # built that way must equal the one built from the periodic finals that
+    # return to u, minimized on the whole profile TS
+    cases = [gen_fig1(), gen_sigma_star_aa()]
+    cases += [gen_ln(n) for n in range(1, 6)]
+    cases += [gen_random_dba(seed, n, k) for seed in range(15)
+              for n in range(4, 8) for k in (2, 3)]
+    assert len(cases) == 127
+    for d in cases:
+        lq, ref = compute_leading(d), compute_leading(d)
+        for c in range(lq.leading.state_count):
+            assert progress_dfa(lq, c, RECURRENT) == \
+                _minimized_on_the_whole_monoid(ref, c, RECURRENT,
+                                               congruence.PROFILE_CAP), (d, c)
 
 
 def test_cu_dfa_language(fig1):
