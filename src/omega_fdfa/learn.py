@@ -93,16 +93,17 @@ def _fallback_len(nletters: int) -> int:
     return max_len
 
 
-def _is_valid_counterexample(h: Fdfa, w: UpWord, member: bool) -> bool:
-    return accepts_decomposition(h, normalize(h, w)) != member
-
-
 class _Teacher:
     """Query plumbing shared by the teachers: counters, the optional log, and
     equivalence queries that try the subclass' exact candidates and then a
     bounded enumeration.  Every candidate is validated against the
     hypothesis' normalized acceptance before being returned, so unsound
-    intermediate constructions only cost time."""
+    intermediate constructions only cost time.
+
+    Whether u . v^omega is a counterexample depends on u only through the
+    pair (hypothesis leading state, reference state) that u reaches, so the
+    bounded enumeration scans each such pair once, at its first prefix in
+    length-lex order, and memoizes both verdicts per (state, period)."""
 
     def __init__(self, alphabet: Alphabet, log: QueryLog | None):
         self.alphabet = alphabet
@@ -114,6 +115,11 @@ class _Teacher:
         raise NotImplementedError
 
     def _exact_candidates(self, h: Fdfa) -> Iterator[Lasso]:
+        raise NotImplementedError
+
+    def _ref_state(self, u: Word) -> int:
+        """The reference state that u reaches; membership of u . v^omega
+        depends on u only through it."""
         raise NotImplementedError
 
     def mq(self, prefix: Word, period: Word) -> bool:
@@ -136,19 +142,29 @@ class _Teacher:
     def _find_counterexample(self, h: Fdfa) -> UpWord | None:
         for lasso in self._exact_candidates(h):
             w = lasso.upword()
-            if _is_valid_counterexample(h, w, self._member(w)):
+            if accepts_decomposition(h, normalize(h, w)) != self._member(w):
                 return w
         return self._bounded_search(h)
 
     def _bounded_search(self, h: Fdfa) -> UpWord | None:
         k = self.alphabet.size
         words = short_words(k, _fallback_len(k))
+        lead = h.leading
+        hyp: dict[tuple[int, Word], bool] = {}
+        ref: dict[tuple[int, Word], bool] = {}
+        scanned: set[tuple[int, int]] = set()
         for u in words:
-            for v in words:
-                if not v:
-                    continue
+            q, s = run_word(lead, lead.initial, u), self._ref_state(u)
+            if (q, s) in scanned:
+                continue  # an earlier u with this pair found no counterexample
+            scanned.add((q, s))
+            for v in words[1:]:
                 w = UpWord(u, v)
-                if _is_valid_counterexample(h, w, self._member(w)):
+                if (q, v) not in hyp:
+                    hyp[q, v] = accepts_decomposition(h, normalize(h, w))
+                if (s, v) not in ref:
+                    ref[s, v] = self._member(w)
+                if hyp[q, v] != ref[s, v]:
                     return w
         return None
 
@@ -162,6 +178,9 @@ class DbaTeacher(_Teacher):
 
     def _member(self, w: UpWord) -> bool:
         return member_upword_det(self.ref, w)
+
+    def _ref_state(self, u: Word) -> int:
+        return run_word(self.ref.ts, self.ref.ts.initial, u)
 
     def _exact_candidates(self, h: Fdfa) -> Iterator[Lasso]:
         # everything the hypothesis NBA accepts must be in L(ref)
@@ -181,20 +200,26 @@ class FdfaTeacher(_Teacher):
     def __init__(self, ref: Fdfa, log: QueryLog | None = None):
         super().__init__(ref.leading.alphabet, log)
         self.ref = ref
+        # the reference's NBA and its complement's, shared by every EQ
+        self._ref_nba = fdfa_to_nba(ref)
+        self._ref_complement_nba = fdfa_to_nba(complement_finals(ref))
 
     def _member(self, w: UpWord) -> bool:
         return accepts_upword(self.ref, w, Saturated())
 
+    def _ref_state(self, u: Word) -> int:
+        return run_word(self.ref.leading, self.ref.leading.initial, u)
+
     def _exact_candidates(self, h: Fdfa) -> Iterator[Lasso]:
         # hypothesis-not-included direction, then target-not-included
-        pairs = (
-            (fdfa_to_nba(h), fdfa_to_nba(complement_finals(self.ref))),
-            (fdfa_to_nba(self.ref), fdfa_to_nba(complement_finals(h))),
-        )
-        for left, right in pairs:
-            witness = nba_nba_intersection_witness(left, right)
-            if witness is not None:
-                yield witness
+        witness = nba_nba_intersection_witness(
+            fdfa_to_nba(h), self._ref_complement_nba)
+        if witness is not None:
+            yield witness
+        witness = nba_nba_intersection_witness(
+            self._ref_nba, fdfa_to_nba(complement_finals(h)))
+        if witness is not None:
+            yield witness
 
 
 class _Table:

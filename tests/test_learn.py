@@ -25,9 +25,10 @@ from omega_fdfa import (
 )
 
 from omega_fdfa.core_automata import short_words
+from omega_fdfa.fdfa import accepts_decomposition, normalize
 from omega_fdfa.learn import FALLBACK_WORDS, _fallback_len
 
-from oracles import words_upto
+from oracles import naive_member, words_upto
 
 
 def _assert_language_matches(h, d, bound=3):
@@ -115,3 +116,63 @@ def test_fallback_takes_whole_length_layers_within_budget(nletters):
     max_len = _fallback_len(nletters)
     assert len(short_words(nletters, max_len)) <= FALLBACK_WORDS
     assert len(short_words(nletters, max_len + 1)) > FALLBACK_WORDS
+
+
+def _eq_hypotheses(teacher) -> list:
+    """Every hypothesis the teacher's equivalence query receives while the
+    learner runs against it."""
+    seen = []
+    eq = teacher.eq
+
+    def recording(h):
+        seen.append(h)
+        return eq(h)
+
+    teacher.eq = recording
+    learn_limit_fdfa(teacher)
+    return seen
+
+
+def _naive_bounded_search(h, member, nletters):
+    """The bounded counterexample search as a plain double loop over every
+    (prefix, period) pair of the fallback's words."""
+    words = short_words(nletters, _fallback_len(nletters))
+    for u in words:
+        for v in words[1:]:
+            w = UpWord(u, v)
+            if accepts_decomposition(h, normalize(h, w)) != member(w):
+                return w
+    return None
+
+
+def _search_cases():
+    dbas = [gen_fig1(), gen_sigma_star_aa(), gen_ln(2)]
+    # learned wrongly: the bounded search accepts a wrong hypothesis
+    dbas += [gen_random_dba(s, 5, 3) for s in (6, 16, 21)]
+    dbas += [gen_random_dba(s, 6, 2) for s in (19, 22)]
+    dbas += [gen_random_dba(s, 5, 3) for s in range(30, 46)]
+    # a two-letter scan has 65k pairs, so keep seeds with several EQs
+    dbas += [gen_random_dba(s, 5, 2) for s in (0, 7, 10, 17)]
+    for d in dbas:
+        yield DbaTeacher(d), lambda w, d=d: naive_member(d, w)
+    fig5 = gen_fig5_fdfa()
+    yield FdfaTeacher(fig5), lambda w: accepts_upword(fig5, w)
+
+
+def test_bounded_search_matches_plain_double_loop():
+    scanned = 0
+    for teacher, member in _search_cases():
+        for h in _eq_hypotheses(teacher):
+            expected = _naive_bounded_search(h, member, teacher.alphabet.size)
+            assert teacher._bounded_search(h) == expected
+            scanned += 1
+    assert scanned > 100
+
+
+def test_learn_one_letter_alphabet():
+    # _fallback_len(1) is 359, so a scan of every (u, v) has 129k pairs
+    d = gen_random_dba(0, 5, 1)
+    assert member_upword_det(d, UpWord((), (0,)))
+    h, _ = learn_limit_fdfa(DbaTeacher(d))
+    assert DbaTeacher(d).eq(h) is None
+    _assert_language_matches(h, d)
