@@ -176,6 +176,18 @@ def parse_automaton(text: str) -> Dfa | DetOmega | Nba:
     return _block_to_automaton(fields)
 
 
+def _parse_fdfa_dfa(lines: list[str], pos: int, alphabet: Alphabet | None
+                    ) -> tuple[Dfa, dict, int]:
+    """Parse one DFA block of an FDFA, which carries no acceptance line and
+    no acc marks; returns the DFA, the fields and the next position."""
+    fields, pos = _parse_block(lines, pos, alphabet)
+    if fields["acceptance"] is not None or any(t[3] for t in fields["trans"]):
+        raise ParseError("FDFA blocks carry no acceptance line or acc marks")
+    dfa = _block_to_automaton({**fields, "acceptance": "finals"})
+    assert isinstance(dfa, Dfa)  # nondeterminism needs buchi acceptance
+    return dfa, fields, pos
+
+
 def parse_fdfa(text: str) -> Fdfa:
     lines = _clean_lines(text)
     if not lines or lines[0] != "fdfa":
@@ -189,13 +201,10 @@ def parse_fdfa(text: str) -> Fdfa:
         pos += 1
     if pos >= len(lines) or lines[pos] != "leading":
         raise ParseError("expected a 'leading' block")
-    fields, pos = _parse_block(lines, pos + 1, None)
-    if fields["acceptance"] is not None or fields["finals"] is not None:
-        raise ParseError("the leading block carries no acceptance")
-    leading_dfa = _block_to_automaton({**fields, "acceptance": "finals"})
-    assert isinstance(leading_dfa, Dfa)
+    leading_dfa, fields, pos = _parse_fdfa_dfa(lines, pos + 1, None)
+    if fields["finals"] is not None:
+        raise ParseError("the leading block carries no finals")
     leading = leading_dfa.ts
-    alphabet = leading.alphabet
 
     progress: dict[int, Dfa] = {}
     while pos < len(lines):
@@ -203,11 +212,10 @@ def parse_fdfa(text: str) -> Fdfa:
         if len(parts) != 2 or parts[0] != "progress":
             raise ParseError(f"expected a 'progress <state>' block: {lines[pos]!r}")
         state = int(parts[1])
-        fields, pos = _parse_block(lines, pos + 1, alphabet)
-        dfa = _block_to_automaton({**fields, "acceptance": "finals"})
-        if not isinstance(dfa, Dfa):
-            raise ParseError("progress blocks must be DFAs")
-        progress[state] = dfa
+        if state in progress:
+            raise ParseError(f"repeated progress block {state}")
+        progress[state], _, pos = _parse_fdfa_dfa(lines, pos + 1,
+                                                  leading.alphabet)
     if sorted(progress) != list(range(leading.state_count)):
         raise ParseError("need exactly one progress block per leading state")
     return Fdfa(leading, tuple(progress[i] for i in range(leading.state_count)),

@@ -9,6 +9,16 @@ Conventions used across the package:
   (FDFA acceptance never evaluates an empty period, so progress DFAs may
   still resolve the membership of epsilon itself either way; see
   congruence.progress_dfa.)
+
+Every omega-emptiness question (NBA membership, emptiness, inclusion in a
+DBA, intersection) is one product explored by ``_product`` and one search
+by ``_least_lasso``.  Witnesses depend on the order of that search, so the
+contract is: product states are numbered by ``explore`` from the roots in
+the order ``moves`` lists them, each state's edges are sorted by (letter,
+target id), breadth-first words take the first state dequeued on ties, and
+the least lasso is the one with the least (total length, stem length, stem,
+loop).  The two-Buchi phase product is explored over the numbered pair
+graph, so renumbering either graph can change a witness.
 """
 
 from __future__ import annotations
@@ -19,6 +29,8 @@ from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 Word = tuple[int, ...]
 S = TypeVar("S", bound=Hashable)
+Move = tuple[int, S, bool, bool]  # (letter, target, accepting, second mark)
+Edge = tuple[int, int, bool, bool]  # the same with the target's id
 
 BUCHI = "buchi"
 COBUCHI = "cobuchi"
@@ -254,35 +266,21 @@ def member_upword_det(a: DetOmega, w: UpWord) -> bool:
     return inf_hit if a.polarity == BUCHI else not inf_hit
 
 
-def _lasso_graph(w: UpWord) -> tuple[list[int], int]:
-    """Positions of the lasso word with their letters; returns (letters,
-    loop_start).  Position i reads letters[i] and moves to i+1, wrapping the
-    last position back to loop_start."""
-    letters = list(w.prefix) + list(w.period)
-    return letters, len(w.prefix)
-
-
 def member_upword_nba(a: Nba, w: UpWord) -> bool:
-    """Decide membership by producting a with the lasso graph of (u, v) and
-    searching for a reachable cycle through an accepting transition."""
-    letters, loop_start = _lasso_graph(w)
-    length = len(letters)
-    by_source: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for tr in a.trans:
-        by_source.setdefault((tr[0], tr[1]), []).append(tr)
-    hits: list[bool] = []
+    """Decide membership by producting a with the positions of the lasso
+    word (u, v): position i reads letter i and moves to i+1, the last one
+    wraps back to the start of v."""
+    letters = (*w.prefix, *w.period)
+    edges = _edges_by_letter(a)
 
-    def successors(node: tuple[int, int]) -> list[tuple[int, int]]:
+    def moves(node: tuple[int, int]) -> list[Move]:
         q, pos = node
-        nxt_pos = pos + 1 if pos + 1 < length else loop_start
-        trs = by_source.get((q, letters[pos]), ())
-        hits.extend(tr in a.acc for tr in trs)
-        return [(tr[2], nxt_pos) for tr in trs]
+        nxt = pos + 1 if pos + 1 < len(letters) else len(w.prefix)
+        return [(letters[pos], (t, nxt), marked, False)
+                for t, marked in edges.get((q, letters[pos]), ())]
 
-    _, succ = explore(((q, 0) for q in sorted(a.initials)), successors)
-    comp = _scc_ids(succ)
-    edges = ((s, t) for s, row in enumerate(succ) for t in row)
-    return any(comp[s] == comp[t] for (s, t), hit in zip(edges, hits) if hit)
+    return _least_lasso(*_product([(q, 0) for q in sorted(a.initials)],
+                                  moves)) is not None
 
 
 def dfa_product(a: Dfa, b: Dfa, final_rule: Callable[[bool, bool], bool]) -> Dfa:
@@ -358,13 +356,12 @@ def _scc_ids(succ: Sequence[Iterable[int]]) -> list[int]:
     """Tarjan SCC ids (iterative); ids are in reverse topological order of
     discovery, but callers should rely on equality only."""
     n = len(succ)
-    ids = [-1] * n
+    ids = [-1] * n  # a numbered state without an id is on the stack
     low = [0] * n
     num = [-1] * n
     counter = 0
     comp = 0
     stack: list[int] = []
-    on_stack = [False] * n
     for root in range(n):
         if num[root] >= 0:
             continue
@@ -372,35 +369,29 @@ def _scc_ids(succ: Sequence[Iterable[int]]) -> list[int]:
         num[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
                 if num[w] < 0:
                     num[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack[w] = True
                     work.append((w, iter(succ[w])))
-                    advanced = True
                     break
-                if on_stack[w]:
+                if ids[w] < 0:
                     low[v] = min(low[v], num[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == num[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    ids[w] = comp
-                    if w == v:
-                        break
-                comp += 1
+            else:
+                work.pop()
+                if work:
+                    pv = work[-1][0]
+                    low[pv] = min(low[pv], low[v])
+                if low[v] == num[v]:
+                    while True:
+                        w = stack.pop()
+                        ids[w] = comp
+                        if w == v:
+                            break
+                    comp += 1
     return ids
 
 
@@ -415,25 +406,60 @@ def sccs(succ: Sequence[Iterable[int]]) -> list[list[int]]:
     return [sorted(g) for g in reversed(groups)]
 
 
-def _bfs_words(adj: dict[int, list[tuple[int, int]]], sources: Iterable[int],
-               allowed: frozenset[int] | None = None) -> dict[int, Word]:
-    """Shortest, lexicographically least word from sources to each reachable
-    state; adjacency lists must be sorted by (letter, target)."""
+def _bfs_words(adj: Sequence[Sequence[tuple[int, int]]],
+               sources: Iterable[int]) -> dict[int, Word]:
+    """Breadth-first words from the sorted sources to each reachable state;
+    ``adj[s]`` lists s's (letter, target) edges sorted by (letter, target).
+    Words are shortest, and ties go to the state dequeued first."""
     words: dict[int, Word] = {}
     queue: deque[int] = deque()
     for s in sorted(set(sources)):
-        if s not in words:
-            words[s] = ()
-            queue.append(s)
+        words[s] = ()
+        queue.append(s)
     while queue:
         s = queue.popleft()
-        for letter, t in adj.get(s, ()):
-            if allowed is not None and t not in allowed:
-                continue
+        for letter, t in adj[s]:
             if t not in words:
                 words[t] = words[s] + (letter,)
                 queue.append(t)
     return words
+
+
+def _least_lasso(graph: Sequence[Sequence[Edge]],
+                 roots: Iterable[int]) -> Lasso | None:
+    """The least lasso from ``roots`` whose loop takes an accepting edge and
+    no second-marked edge (stems may take them); None when there is none.
+    ``graph[s]`` lists s's edges sorted by (letter, target).
+
+    A candidate is an accepting, unmarked edge s -l-> t inside an SCC of the
+    unmarked edges: its stem is the breadth-first word from the roots to s,
+    its loop is l and then the breadth-first word from t back to s within
+    that SCC.  Candidates are compared by (total length, stem length, stem,
+    loop)."""
+    comp = _scc_ids([[t for _, t, _, second in row if not second]
+                     for row in graph])
+    loops = [(s, l, t) for s, row in enumerate(graph)
+             for l, t, accepting, second in row
+             if accepting and not second and comp[s] == comp[t]]
+    if not loops:
+        return None
+    stems = _bfs_words([[(l, t) for l, t, _, _ in row] for row in graph],
+                       roots)
+    inner = [[(l, t) for l, t, _, second in row
+              if not second and comp[t] == comp[s]]
+             for s, row in enumerate(graph)]
+    backs: dict[int, dict[int, Word]] = {}
+    best: tuple[int, int, Word, Word] | None = None
+    for s, l, t in loops:
+        if s not in stems:
+            continue
+        if t not in backs:
+            backs[t] = _bfs_words(inner, [t])
+        stem, loop = stems[s], (l,) + backs[t][s]
+        key = (len(stem) + len(loop), len(stem), stem, loop)
+        if best is None or key < best:
+            best = key
+    return None if best is None else Lasso(best[2], best[3])
 
 
 def one_pair_rabin_empty(a: Nba,
@@ -442,37 +468,12 @@ def one_pair_rabin_empty(a: Nba,
     """Search for a reachable cycle containing a transition of a.acc and no
     transition of ``avoid``.  Stems may still cross ``avoid`` transitions.
 
-    Returns None when empty, else a deterministic witness: shortest stem to
-    the accepting edge, shortest loop back, ties broken lexicographically.
-    """
-    full_adj: dict[int, list[tuple[int, int]]] = {}
-    good_adj: dict[int, list[tuple[int, int]]] = {}
-    for s, l, t in sorted(a.trans):
-        full_adj.setdefault(s, []).append((l, t))
-        if (s, l, t) not in avoid:
-            good_adj.setdefault(s, []).append((l, t))
-    stems = _bfs_words(full_adj, a.initials)
-    reach = frozenset(stems)
-
-    succ: list[list[int]] = [[] for _ in range(a.state_count)]
-    for s in reach:
-        for _, t in good_adj.get(s, ()):
-            if t in reach:
-                succ[s].append(t)
-    comp = _scc_ids(succ)
-
-    best: tuple[tuple[int, int, Word, Word], Lasso] | None = None
-    for s, l, t in sorted(a.acc - avoid):
-        if s not in reach or t not in reach or comp[s] != comp[t]:
-            continue
-        back = _bfs_words(good_adj, [t], allowed=reach).get(s)
-        if back is None:
-            continue
-        stem, loop = stems[s], (l,) + back
-        key = (len(stem) + len(loop), len(stem), stem, loop)
-        if best is None or key < best[0]:
-            best = (key, Lasso(stem, loop))
-    return best[1] if best else None
+    Returns None when empty, else the least lasso over a's own state ids
+    (see _least_lasso)."""
+    graph: list[list[Edge]] = [[] for _ in range(a.state_count)]
+    for tr in sorted(a.trans):
+        graph[tr[0]].append((tr[1], tr[2], tr in a.acc, tr in avoid))
+    return _least_lasso(graph, a.initials)
 
 
 def det_to_nba(d: DetOmega, initial: int | None = None) -> Nba:
@@ -487,138 +488,93 @@ def det_to_nba(d: DetOmega, initial: int | None = None) -> Nba:
     return Nba(ts.alphabet, ts.state_count, frozenset([start]), trans, acc)
 
 
-Move = tuple[int, S, bool, bool]
-
-
-def _marked_product(alphabet: Alphabet, roots: list[S],
-                    moves: Callable[[S], list[Move]]) -> tuple[
-        Nba, frozenset[tuple[int, int, int]]]:
-    """Reachable NBA over the states ``moves`` leads to from the distinct
-    ``roots``.  ``moves(p)`` lists p's edges as (letter, target, first,
-    second); the NBA accepts the first-marked edges, and the second-marked
-    edges are returned beside it."""
+def _product(roots: list[S], moves: Callable[[S], list[Move]]
+             ) -> tuple[list[list[Edge]], range]:
+    """The graph of the states ``moves`` leads to from the distinct
+    ``roots``, numbered by ``explore``, and the roots' ids.  ``moves(p)``
+    lists p's edges as (letter, target, accepting, second mark); row i holds
+    state i's edges with target ids, sorted by (letter, target)."""
     marks: list[list[Move]] = []
 
     def successors(p: S) -> list[S]:
-        edges = moves(p)
-        marks.append(edges)
-        return [e[1] for e in edges]
+        marks.append(moves(p))
+        return [e[1] for e in marks[-1]]
 
-    nodes, rows = explore(roots, successors)
-    trans: set[tuple[int, int, int]] = set()
-    acc: set[tuple[int, int, int]] = set()
-    second_acc: set[tuple[int, int, int]] = set()
-    for s, (row, edges) in enumerate(zip(rows, marks)):
-        for t, (l, _, first, second) in zip(row, edges):
-            tr = (s, l, t)
-            trans.add(tr)
-            if first:
-                acc.add(tr)
-            if second:
-                second_acc.add(tr)
-    product = Nba(alphabet, len(nodes), frozenset(range(len(roots))),
-                  frozenset(trans), frozenset(acc))
-    return product, frozenset(second_acc)
+    _, rows = explore(roots, successors)
+    return [sorted((l, t, first, second)
+                   for t, (l, _, first, second) in zip(row, edges))
+            for row, edges in zip(rows, marks)], range(len(roots))
 
 
-def _product_with_det(a: Nba, b: DetOmega) -> tuple[
-        Nba, frozenset[tuple[int, int, int]]]:
-    """Reachable product of an NBA with a deterministic Buchi automaton.
-    Returns the product (acc = a's accepting transitions) and the transition
-    set stemming from b's accepting transitions."""
-    if a.alphabet != b.ts.alphabet:
-        raise AlphabetError("alphabet mismatch")
-    by_source: dict[int, list[tuple[int, int, bool]]] = {}
+def _edges_by_letter(a: Nba) -> dict[tuple[int, int], list[tuple[int, bool]]]:
+    """a's (target, accepting) edges per (source, letter), sorted."""
+    edges: dict[tuple[int, int], list[tuple[int, bool]]] = {}
     for tr in sorted(a.trans):
-        by_source.setdefault(tr[0], []).append((tr[1], tr[2], tr in a.acc))
-    b_marked = [[(q, l) in b.acc for l in range(a.alphabet.size)]
-                for q in range(b.ts.state_count)]
+        edges.setdefault(tr[:2], []).append((tr[2], tr in a.acc))
+    return edges
+
+
+def _pair_graph(a: Nba, b: Nba) -> tuple[list[list[Edge]], range]:
+    """The product of a and b (see _product), its edges accepting where a
+    accepts and second-marked where b accepts."""
+    if a.alphabet != b.alphabet:
+        raise AlphabetError("alphabet mismatch")
+    a_by, b_by = _edges_by_letter(a), _edges_by_letter(b)
 
     def moves(p: tuple[int, int]) -> list[Move]:
         qa, qb = p
-        step, marked = b.ts.delta[qb], b_marked[qb]
-        return [(l, (t, step[l]), first, marked[l])
-                for l, t, first in by_source.get(qa, ())]
+        return [(l, (ta, tb), first, second)
+                for l in range(a.alphabet.size)
+                for ta, first in a_by.get((qa, l), ())
+                for tb, second in b_by.get((qb, l), ())]
 
-    roots = [(q, b.ts.initial) for q in sorted(a.initials)]
-    return _marked_product(a.alphabet, roots, moves)
+    return _product([(p, q) for p in sorted(a.initials)
+                     for q in sorted(b.initials)], moves)
+
+
+def _two_buchi_lasso(pairs: list[list[Edge]], roots: range) -> Lasso | None:
+    """The least lasso of a run of the pair graph taking both accepting and
+    second-marked edges infinitely often, via the standard two-phase
+    degeneralization: phase 0 waits for an accepting edge, phase 1 for a
+    second-marked edge, which becomes the phase graph's accepting edge and
+    resets the phase.  The phase graph explores the pair ids, edges in
+    (letter, pair id) order, so its numbering follows the pair graph's."""
+
+    def moves(p: tuple[int, int]) -> list[Move]:
+        q, phase = p
+        return [(l, (t, int(not second) if phase else int(first)),
+                 bool(phase) and second, False)
+                for l, t, first, second in pairs[q]]
+
+    return _least_lasso(*_product([(q, 0) for q in roots], moves))
 
 
 def nba_dba_included(a: Nba, b: DetOmega) -> Lasso | bool:
     """True iff L(a) is a subset of L(b); otherwise a lasso in L(a) \\ L(b)."""
     if b.polarity != BUCHI:
         raise AutomatonError("nba_dba_included expects a Buchi right side")
-    product, b_acc = _product_with_det(a, b)
-    witness = one_pair_rabin_empty(product, avoid=b_acc)
-    return True if witness is None else witness
+    return _least_lasso(*_pair_graph(a, det_to_nba(b))) or True
 
 
 def nba_dba_intersection_witness(a: Nba, b: DetOmega) -> Lasso | None:
     """A lasso in L(a) /\\ L(b), or None if the intersection is empty."""
     if b.polarity != BUCHI:
         raise AutomatonError("intersection expects a Buchi right side")
-    product, b_acc = _product_with_det(a, b)
-    return _two_buchi_witness(product, product.acc, b_acc)
+    return nba_nba_intersection_witness(a, det_to_nba(b))
 
 
 def nba_nba_intersection_witness(a: Nba, b: Nba) -> Lasso | None:
     """A lasso in L(a) /\\ L(b) of two NBAs, or None when empty."""
-    if a.alphabet != b.alphabet:
-        raise AlphabetError("alphabet mismatch")
-    a_by: dict[tuple[int, int], list[int]] = {}
-    b_by: dict[tuple[int, int], list[int]] = {}
-    for s, l, t in sorted(a.trans):
-        a_by.setdefault((s, l), []).append(t)
-    for s, l, t in sorted(b.trans):
-        b_by.setdefault((s, l), []).append(t)
-
-    def moves(p: tuple[int, int]) -> list[Move]:
-        qa, qb = p
-        return [(l, (ta, tb), (qa, l, ta) in a.acc, (qb, l, tb) in b.acc)
-                for l in range(a.alphabet.size)
-                for ta in a_by.get((qa, l), ()) for tb in b_by.get((qb, l), ())]
-
-    roots = [(p, q) for p in sorted(a.initials) for q in sorted(b.initials)]
-    product, b_acc = _marked_product(a.alphabet, roots, moves)
-    return _two_buchi_witness(product, product.acc, b_acc)
-
-
-def _two_buchi_witness(g: Nba, first: frozenset[tuple[int, int, int]],
-                       second: frozenset[tuple[int, int, int]]) -> Lasso | None:
-    """Witness for a run of g hitting both transition sets infinitely often,
-    via the standard two-phase degeneralization: phase 0 waits for a first
-    edge, phase 1 for a second edge, which is marked and resets the phase."""
-    by_source: dict[int, list[tuple[int, int, int]]] = {}
-    for tr in sorted(g.trans):
-        by_source.setdefault(tr[0], []).append(tr)
-
-    def moves(p: tuple[int, int]) -> list[Move]:
-        q, phase = p
-        out: list[Move] = []
-        for tr in by_source.get(q, ()):
-            if phase == 0:
-                nxt, hit = (1 if tr in first else 0), False
-            else:
-                hit = tr in second
-                nxt = 0 if hit else 1
-            out.append((tr[1], (tr[2], nxt), hit, False))
-        return out
-
-    roots = [(q, 0) for q in sorted(g.initials)]
-    product, _ = _marked_product(g.alphabet, roots, moves)
-    return one_pair_rabin_empty(product)
+    return _two_buchi_lasso(*_pair_graph(a, b))
 
 
 def dba_state_equiv(d: DetOmega, p: int, q: int) -> bool:
     """True iff the residual languages of d from p and from q coincide."""
     if p == q:
         return True
-    from_p = det_to_nba(d, p)
-    from_q = det_to_nba(d, q)
-    as_dba_p = replace(d, ts=replace(d.ts, initial=p))
-    as_dba_q = replace(d, ts=replace(d.ts, initial=q))
-    return nba_dba_included(from_p, as_dba_q) is True \
-        and nba_dba_included(from_q, as_dba_p) is True
+    dp, dq = (replace(d, ts=replace(d.ts, initial=s)) for s in (p, q))
+    return nba_dba_included(det_to_nba(dp), dq) is True \
+        and nba_dba_included(det_to_nba(dq), dp) is True
 
 
 def dba_equiv_table(d: DetOmega,
@@ -676,6 +632,5 @@ def dba_equiv_table(d: DetOmega,
 
 def shortest_state_words(ts: DetTS) -> dict[int, Word]:
     """Shortest lexicographically least access word for each reachable state."""
-    adj = {s: [(x, ts.delta[s][x]) for x in range(ts.alphabet.size)]
-           for s in range(ts.state_count)}
+    adj = [list(enumerate(row)) for row in ts.delta]
     return _bfs_words(adj, [ts.initial])

@@ -1,11 +1,12 @@
-"""Independent oracles used to validate the library: a step-by-step
-ultimately-periodic membership check and a brute-force word-partition oracle
-for the four progress congruences.  Everything here is deliberately naive and
-shares no logic with the package beyond raw transition lookups."""
+"""Independent oracles used to validate the library: step-by-step
+ultimately-periodic membership checks for DBAs and NBAs and a brute-force
+word-partition oracle for the four progress congruences.  Everything here is
+deliberately naive and shares no logic with the package beyond raw
+transition lookups."""
 
 from __future__ import annotations
 
-from omega_fdfa import BUCHI, DetOmega, UpWord, Word
+from omega_fdfa import BUCHI, DetOmega, Nba, UpWord, Word
 from omega_fdfa.congruence import LeadingQuotient
 
 
@@ -43,6 +44,42 @@ def naive_member(d: DetOmega, w: UpWord) -> bool:
                 hit = True
             s = d.ts.delta[s][a]
     return hit if d.polarity == BUCHI else not hit
+
+
+def naive_nba_member(a: Nba, w: UpWord) -> bool:
+    """Membership of u . v^omega in an NBA via v's step relation: which
+    states a run on v leads each state to, and whether that run can take an
+    accepting transition.  The word is accepted iff, among the states after
+    u and everything they reach by whole periods, some p has a step p -> q
+    that takes an accepting transition and q leads back to p."""
+
+    def step(pairs: set, letter: int) -> set:
+        return {(t, hit or (s, letter, t) in a.acc)
+                for s, hit in pairs for s2, l, t in a.trans
+                if s2 == s and l == letter}
+
+    now = {(q, False) for q in a.initials}
+    for letter in w.prefix:
+        now = step(now, letter)
+    relation = {}
+    for p in range(a.state_count):
+        pairs = {(p, False)}
+        for letter in w.period:
+            pairs = step(pairs, letter)
+        relation[p] = pairs
+
+    def closure(states: set) -> set:
+        seen, todo = set(states), list(states)
+        while todo:
+            for q, _ in relation[todo.pop()]:
+                if q not in seen:
+                    seen.add(q)
+                    todo.append(q)
+        return seen
+
+    return any(hit and p in closure({q})
+               for p in closure({q for q, _ in now})
+               for q, hit in relation[p])
 
 
 def _makers(d: DetOmega, lq: LeadingQuotient, u_class: int):

@@ -356,3 +356,33 @@ def test_cmd_accepts_rejects_plain_dfa(cli, tmp_path):
                   "alphabet: a\nstates: 1\ninitial: 0\nacceptance: finals\n"
                   "trans: 0 a 0\nfinals: 0\n")
     assert cli("accepts", path, "a", "a")[0] == 2
+
+
+# a limit FDFA over {a} whose one progress DFA accepts a^omega
+A_OMEGA = ("fdfa\nflavor: limit\nleading\nalphabet: a\nstates: 1\ninitial: 0\n"
+           "trans: 0 a 0\nprogress 0\nstates: 1\ninitial: 0\ntrans: 0 a 0\n"
+           "finals: 0\n")
+
+
+def test_cmd_accepts_well_formed_fdfa(cli, tmp_path):
+    path = _write(tmp_path, "ok.fdfa", A_OMEGA)
+    assert cli("accepts", path, "-", "a")[:2] == (0, "member\n")
+    assert cli("decide", path)[0] == 0
+
+
+@pytest.mark.parametrize("text, message", [
+    (A_OMEGA + "progress 0\nstates: 1\ninitial: 0\nacceptance: buchi\n"
+     "trans: 0 a 0 acc\n", "repeated progress block 0"),
+    (A_OMEGA.replace("progress 0\n", "progress 0\nacceptance: finals\n"),
+     "acceptance line"),
+    (A_OMEGA.replace("trans: 0 a 0\nfinals", "trans: 0 a 0 acc\nfinals"),
+     "acc marks"),
+    (A_OMEGA.replace("trans: 0 a 0\nprogress", "trans: 0 a 0 acc\nprogress"),
+     "acc marks"),
+])
+def test_malformed_fdfa_exits_2(cli, tmp_path, text, message):
+    path = _write(tmp_path, "bad.fdfa", text)
+    for argv in (("accepts", path, "-", "a"), ("decide", path)):
+        code, out, err = cli(*argv)
+        assert (code, out) == (2, "")
+        assert message in err

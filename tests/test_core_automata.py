@@ -1,6 +1,9 @@
 """Unit tests for alphabets, transition systems, DFA algebra, omega
 membership, and the emptiness/inclusion engines."""
 
+import functools
+import random
+
 import pytest
 
 from omega_fdfa import (
@@ -13,12 +16,15 @@ from omega_fdfa import (
     DetTS,
     Dfa,
     Lasso,
+    LIMIT,
     Nba,
     ResourceLimitError,
     UpWord,
+    build_canonical_fdfa,
     dfa_lang_equal,
     dfa_minimize,
     dfa_product,
+    fdfa_to_nba,
     gen_fig1,
     gen_random_dba,
     member_upword_det,
@@ -40,7 +46,7 @@ from omega_fdfa.core_automata import (
     shortest_state_words,
 )
 
-from oracles import naive_member, words_upto
+from oracles import naive_member, naive_nba_member, words_upto
 
 AB = Alphabet(("a", "b"))
 
@@ -341,3 +347,43 @@ def test_nba_text_constraints():
     assert nba.state_count == 2
     with pytest.raises(AutomatonError):
         Nba(AB, 2, frozenset([0]), frozenset({(0, 0, 5)}), frozenset())
+
+
+def _random_nba(rng, states):
+    trans = frozenset((s, a, t) for s in range(states) for a in range(2)
+                      for t in range(states) if rng.random() < 0.4)
+    acc = frozenset(tr for tr in trans if rng.random() < 0.3)
+    initials = frozenset(q for q in range(states) if rng.random() < 0.4)
+    return Nba(AB, states, initials or frozenset([0]), trans, acc)
+
+
+def test_nba_engines_agree_with_independent_oracles():
+    # A witness must lie in the stated languages, and None (or True for
+    # inclusion) means no lasso u . v^omega with |u| <= 3, 1 <= |v| <= 3
+    # does.  The engines return the least lasso path of a product, which can
+    # be longer than the shortest omega-word, so least-ness is not checked.
+    words = [UpWord(u, v) for u in words_upto(2, 3)
+             for v in words_upto(2, 3) if v]
+
+    def check(result, *langs):
+        if result is None or result is True:
+            assert not any(all(lang(w) for lang in langs) for w in words)
+        else:
+            assert all(lang(result.upword()) for lang in langs)
+
+    rng = random.Random(8)
+    nbas = [_random_nba(rng, rng.randint(1, 4)) for _ in range(24)]
+    nbas += [fdfa_to_nba(build_canonical_fdfa(gen_random_dba(seed, 4, 2),
+                                              LIMIT)) for seed in range(8)]
+    nbas += [det_to_nba(gen_random_dba(seed, 3, 2)) for seed in range(4)]
+    for i, a in enumerate(nbas):
+        b = nbas[(i + 7) % len(nbas)]
+        d = gen_random_dba(100 + i, rng.randint(1, 4), 2)
+        in_a = functools.cache(functools.partial(naive_nba_member, a))
+        in_b = functools.cache(functools.partial(naive_nba_member, b))
+        in_d = functools.cache(functools.partial(naive_member, d))
+        assert all(member_upword_nba(a, w) == in_a(w) for w in words)
+        check(one_pair_rabin_empty(a), in_a)
+        check(nba_dba_included(a, d), in_a, lambda w: not in_d(w))
+        check(nba_dba_intersection_witness(a, d), in_a, in_d)
+        check(nba_nba_intersection_witness(a, b), in_a, in_b)

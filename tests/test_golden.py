@@ -4,7 +4,9 @@ these outputs through unminimized products (syntactic progress DFAs), the DBA
 translation and the decision witness, so any change to exploration order
 shows up here.  The learner's logs pin every membership query in order; the
 random DBA's run is one where progress representatives collapse after a
-leading refinement."""
+leading refinement.  ``lassos.txt`` pins the witnesses of the emptiness,
+inclusion and intersection engines, which the CLI outputs reach only in
+part."""
 
 from __future__ import annotations
 
@@ -12,8 +14,20 @@ import pathlib
 
 import pytest
 
-from omega_fdfa import gen_fig1, gen_fig5_fdfa, gen_random_dba
+from omega_fdfa import (
+    LIMIT,
+    build_canonical_fdfa,
+    complement_finals,
+    fdfa_to_nba,
+    gen_fig1,
+    gen_fig5_fdfa,
+    gen_random_dba,
+    nba_dba_included,
+    nba_dba_intersection_witness,
+    nba_nba_intersection_witness,
+)
 from omega_fdfa.cli import format_automaton, format_fdfa, main
+from omega_fdfa.core_automata import one_pair_rabin_empty
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -59,3 +73,56 @@ def run_case(case: str, tmp: pathlib.Path, capsys) -> str:
 def test_cli_output_matches_golden(case, tmp_path, capsys):
     want = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
     assert run_case(case, tmp_path, capsys) == want
+
+
+def _lasso_text(result, alphabet) -> str:
+    if result is None or result is True:
+        return str(result)
+    return (f"{alphabet.format_word(result.stem)} "
+            f"({alphabet.format_word(result.loop)})^w")
+
+
+def lasso_lines() -> str:
+    """One line per call of the emptiness, inclusion and intersection
+    engines on the limit FDFA NBAs of 60 seeded random DBAs (30 on 4 states
+    over 2 letters, 30 on 5 states over 3): each NBA and its complement's
+    alone, against the DBA and against a second random DBA, and both against
+    the second DBA's complement NBA.  The NBAs are nondeterministic, so these
+    lines pin which least lasso each engine picks among equally short runs."""
+    lines = []
+    for states, letters in ((4, 2), (5, 3)):
+        for seed in range(30):
+            d = gen_random_dba(seed, states, letters)
+            other = gen_random_dba(seed + 100, states, letters)
+            f = build_canonical_fdfa(d, LIMIT)
+            nba = fdfa_to_nba(f)
+            comp = fdfa_to_nba(complement_finals(f))
+            other_comp = fdfa_to_nba(
+                complement_finals(build_canonical_fdfa(other, LIMIT)))
+            calls = [
+                ("empty(nba)", one_pair_rabin_empty(nba)),
+                ("empty(comp)", one_pair_rabin_empty(comp)),
+                ("empty(nba, avoid every other acc)",
+                 one_pair_rabin_empty(nba, frozenset(sorted(nba.acc)[::2]))),
+                ("included(nba, d)", nba_dba_included(nba, d)),
+                ("included(nba, other)", nba_dba_included(nba, other)),
+                ("included(comp, other)", nba_dba_included(comp, other)),
+                ("dba_meet(comp, d)", nba_dba_intersection_witness(comp, d)),
+                ("dba_meet(nba, other)",
+                 nba_dba_intersection_witness(nba, other)),
+                ("dba_meet(comp, other)",
+                 nba_dba_intersection_witness(comp, other)),
+                ("nba_meet(nba, other_comp)",
+                 nba_nba_intersection_witness(nba, other_comp)),
+                ("nba_meet(other_comp, comp)",
+                 nba_nba_intersection_witness(other_comp, comp)),
+            ]
+            for name, result in calls:
+                lines.append(f"{states}x{letters}-s{seed} {name}: "
+                             f"{_lasso_text(result, d.ts.alphabet)}\n")
+    return "".join(lines)
+
+
+def test_lassos_match_golden():
+    want = (GOLDEN / "lassos.txt").read_text(encoding="utf-8")
+    assert lasso_lines() == want
