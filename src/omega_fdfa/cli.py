@@ -3,11 +3,15 @@ canon / decide / translate / learn / bench-ln / accepts subcommands.
 
 Exit codes: 0 success or Yes, 3 decision-No, 2 input error, 4 resource or
 iteration cap.
+
+``main(argv)`` may be called repeatedly in one process: the argument parser
+is built on the first call and reused by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -436,7 +440,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The workbench's argument parser, built once per process on first use
+    (``build_parser.__wrapped__()`` builds a fresh one)."""
     parser = argparse.ArgumentParser(
         prog="omega-fdfa",
         description="canonical FDFA workbench for omega-regular languages")

@@ -269,7 +269,9 @@ def member_upword_det(a: DetOmega, w: UpWord) -> bool:
 def member_upword_nba(a: Nba, w: UpWord) -> bool:
     """Decide membership by producting a with the positions of the lasso
     word (u, v): position i reads letter i and moves to i+1, the last one
-    wraps back to the start of v."""
+    wraps back to the start of v.  Every product state is reachable and no
+    edge is second-marked, so the word is accepted iff an accepting edge
+    joins two states of one SCC."""
     letters = (*w.prefix, *w.period)
     edges = _edges_by_letter(a)
 
@@ -279,8 +281,10 @@ def member_upword_nba(a: Nba, w: UpWord) -> bool:
         return [(letters[pos], (t, nxt), marked, False)
                 for t, marked in edges.get((q, letters[pos]), ())]
 
-    return _least_lasso(*_product([(q, 0) for q in sorted(a.initials)],
-                                  moves)) is not None
+    graph, _ = _product([(q, 0) for q in sorted(a.initials)], moves)
+    comp = _scc_ids([[t for _, t, _, _ in row] for row in graph])
+    return any(accepting and comp[s] == comp[t]
+               for s, row in enumerate(graph) for _, t, accepting, _ in row)
 
 
 def dfa_product(a: Dfa, b: Dfa, final_rule: Callable[[bool, bool], bool]) -> Dfa:
@@ -309,7 +313,11 @@ def coarsest_quotient(ts: DetTS,
     """The part of ts reachable from its initial state, quotiented by the
     coarsest right congruence in which equivalent states have equal labels
     (Moore-style partition refinement).  Returns ``(reps, quotient)``:
-    ``reps[b]`` is the first state of block b in breadth-first order."""
+    ``reps[b]`` is the first state of block b in breadth-first order.
+
+    Blocks are numbered by the first appearance of their states in the
+    breadth-first order of ts, which is the quotient's own breadth-first
+    order: the quotient is already numbered as canonical_dfa numbers."""
     order, rows = explore([ts.initial], ts.delta.__getitem__)
     ids: dict[Hashable, int] = {}
     block = [ids.setdefault(label(s), len(ids)) for s in order]
@@ -335,10 +343,10 @@ def coarsest_quotient(ts: DetTS,
 
 def dfa_minimize(a: Dfa) -> Dfa:
     """Minimal complete DFA via partition refinement; states are exactly the
-    Nerode classes of L(a)."""
+    Nerode classes of L(a), numbered in breadth-first order (see
+    coarsest_quotient)."""
     reps, ts = coarsest_quotient(a.ts, a.finals.__contains__)
-    finals = frozenset(b for b, s in enumerate(reps) if s in a.finals)
-    return canonical_dfa(Dfa(ts, finals))
+    return Dfa(ts, frozenset(b for b, s in enumerate(reps) if s in a.finals))
 
 
 def dfa_lang_equal(a: Dfa, b: Dfa) -> bool:

@@ -21,6 +21,7 @@ from omega_fdfa import (
 from omega_fdfa.cli import (
     MAX_STATES,
     ParseError,
+    build_parser,
     format_automaton,
     format_fdfa,
     main,
@@ -386,3 +387,66 @@ def test_malformed_fdfa_exits_2(cli, tmp_path, text, message):
         code, out, err = cli(*argv)
         assert (code, out) == (2, "")
         assert message in err
+
+
+# --------------------------------------------------------------------------
+# one parser per process
+
+def _parse_exit(parse, argv, capsys):
+    """Run a parse that must exit; returns (exit code, stdout, stderr)."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_build_parser_is_cached():
+    assert build_parser() is build_parser()
+
+
+def test_calls_sharing_the_parser_stay_independent(capsys, fig1_file,
+                                                   tmp_path):
+    build_parser.cache_clear()
+    assert main(["canon", fig1_file]) == 0
+    first = capsys.readouterr()
+    out = tmp_path / "periodic.fdfa"
+    assert main(["canon", fig1_file, "--flavor", "periodic",
+                 "--out", str(out)]) == 0
+    assert "flavor: periodic" in out.read_text(encoding="utf-8")
+    capsys.readouterr()
+    argv = ["learn", "--teacher", f"dba:{fig1_file}", "--max-iterations", "0"]
+    code, _, err = _parse_exit(main, argv, capsys)
+    fresh = _parse_exit(build_parser.__wrapped__().parse_args, argv, capsys)
+    assert (code, err) == (2, fresh[2])
+    # an attribute only `accepts` sets must not reach the next command
+    assert main(["accepts", fig1_file, "-", ""]) == 2
+    capsys.readouterr()
+    assert main(["canon", fig1_file]) == 0
+    last = capsys.readouterr()
+    assert "flavor: limit" in last.out
+    assert (last.out, last.err) == (first.out, first.err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    [],
+    ["nope"],
+    ["canon", "--help"],
+    ["canon", "x", "--flavor", "nope"],
+    ["decide", "--help"],
+    ["decide"],
+    ["translate", "--help"],
+    ["translate", "x"],
+    ["learn", "--help"],
+    ["learn", "--teacher", "dba:x", "--max-iterations", "0"],
+    ["bench-ln", "--help"],
+    ["bench-ln", "--max-n", "two"],
+    ["accepts", "--help"],
+    ["accepts", "x", "a"],
+])
+def test_cached_parser_prints_like_a_fresh_one(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    cached = _parse_exit(main, argv, capsys)
+    fresh = _parse_exit(build_parser.__wrapped__().parse_args, argv, capsys)
+    assert cached == fresh
+    assert cached[0] == (0 if "--help" in argv else 2)

@@ -186,6 +186,20 @@ def test_canonical_dfa_and_isomorphism():
     assert not dfa_isomorphic(a, _dfa_even_length())
 
 
+def test_dfa_minimize_is_numbered_in_bfs_order():
+    # dfa_minimize returns coarsest_quotient's numbering as it is, which must
+    # already be canonical_dfa's breadth-first numbering
+    rng = random.Random(20)
+    for _ in range(500):
+        n, k = rng.randint(1, 12), rng.randint(1, 3)
+        ts = DetTS(Alphabet(tuple("abc"[:k])), n, rng.randrange(n),
+                   tuple(tuple(rng.randrange(n) for _ in range(k))
+                         for _ in range(n)))
+        small = dfa_minimize(Dfa(ts, frozenset(
+            s for s in range(n) if rng.random() < 0.4)))
+        assert canonical_dfa(small) == small
+
+
 def test_dfa_lang_equal_detects_difference():
     assert dfa_lang_equal(_dfa_suffix_a(), _dfa_suffix_a())
     assert not dfa_lang_equal(_dfa_suffix_a(), _dfa_even_length())
