@@ -38,14 +38,12 @@ from .core_automata import (
 )
 from .decide import DecideResult, decide_dba_recognizable
 from .fdfa import (
-    ExhaustiveBounded,
     FLAVORS,
     Fdfa,
     LIMIT,
     PERIODIC,
     RECURRENT,
     SYNTACTIC,
-    Saturated,
     SinkFinalMissing,
     SizeReport,
     accepts_decomposition,

@@ -32,7 +32,7 @@ from .core_automata import (
     member_upword_nba,
 )
 from .decide import decide_dba_recognizable
-from .fdfa import FLAVORS, Fdfa, LIMIT, Saturated, accepts_upword, size_report
+from .fdfa import FLAVORS, Fdfa, LIMIT, accepts_upword, size_report
 from .learn import (
     DbaTeacher,
     FdfaTeacher,
@@ -412,12 +412,12 @@ def cmd_bench_ln(args: argparse.Namespace) -> int:
 
 def cmd_accepts(args: argparse.Namespace) -> int:
     text = _read(args.input)
-    if _clean_lines(text) and _clean_lines(text)[0] == "fdfa":
+    if _clean_lines(text)[:1] == ["fdfa"]:
         f = parse_fdfa(text)
         alphabet = f.leading.alphabet
         w = UpWord(_parse_word(alphabet, args.u),
                    _parse_word(alphabet, args.v))
-        member = accepts_upword(f, w, Saturated())
+        member = accepts_upword(f, w)
     else:
         obj = parse_automaton(text)
         if isinstance(obj, Dfa):

@@ -21,12 +21,16 @@ be nearly as large.  Syntactic and recurrent need no quotient of their own:
 on nonempty periods both are limit_u intersected with
 C_u = {v : u . v ~ u}, the product of the leading TS rooted at u with the
 limit DFA, and recurrent is that product minimized.
+
+That shared work is cached on the ``LeadingQuotient`` and lives as long as
+it.  The module constants PAIR_CAP and PROFILE_CAP, read at call time, cap
+the leading pair graph and the monoid.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 from .core_automata import (
@@ -60,6 +64,9 @@ BYTE_PROFILES = 128
 # (profiles, profile TS, reachable states in profile-entry order); see
 # _explore_profiles
 Monoid = tuple[list[Sequence[int]], DetTS, list[int]]
+# (quotient of the profile TS, final blocks of each class); see
+# _shared_quotient
+Quotient = tuple[DetTS, tuple[frozenset[int], ...]]
 
 
 @dataclass(frozen=True)
@@ -69,6 +76,11 @@ class LeadingQuotient:
     ``class_of[s]`` is the class id of reference state s (-1 if unreachable);
     ``reps[c]`` is the least reference state id in class c; ``rep_words[c]``
     is the shortest, lexicographically least access word of class c.
+
+    The work that every class and flavor share (the profile monoid, the
+    periodic acceptance vectors, the periodic and limit quotients) is
+    computed on first use and kept in cached properties, outside ``==``,
+    ``hash`` and ``repr``.  A computation that raises caches nothing.
     """
 
     ref: DetOmega
@@ -76,18 +88,37 @@ class LeadingQuotient:
     leading: DetTS
     reps: tuple[int, ...]
     rep_words: tuple[Word, ...]
-    # the profile monoid of ``ref``, set by the first profile DFA or shared
-    # quotient built on this quotient; see _profile_monoid
-    _monoid: Monoid | None = field(
-        default=None, init=False, repr=False, compare=False)
-    # (acceptance vector id of each profile, the distinct vectors), set by
-    # the first periodic_lang_dfa call; see _acceptance
-    _accepts: tuple[list[int], list[tuple[bool, ...]]] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    # flavor -> (quotient of the profile TS, final blocks of each class);
-    # see _shared_quotient
-    _quotients: dict[str, tuple[DetTS, tuple[frozenset[int], ...]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def _monoid(self) -> Monoid:
+        """The profile TS of ``ref``; raises ResourceLimitError above
+        PROFILE_CAP profiles."""
+        try:
+            return _explore_profiles(self.ref, PROFILE_CAP)
+        except ResourceLimitError:
+            raise ResourceLimitError(
+                f"profile DFA exceeded cap of {PROFILE_CAP} states") from None
+
+    @cached_property
+    def _accepts(self) -> tuple[list[int], list[tuple[bool, ...]]]:
+        """For each profile, the id of its acceptance vector, which says for
+        each leading class u whether u . z^omega is accepted (z a word of
+        that profile); and the distinct vectors by id.  Profiles share few
+        distinct vectors."""
+        profiles, _, states = self._monoid
+        reps, _ = _by_entry(self, states)
+        ids: dict[tuple[bool, ...], int] = {}
+        labels = [ids.setdefault(_omega_accepts(p, reps), len(ids))
+                  for p in profiles]
+        return labels, list(ids)
+
+    @cached_property
+    def _periodic_quotient(self) -> Quotient:
+        return _shared_quotient(self, PERIODIC)
+
+    @cached_property
+    def _limit_quotient(self) -> Quotient:
+        return _shared_quotient(self, LIMIT)
 
 
 def compute_leading(d: DetOmega) -> LeadingQuotient:
@@ -166,17 +197,6 @@ def _explore_profiles(d: DetOmega, cap: int) -> Monoid:
     return profiles, DetTS(ts.alphabet, len(profiles), 0, tuple(delta)), states
 
 
-def _profile_monoid(lq: LeadingQuotient, cap: int) -> Monoid:
-    """The reference's profile TS, explored by the first call on lq and
-    shared by every later one, for any class and flavor."""
-    if lq._monoid is None:
-        with suppress(ResourceLimitError):
-            object.__setattr__(lq, "_monoid", _explore_profiles(lq.ref, cap))
-    if lq._monoid is None or len(lq._monoid[0]) > cap:
-        raise ResourceLimitError(f"profile DFA exceeded cap of {cap} states")
-    return lq._monoid
-
-
 def _by_entry(lq: LeadingQuotient,
               states: list[int]) -> tuple[list[int], list[int]]:
     """lq's class representatives as profile entries, and the leading class
@@ -211,29 +231,12 @@ def _omega_accepts(p: Sequence[int],
     return tuple([value[s] == 1 for s in starts])
 
 
-def _acceptance(lq: LeadingQuotient,
-                cap: int) -> tuple[list[int], list[tuple[bool, ...]]]:
-    """For each profile of lq's reference, the id of its acceptance vector,
-    which says for each leading class u whether u . z^omega is accepted (z
-    a word of that profile); and the distinct vectors by id.  Computed by
-    the first call on lq; profiles share few distinct vectors."""
-    profiles, _, states = _profile_monoid(lq, cap)
-    if lq._accepts is None:
-        reps, _ = _by_entry(lq, states)
-        ids: dict[tuple[bool, ...], int] = {}
-        labels = [ids.setdefault(_omega_accepts(p, reps), len(ids))
-                  for p in profiles]
-        object.__setattr__(lq, "_accepts", (labels, list(ids)))
-    return lq._accepts
-
-
-def periodic_lang_dfa(lq: LeadingQuotient, u_class: int,
-                      cap: int = PROFILE_CAP) -> Dfa:
+def periodic_lang_dfa(lq: LeadingQuotient, u_class: int) -> Dfa:
     """DFA over profile elements recognizing {z : u . z^omega in L};
     epsilon is non-final by convention (the identity profile has no bits)."""
     if not 0 <= u_class < lq.leading.state_count:
         raise AutomatonError("invalid leading class")
-    labels, vectors = _acceptance(lq, cap)
+    labels, vectors = lq._accepts
     accepted = {v for v, vector in enumerate(vectors) if vector[u_class]}
     return Dfa(lq._monoid[1], frozenset(i for i, v in enumerate(labels)
                                         if v in accepted))
@@ -267,24 +270,18 @@ def _epsilon_joins_accepted_returns(d: Dfa) -> Dfa:
     return Dfa(new_ts, d.finals | {iota})
 
 
-def _shared_quotient(lq: LeadingQuotient, flavor: str, u_class: int,
-                     cap: int) -> tuple[DetTS, tuple[frozenset[int], ...]]:
+def _shared_quotient(lq: LeadingQuotient, flavor: str) -> Quotient:
     """The profile TS of lq's reference quotiented by the coarsest right
-    congruence that respects, for every leading class u, the flavor's final
-    profiles of u, and the final blocks of each class.  Built by the first
-    call per flavor (periodic or limit) on lq, for class u_class, and shared
-    by every class."""
-    if flavor in lq._quotients:
-        # the cap is checked on every call, also once the quotient is cached
-        _profile_monoid(lq, cap)
-        return lq._quotients[flavor]
+    congruence that respects, for every leading class u, the flavor's
+    (periodic or limit) final profiles of u, and the final blocks of each
+    class.  Built once per flavor on lq, through its cached properties."""
     if flavor == PERIODIC:
-        # the profile DFA of the first class asked for explores the monoid and
-        # the acceptance vectors that every class's finals come from
-        ts = periodic_lang_dfa(lq, u_class, cap).ts
+        # class 0's profile DFA explores the monoid and the acceptance
+        # vectors that every class's finals come from
+        ts = periodic_lang_dfa(lq, 0).ts
         labels, vectors = lq._accepts
     else:
-        profiles, ts, states = _profile_monoid(lq, cap)
+        profiles, ts, states = lq._monoid
         reps, class_of = _by_entry(lq, states)
 
         def rejected(p: Sequence[int]) -> tuple[int, ...]:
@@ -303,18 +300,16 @@ def _shared_quotient(lq: LeadingQuotient, flavor: str, u_class: int,
     finals = tuple(frozenset(b for b, i in enumerate(blocks)
                              if vectors[labels[i]][u])
                    for u in range(len(lq.reps)))
-    lq._quotients[flavor] = (quotient, finals)
-    return lq._quotients[flavor]
+    return quotient, finals
 
 
-def progress_dfa(lq: LeadingQuotient, u_class: int, flavor: str,
-                 cap: int = PROFILE_CAP) -> Dfa:
+def progress_dfa(lq: LeadingQuotient, u_class: int, flavor: str) -> Dfa:
     if flavor in (SYNTACTIC, RECURRENT):
         # on nonempty periods both are limit_u restricted to
         # C_u = {v : u . v ~ u}.  The syntactic DFA's classes are exactly the
         # reachable (leading-from-u, limit-class) pairs, so its product stays
         # unminimized; the recurrent DFA places epsilon and is minimized.
-        limit = progress_dfa(lq, u_class, LIMIT, cap)
+        limit = progress_dfa(lq, u_class, LIMIT)
         product = dfa_product(cu_dfa(lq, u_class), limit, lambda c, p: c and p)
         if flavor == SYNTACTIC:
             return product
@@ -325,14 +320,14 @@ def progress_dfa(lq: LeadingQuotient, u_class: int, flavor: str,
         raise AutomatonError("invalid leading class")
     # the quotient refines u's Nerode equivalence, so minimizing on it gives
     # the same DFA as minimizing on the whole profile TS
-    ts, finals = _shared_quotient(lq, flavor, u_class, cap)
+    ts, finals = (lq._periodic_quotient if flavor == PERIODIC
+                  else lq._limit_quotient)
     return dfa_minimize(Dfa(ts, finals[u_class]))
 
 
-def build_canonical_fdfa(d: DetOmega, flavor: str,
-                         cap: int = PROFILE_CAP) -> Fdfa:
+def build_canonical_fdfa(d: DetOmega, flavor: str) -> Fdfa:
     lq = compute_leading(d)
-    progress = tuple(progress_dfa(lq, c, flavor, cap)
+    progress = tuple(progress_dfa(lq, c, flavor)
                      for c in range(lq.leading.state_count))
     return Fdfa(lq.leading, progress, labels=lq.rep_words, flavor=flavor)
 

@@ -484,16 +484,15 @@ def one_pair_rabin_empty(a: Nba,
     return _least_lasso(graph, a.initials)
 
 
-def det_to_nba(d: DetOmega, initial: int | None = None) -> Nba:
-    """View a deterministic Buchi automaton as an NBA (optionally re-rooted)."""
+def det_to_nba(d: DetOmega) -> Nba:
+    """View a deterministic Buchi automaton as an NBA."""
     if d.polarity != BUCHI:
         raise AutomatonError("det_to_nba expects Buchi polarity")
     ts = d.ts
     trans = frozenset((s, a, ts.delta[s][a])
                       for s in range(ts.state_count) for a in range(ts.alphabet.size))
     acc = frozenset((s, a, ts.delta[s][a]) for s, a in d.acc)
-    start = ts.initial if initial is None else initial
-    return Nba(ts.alphabet, ts.state_count, frozenset([start]), trans, acc)
+    return Nba(ts.alphabet, ts.state_count, frozenset([ts.initial]), trans, acc)
 
 
 def _product(roots: list[S], moves: Callable[[S], list[Move]]

@@ -54,26 +54,6 @@ class Fdfa:
             raise AutomatonError(f"unknown flavor {self.flavor!r}")
 
 
-@dataclass(frozen=True)
-class Saturated:
-    """Decide acceptance from the single normalized decomposition."""
-
-
-@dataclass(frozen=True)
-class ExhaustiveBounded:
-    """Search decompositions (pumped prefixes, rotated periods) up to a bound;
-    a desk-scale approximation for FDFAs that are not known to be saturated."""
-
-    bound: int
-
-    def __post_init__(self) -> None:
-        if self.bound < 1:
-            raise AutomatonError("bound must be >= 1")
-
-
-AcceptanceMode = Saturated | ExhaustiveBounded
-
-
 def normalize(f: Fdfa, w: UpWord) -> UpWord:
     """Return (u . v^i, v^p) with minimal i >= 0, then minimal p >= 1, such
     that the leading state repeats; denotes the same omega-word."""
@@ -111,11 +91,9 @@ def _decompositions(w: UpWord, bound: int) -> list[UpWord]:
     return out
 
 
-def accepts_upword(f: Fdfa, w: UpWord, mode: AcceptanceMode = Saturated()) -> bool:
-    if isinstance(mode, Saturated):
-        return accepts_decomposition(f, normalize(f, w))
-    return any(accepts_decomposition(f, d) for d in _decompositions(w, mode.bound)
-               if _is_normalized(f, d))
+def accepts_upword(f: Fdfa, w: UpWord) -> bool:
+    """Decide acceptance from the single normalized decomposition of w."""
+    return accepts_decomposition(f, normalize(f, w))
 
 
 def _is_normalized(f: Fdfa, w: UpWord) -> bool:

@@ -27,7 +27,6 @@ from .core_automata import (
 from .fdfa import (
     Fdfa,
     LIMIT,
-    Saturated,
     accepts_decomposition,
     accepts_upword,
     complement_finals,
@@ -205,7 +204,7 @@ class FdfaTeacher(_Teacher):
         self._ref_complement_nba = fdfa_to_nba(complement_finals(ref))
 
     def _member(self, w: UpWord) -> bool:
-        return accepts_upword(self.ref, w, Saturated())
+        return accepts_upword(self.ref, w)
 
     def _ref_state(self, u: Word) -> int:
         return run_word(self.ref.leading, self.ref.leading.initial, u)

@@ -3,7 +3,7 @@ cross-check, and the bounded refinement checker — validated against the
 brute-force congruence oracle."""
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -98,34 +98,51 @@ def test_periodic_lang_dfa_matches_membership(fig1):
             assert per.accepts(v) == expect
 
 
-def test_periodic_lang_dfa_cap():
+def test_periodic_lang_dfa_cap(monkeypatch):
+    monkeypatch.setattr(congruence, "PROFILE_CAP", 2)
     with pytest.raises(ResourceLimitError):
-        periodic_lang_dfa(compute_leading(gen_ln(3)), 0, cap=2)
+        periodic_lang_dfa(compute_leading(gen_ln(3)), 0)
 
 
-def test_periodic_lang_dfa_cap_on_an_explored_monoid():
-    lq = compute_leading(gen_fig1())
-    size = periodic_lang_dfa(lq, 0).ts.state_count
+def test_profile_cap_is_inclusive_and_a_refusal_caches_nothing(monkeypatch):
+    size = periodic_lang_dfa(compute_leading(gen_fig1()), 0).ts.state_count
     assert size > 2
+    lq = compute_leading(gen_fig1())
+    monkeypatch.setattr(congruence, "PROFILE_CAP", size - 1)
     for c in range(lq.leading.state_count):
         with pytest.raises(ResourceLimitError,
                            match=f"^profile DFA exceeded cap of {size - 1} "
                                  "states$"):
-            periodic_lang_dfa(lq, c, cap=size - 1)
+            periodic_lang_dfa(lq, c)
         for flavor in FLAVORS:
             with pytest.raises(ResourceLimitError,
-                               match="^profile DFA exceeded cap of 1 states$"):
-                progress_dfa(lq, c, flavor, cap=1)
-    # the cap is inclusive, and a refused call leaves the monoid usable
-    assert periodic_lang_dfa(lq, 1, cap=size).ts.state_count == size
-
-
-def test_periodic_lang_dfa_uncapped_after_a_capped_failure():
-    lq = compute_leading(gen_fig1())
-    with pytest.raises(ResourceLimitError):
-        periodic_lang_dfa(lq, 0, cap=2)
+                               match=f"^profile DFA exceeded cap of "
+                                     f"{size - 1} states$"):
+                progress_dfa(lq, c, flavor)
+    # nothing beyond the dataclass fields is kept on the refused quotient
+    assert set(vars(lq)) == {f.name for f in fields(lq)}
+    # the cap is inclusive, and the refused quotient builds once it allows
+    monkeypatch.setattr(congruence, "PROFILE_CAP", size)
     fresh = compute_leading(gen_fig1())
+    assert periodic_lang_dfa(lq, 1).ts.state_count == size
     assert periodic_lang_dfa(lq, 0) == periodic_lang_dfa(fresh, 0)
+    for flavor in FLAVORS:
+        for c in range(lq.leading.state_count):
+            assert progress_dfa(lq, c, flavor) == \
+                progress_dfa(fresh, c, flavor), (flavor, c)
+
+
+def test_cached_work_stays_outside_equality_hash_and_repr():
+    d = gen_fig1()
+    lq = compute_leading(d)
+    for flavor in FLAVORS:
+        for c in range(lq.leading.state_count):
+            progress_dfa(lq, c, flavor)
+    assert set(vars(lq)) > {f.name for f in fields(lq)}
+    fresh = compute_leading(d)
+    assert lq == fresh
+    assert hash(lq) == hash(fresh)
+    assert repr(lq) == repr(fresh)
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
@@ -225,15 +242,15 @@ def _walked_periodic_finals(profiles, rep):
     return finals
 
 
-def _minimized_on_the_whole_monoid(lq, c, flavor, cap):
+def _minimized_on_the_whole_monoid(lq, c, flavor):
     """Class c's progress DFA as built one class at a time: its finals picked
     on the whole profile TS, then minimized."""
     if flavor == SYNTACTIC:
-        limit = _minimized_on_the_whole_monoid(lq, c, LIMIT, cap)
+        limit = _minimized_on_the_whole_monoid(lq, c, LIMIT)
         return dfa_product(cu_dfa(lq, c), limit, lambda x, y: x and y)
-    per = periodic_lang_dfa(lq, c, cap)
+    per = periodic_lang_dfa(lq, c)
     # profile entry i is the i-th of the reference's reachable states
-    profiles, _, states = congruence._profile_monoid(lq, cap)
+    profiles, _, states = lq._monoid
     rep = states.index(lq.reps[c])
     assert per.finals == _walked_periodic_finals(profiles, rep)
     if flavor == PERIODIC:
@@ -270,20 +287,21 @@ def _exactness_cases():
         replace(fig1.ts, state_count=8, delta=delta), acc, BUCHI)
 
 
-def test_shared_quotient_matches_minimizing_on_the_whole_monoid():
+def test_shared_quotient_matches_minimizing_on_the_whole_monoid(
+        monkeypatch):
     # monoids above the cap must be refused by both constructions alike
-    cap = 2500
+    monkeypatch.setattr(congruence, "PROFILE_CAP", 2500)
     for name, d in _exactness_cases():
         lq, ref = compute_leading(d), compute_leading(d)
         for flavor in FLAVORS:
             for c in range(lq.leading.state_count):
                 try:
-                    want = _minimized_on_the_whole_monoid(ref, c, flavor, cap)
+                    want = _minimized_on_the_whole_monoid(ref, c, flavor)
                 except ResourceLimitError:
                     with pytest.raises(ResourceLimitError):
-                        progress_dfa(lq, c, flavor, cap)
+                        progress_dfa(lq, c, flavor)
                     continue
-                assert progress_dfa(lq, c, flavor, cap) == want, \
+                assert progress_dfa(lq, c, flavor) == want, \
                     (name, flavor, c)
 
 
@@ -306,12 +324,6 @@ def test_shared_quotient_built_once_per_construction_and_flavor(
         for c in classes:
             progress_dfa(lq, c, flavor)
         assert len(calls) == built, flavor
-        # the cap is still checked on every call, also on a cached quotient
-        for c in classes:
-            with pytest.raises(ResourceLimitError,
-                               match="^profile DFA exceeded cap of 1 "
-                                     "states$"):
-                progress_dfa(lq, c, flavor, cap=1)
     assert len(calls) == 2
     # every construction builds its own
     for flavor in FLAVORS:
@@ -327,10 +339,10 @@ def test_only_the_periodic_quotient_starts_from_a_profile_dfa(monkeypatch):
     calls = []
     periodic_lang_dfa = congruence.periodic_lang_dfa
 
-    def counting(lq, u_class, cap=congruence.PROFILE_CAP):
+    def counting(lq, u_class):
         calls.append(u_class)
         try:
-            return periodic_lang_dfa(lq, u_class, cap)
+            return periodic_lang_dfa(lq, u_class)
         except ResourceLimitError:
             calls.append("refused")
             raise
@@ -339,10 +351,11 @@ def test_only_the_periodic_quotient_starts_from_a_profile_dfa(monkeypatch):
     for flavor in FLAVORS:
         build_canonical_fdfa(gen_fig1(), flavor)
     assert calls == [0]
+    monkeypatch.setattr(congruence, "PROFILE_CAP", 2)
     for flavor in FLAVORS:
         with pytest.raises(ResourceLimitError,
                            match="^profile DFA exceeded cap of 2 states$"):
-            build_canonical_fdfa(gen_ln(3), flavor, cap=2)
+            build_canonical_fdfa(gen_ln(3), flavor)
     assert calls[1:] == [0, "refused"]
 
 
@@ -383,7 +396,7 @@ def test_bytes_and_tuple_profiles_number_the_monoid_alike(monkeypatch):
         monkeypatch.undo()
 
 
-def test_profiles_cover_only_reachable_states():
+def test_profiles_cover_only_reachable_states(monkeypatch):
     fig1 = gen_fig1()
     # 99,995 unreachable states on one accepting a-cycle: over every declared
     # state the monoid would hold a profile per power of that cycle
@@ -396,8 +409,9 @@ def test_profiles_cover_only_reachable_states():
     profiles, ts, states = congruence._explore_profiles(padded, 100)
     assert (profiles, ts, states) == congruence._explore_profiles(fig1, 100)
     assert {len(p) for p in profiles} == {5}
+    monkeypatch.setattr(congruence, "PROFILE_CAP", len(profiles))
     for flavor in FLAVORS:
-        assert build_canonical_fdfa(padded, flavor, cap=len(profiles)) == \
+        assert build_canonical_fdfa(padded, flavor) == \
             build_canonical_fdfa(fig1, flavor), flavor
 
 
@@ -414,8 +428,7 @@ def test_recurrent_from_limit_matches_recurrent_on_the_whole_monoid():
         lq, ref = compute_leading(d), compute_leading(d)
         for c in range(lq.leading.state_count):
             assert progress_dfa(lq, c, RECURRENT) == \
-                _minimized_on_the_whole_monoid(ref, c, RECURRENT,
-                                               congruence.PROFILE_CAP), (d, c)
+                _minimized_on_the_whole_monoid(ref, c, RECURRENT), (d, c)
 
 
 def test_cu_dfa_language(fig1):

@@ -10,10 +10,8 @@ from omega_fdfa import (
     AutomatonError,
     DetTS,
     Dfa,
-    ExhaustiveBounded,
     Fdfa,
     LIMIT,
-    Saturated,
     SinkFinalMissing,
     UpWord,
     accepts_decomposition,
@@ -97,20 +95,6 @@ def test_accepts_upword_matches_reference(fig1, fig1_limit):
                 w = UpWord(u, v)
                 assert accepts_upword(fig1_limit, w) \
                     == member_upword_det(fig1, w)
-
-
-def test_exhaustive_bounded_agrees_on_saturated(fig1_limit):
-    for u in words_upto(2, 2):
-        for v in words_upto(2, 2):
-            if v:
-                w = UpWord(u, v)
-                assert accepts_upword(fig1_limit, w, ExhaustiveBounded(3)) \
-                    == accepts_upword(fig1_limit, w, Saturated())
-
-
-def test_exhaustive_bounded_validates_bound():
-    with pytest.raises(AutomatonError):
-        ExhaustiveBounded(0)
 
 
 def test_is_saturated_bounded_canonical(fig1_limit):
