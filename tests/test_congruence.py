@@ -104,7 +104,7 @@ def test_periodic_lang_dfa_cap(monkeypatch):
         periodic_lang_dfa(compute_leading(gen_ln(3)), 0)
 
 
-def test_profile_cap_is_inclusive_and_a_refusal_caches_nothing(monkeypatch):
+def test_periodic_lang_dfa_cap_on_an_explored_monoid(monkeypatch):
     size = periodic_lang_dfa(compute_leading(gen_fig1()), 0).ts.state_count
     assert size > 2
     lq = compute_leading(gen_fig1())
@@ -119,12 +119,24 @@ def test_profile_cap_is_inclusive_and_a_refusal_caches_nothing(monkeypatch):
                                match=f"^profile DFA exceeded cap of "
                                      f"{size - 1} states$"):
                 progress_dfa(lq, c, flavor)
+    # the cap is inclusive
+    monkeypatch.setattr(congruence, "PROFILE_CAP", size)
+    assert periodic_lang_dfa(lq, 1).ts.state_count == size
+
+
+def test_periodic_lang_dfa_uncapped_after_a_capped_failure(monkeypatch):
+    lq = compute_leading(gen_fig1())
+    with monkeypatch.context() as m:
+        m.setattr(congruence, "PROFILE_CAP", 2)
+        with pytest.raises(ResourceLimitError):
+            periodic_lang_dfa(lq, 0)
+        for flavor in FLAVORS:
+            with pytest.raises(ResourceLimitError):
+                progress_dfa(lq, 0, flavor)
     # nothing beyond the dataclass fields is kept on the refused quotient
     assert set(vars(lq)) == {f.name for f in fields(lq)}
-    # the cap is inclusive, and the refused quotient builds once it allows
-    monkeypatch.setattr(congruence, "PROFILE_CAP", size)
+    # the refused quotient builds once the cap allows
     fresh = compute_leading(gen_fig1())
-    assert periodic_lang_dfa(lq, 1).ts.state_count == size
     assert periodic_lang_dfa(lq, 0) == periodic_lang_dfa(fresh, 0)
     for flavor in FLAVORS:
         for c in range(lq.leading.state_count):
