@@ -13,24 +13,29 @@ Conventions used across the package:
 Every omega-emptiness question (NBA membership, emptiness, inclusion in a
 DBA, intersection) is one product explored by ``_product`` and one search
 by ``_least_lasso``.  Witnesses depend on the order of that search, so the
-contract is: product states are numbered by ``explore`` from the roots in
-the order ``moves`` lists them, each state's edges are sorted by (letter,
-target id), breadth-first words take the first state dequeued on ties, and
-the least lasso is the one with the least (total length, stem length, stem,
-loop).  The two-Buchi phase product is explored over the numbered pair
-graph, so renumbering either graph can change a witness.
+contract is: product states are numbered in breadth-first discovery order
+from the distinct roots, each state's new successors in the order ``moves``
+lists them; each state's edges are sorted by (letter, target id);
+breadth-first words take the first state dequeued on ties; and the least
+lasso is the one with the least (total length, stem length, stem, loop).
+A product state is keyed by an integer code (``qa * nb + qb`` for a pair,
+``2 * pair + phase`` in the phase graph), which only names the state: the
+ids are those that (qa, qb) and (pair, phase) tuple keys gave.  The
+two-Buchi phase product is explored over the numbered pair graph, so
+renumbering either graph can change a witness.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 Word = tuple[int, ...]
 S = TypeVar("S", bound=Hashable)
-Move = tuple[int, S, bool, bool]  # (letter, target, accepting, second mark)
-Edge = tuple[int, int, bool, bool]  # the same with the target's id
+Move = tuple[int, int, bool, bool]  # (letter, target, accepting, second mark)
+Edge = Move  # the same with the target's id in place of its code
 
 BUCHI = "buchi"
 COBUCHI = "cobuchi"
@@ -149,7 +154,11 @@ class DetOmega:
 
 @dataclass(frozen=True)
 class Nba:
-    """Nondeterministic Buchi automaton with accepting transitions."""
+    """Nondeterministic Buchi automaton with accepting transitions.
+
+    ``_succ[s][a]`` lists s's (target, accepting) edges on letter a by
+    target; it is built on first use, outside ``==``, ``hash`` and ``repr``.
+    """
 
     alphabet: Alphabet
     state_count: int
@@ -167,6 +176,18 @@ class Nba:
         for s, a, t in self.trans:
             if not (0 <= s < n and 0 <= t < n and 0 <= a < k):
                 raise AutomatonError("transition out of range")
+
+    @cached_property
+    def _succ(self) -> list[list[list[tuple[int, bool]]]]:
+        succ: list[list[list[tuple[int, bool]]]] = [
+            [[] for _ in range(self.alphabet.size)]
+            for _ in range(self.state_count)]
+        for tr in self.trans:
+            succ[tr[0]][tr[1]].append((tr[2], tr in self.acc))
+        for row in succ:
+            for cell in row:
+                cell.sort()
+        return succ
 
 
 @dataclass(frozen=True)
@@ -273,15 +294,17 @@ def member_upword_nba(a: Nba, w: UpWord) -> bool:
     edge is second-marked, so the word is accepted iff an accepting edge
     joins two states of one SCC."""
     letters = (*w.prefix, *w.period)
-    edges = _edges_by_letter(a)
+    m, succ = len(letters), a._succ
+    if not all(0 <= letter < a.alphabet.size for letter in letters):
+        raise AlphabetError("word letter outside alphabet")
 
-    def moves(node: tuple[int, int]) -> list[Move]:
-        q, pos = node
-        nxt = pos + 1 if pos + 1 < len(letters) else len(w.prefix)
-        return [(letters[pos], (t, nxt), marked, False)
-                for t, marked in edges.get((q, letters[pos]), ())]
+    def moves(code: int) -> list[Move]:
+        q, pos = divmod(code, m)  # the state (q, pos) is q * m + pos
+        nxt = pos + 1 if pos + 1 < m else len(w.prefix)
+        return [(letters[pos], t * m + nxt, marked, False)
+                for t, marked in succ[q][letters[pos]]]
 
-    graph, _ = _product([(q, 0) for q in sorted(a.initials)], moves)
+    graph, _ = _product([q * m for q in sorted(a.initials)], moves)
     comp = _scc_ids([[t for _, t, _, _ in row] for row in graph])
     return any(accepting and comp[s] == comp[t]
                for s, row in enumerate(graph) for _, t, accepting, _ in row)
@@ -300,13 +323,6 @@ def dfa_product(a: Dfa, b: Dfa, final_rule: Callable[[bool, bool], bool]) -> Dfa
     return Dfa(ts, finals)
 
 
-def canonical_dfa(a: Dfa) -> Dfa:
-    """Renumber reachable states in BFS order (letters in alphabet order)."""
-    order, delta = explore([a.ts.initial], a.ts.delta.__getitem__)
-    finals = frozenset(i for i, s in enumerate(order) if s in a.finals)
-    return Dfa(DetTS(a.ts.alphabet, len(order), 0, tuple(delta)), finals)
-
-
 def coarsest_quotient(ts: DetTS,
                       label: Callable[[int], Hashable]) -> tuple[list[int],
                                                                  DetTS]:
@@ -317,7 +333,7 @@ def coarsest_quotient(ts: DetTS,
 
     Blocks are numbered by the first appearance of their states in the
     breadth-first order of ts, which is the quotient's own breadth-first
-    order: the quotient is already numbered as canonical_dfa numbers."""
+    order: the quotient is already numbered in breadth-first order."""
     order, rows = explore([ts.initial], ts.delta.__getitem__)
     ids: dict[Hashable, int] = {}
     block = [ids.setdefault(label(s), len(ids)) for s in order]
@@ -352,12 +368,6 @@ def dfa_minimize(a: Dfa) -> Dfa:
 def dfa_lang_equal(a: Dfa, b: Dfa) -> bool:
     diff = dfa_product(a, b, lambda x, y: x != y)
     return not diff.finals
-
-
-def dfa_isomorphic(a: Dfa, b: Dfa) -> bool:
-    ca, cb = canonical_dfa(a), canonical_dfa(b)
-    return ca.ts.delta == cb.ts.delta and ca.finals == cb.finals \
-        and ca.ts.alphabet == cb.ts.alphabet
 
 
 def _scc_ids(succ: Sequence[Iterable[int]]) -> list[int]:
@@ -403,31 +413,24 @@ def _scc_ids(succ: Sequence[Iterable[int]]) -> list[int]:
     return ids
 
 
-def sccs(succ: Sequence[Iterable[int]]) -> list[list[int]]:
-    """Maximal SCCs of a finite graph, in topological order."""
-    ids = _scc_ids(succ)
-    ncomp = max(ids) + 1 if ids else 0
-    groups: list[list[int]] = [[] for _ in range(ncomp)]
-    for v, c in enumerate(ids):
-        groups[c].append(v)
-    # Tarjan emits components in reverse topological order
-    return [sorted(g) for g in reversed(groups)]
-
-
-def _bfs_words(adj: Sequence[Sequence[tuple[int, int]]],
-               sources: Iterable[int]) -> dict[int, Word]:
+def _bfs_words(graph: Sequence[Sequence[Edge]], sources: Iterable[int],
+               comp: Sequence[int] | None = None) -> dict[int, Word]:
     """Breadth-first words from the sorted sources to each reachable state;
-    ``adj[s]`` lists s's (letter, target) edges sorted by (letter, target).
-    Words are shortest, and ties go to the state dequeued first."""
+    ``graph[s]`` lists s's edges sorted by (letter, target).  Words are
+    shortest, and ties go to the state dequeued first.  With ``comp``, only
+    edges that are not second-marked and stay in the one source's SCC
+    ``comp[source]`` are taken."""
     words: dict[int, Word] = {}
     queue: deque[int] = deque()
     for s in sorted(set(sources)):
         words[s] = ()
         queue.append(s)
+    scc = None if comp is None else comp[queue[0]]
     while queue:
         s = queue.popleft()
-        for letter, t in adj[s]:
-            if t not in words:
+        for letter, t, _, second in graph[s]:
+            if t not in words and (comp is None
+                                   or not second and comp[t] == scc):
                 words[t] = words[s] + (letter,)
                 queue.append(t)
     return words
@@ -451,37 +454,19 @@ def _least_lasso(graph: Sequence[Sequence[Edge]],
              if accepting and not second and comp[s] == comp[t]]
     if not loops:
         return None
-    stems = _bfs_words([[(l, t) for l, t, _, _ in row] for row in graph],
-                       roots)
-    inner = [[(l, t) for l, t, _, second in row
-              if not second and comp[t] == comp[s]]
-             for s, row in enumerate(graph)]
+    stems = _bfs_words(graph, roots)
     backs: dict[int, dict[int, Word]] = {}
     best: tuple[int, int, Word, Word] | None = None
     for s, l, t in loops:
         if s not in stems:
             continue
         if t not in backs:
-            backs[t] = _bfs_words(inner, [t])
+            backs[t] = _bfs_words(graph, [t], comp)
         stem, loop = stems[s], (l,) + backs[t][s]
         key = (len(stem) + len(loop), len(stem), stem, loop)
         if best is None or key < best:
             best = key
     return None if best is None else Lasso(best[2], best[3])
-
-
-def one_pair_rabin_empty(a: Nba,
-                         avoid: frozenset[tuple[int, int, int]] = frozenset()
-                         ) -> Lasso | None:
-    """Search for a reachable cycle containing a transition of a.acc and no
-    transition of ``avoid``.  Stems may still cross ``avoid`` transitions.
-
-    Returns None when empty, else the least lasso over a's own state ids
-    (see _least_lasso)."""
-    graph: list[list[Edge]] = [[] for _ in range(a.state_count)]
-    for tr in sorted(a.trans):
-        graph[tr[0]].append((tr[1], tr[2], tr in a.acc, tr in avoid))
-    return _least_lasso(graph, a.initials)
 
 
 def det_to_nba(d: DetOmega) -> Nba:
@@ -495,65 +480,69 @@ def det_to_nba(d: DetOmega) -> Nba:
     return Nba(ts.alphabet, ts.state_count, frozenset([ts.initial]), trans, acc)
 
 
-def _product(roots: list[S], moves: Callable[[S], list[Move]]
+def _product(roots: Iterable[int], moves: Callable[[int], Iterable[Move]]
              ) -> tuple[list[list[Edge]], range]:
     """The graph of the states ``moves`` leads to from the distinct
-    ``roots``, numbered by ``explore``, and the roots' ids.  ``moves(p)``
-    lists p's edges as (letter, target, accepting, second mark); row i holds
-    state i's edges with target ids, sorted by (letter, target)."""
-    marks: list[list[Move]] = []
-
-    def successors(p: S) -> list[S]:
-        marks.append(moves(p))
-        return [e[1] for e in marks[-1]]
-
-    _, rows = explore(roots, successors)
-    return [sorted((l, t, first, second)
-                   for t, (l, _, first, second) in zip(row, edges))
-            for row, edges in zip(rows, marks)], range(len(roots))
-
-
-def _edges_by_letter(a: Nba) -> dict[tuple[int, int], list[tuple[int, bool]]]:
-    """a's (target, accepting) edges per (source, letter), sorted."""
-    edges: dict[tuple[int, int], list[tuple[int, bool]]] = {}
-    for tr in sorted(a.trans):
-        edges.setdefault(tr[:2], []).append((tr[2], tr in a.acc))
-    return edges
+    ``roots``, numbered in breadth-first discovery order, and the distinct
+    roots' ids.  States are integer codes; ``moves(p)`` lists p's edges as
+    (letter, target code, accepting, second mark), and row i holds state i's
+    edges with target ids, sorted by (letter, target)."""
+    index: dict[int, int] = {}
+    for r in roots:
+        index.setdefault(r, len(index))
+    codes = list(index)
+    nroots = len(codes)
+    graph: list[list[Edge]] = []
+    for p in codes:  # codes grows while it is walked
+        row: list[Edge] = []
+        for l, t, first, second in moves(p):
+            i = index.get(t)
+            if i is None:
+                i = index[t] = len(codes)
+                codes.append(t)
+            row.append((l, i, first, second))
+        row.sort()
+        graph.append(row)
+    return graph, range(nroots)
 
 
 def _pair_graph(a: Nba, b: Nba) -> tuple[list[list[Edge]], range]:
     """The product of a and b (see _product), its edges accepting where a
-    accepts and second-marked where b accepts."""
+    accepts and second-marked where b accepts; (qa, qb) has the code
+    qa * nb + qb."""
     if a.alphabet != b.alphabet:
         raise AlphabetError("alphabet mismatch")
-    a_by, b_by = _edges_by_letter(a), _edges_by_letter(b)
+    a_succ, b_succ, nb = a._succ, b._succ, b.state_count
+    letters = range(a.alphabet.size)
 
-    def moves(p: tuple[int, int]) -> list[Move]:
-        qa, qb = p
-        return [(l, (ta, tb), first, second)
-                for l in range(a.alphabet.size)
-                for ta, first in a_by.get((qa, l), ())
-                for tb, second in b_by.get((qb, l), ())]
+    def moves(p: int) -> list[Move]:
+        a_row, b_row = a_succ[p // nb], b_succ[p % nb]
+        return [(l, ta * nb + tb, first, second)
+                for l in letters
+                for ta, first in a_row[l]
+                for tb, second in b_row[l]]
 
-    return _product([(p, q) for p in sorted(a.initials)
+    return _product([p * nb + q for p in sorted(a.initials)
                      for q in sorted(b.initials)], moves)
 
 
-def _two_buchi_lasso(pairs: list[list[Edge]], roots: range) -> Lasso | None:
-    """The least lasso of a run of the pair graph taking both accepting and
-    second-marked edges infinitely often, via the standard two-phase
-    degeneralization: phase 0 waits for an accepting edge, phase 1 for a
-    second-marked edge, which becomes the phase graph's accepting edge and
-    resets the phase.  The phase graph explores the pair ids, edges in
-    (letter, pair id) order, so its numbering follows the pair graph's."""
+def _phase_graph(pairs: list[list[Edge]], roots: range
+                 ) -> tuple[list[list[Edge]], range]:
+    """The pair graph degeneralized for runs taking both accepting and
+    second-marked edges infinitely often, by the standard two phases: phase
+    0 waits for an accepting edge, phase 1 for a second-marked edge, which
+    becomes the phase graph's accepting edge and resets the phase.  (pair,
+    phase) has the code 2 * pair + phase; edges come in (letter, pair id)
+    order, so the numbering follows the pair graph's."""
 
-    def moves(p: tuple[int, int]) -> list[Move]:
-        q, phase = p
-        return [(l, (t, int(not second) if phase else int(first)),
-                 bool(phase) and second, False)
-                for l, t, first, second in pairs[q]]
+    def moves(p: int) -> list[Move]:
+        if p & 1:
+            return [(l, 2 * t + (not second), second, False)
+                    for l, t, _, second in pairs[p >> 1]]
+        return [(l, 2 * t + first, False, False)
+                for l, t, first, _ in pairs[p >> 1]]
 
-    return _least_lasso(*_product([(q, 0) for q in roots], moves))
+    return _product([2 * q for q in roots], moves)
 
 
 def nba_dba_included(a: Nba, b: DetOmega) -> Lasso | bool:
@@ -572,7 +561,7 @@ def nba_dba_intersection_witness(a: Nba, b: DetOmega) -> Lasso | None:
 
 def nba_nba_intersection_witness(a: Nba, b: Nba) -> Lasso | None:
     """A lasso in L(a) /\\ L(b) of two NBAs, or None when empty."""
-    return _two_buchi_lasso(*_pair_graph(a, b))
+    return _least_lasso(*_phase_graph(*_pair_graph(a, b)))
 
 
 def dba_state_equiv(d: DetOmega, p: int, q: int) -> bool:
@@ -639,5 +628,6 @@ def dba_equiv_table(d: DetOmega,
 
 def shortest_state_words(ts: DetTS) -> dict[int, Word]:
     """Shortest lexicographically least access word for each reachable state."""
-    adj = [list(enumerate(row)) for row in ts.delta]
-    return _bfs_words(adj, [ts.initial])
+    graph = [[(a, t, False, False) for a, t in enumerate(row)]
+             for row in ts.delta]
+    return _bfs_words(graph, [ts.initial])

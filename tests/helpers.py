@@ -1,0 +1,50 @@
+"""Test-only helpers over the package's graph algorithms: SCC listing, DFA
+renumbering and isomorphism, and a one-pair Rabin emptiness check.  Unlike
+``oracles.py`` these reuse the package's own search (``explore``,
+``_scc_ids``, ``_least_lasso``), so they pin its results rather than check
+them independently."""
+
+from __future__ import annotations
+
+from typing import Iterable, Sequence
+
+from omega_fdfa import DetTS, Dfa, Lasso, Nba
+from omega_fdfa.core_automata import Edge, _least_lasso, _scc_ids, explore
+
+
+def sccs(succ: Sequence[Iterable[int]]) -> list[list[int]]:
+    """Maximal SCCs of a finite graph, in topological order."""
+    ids = _scc_ids(succ)
+    ncomp = max(ids) + 1 if ids else 0
+    groups: list[list[int]] = [[] for _ in range(ncomp)]
+    for v, c in enumerate(ids):
+        groups[c].append(v)
+    # Tarjan emits components in reverse topological order
+    return [sorted(g) for g in reversed(groups)]
+
+
+def canonical_dfa(a: Dfa) -> Dfa:
+    """Renumber reachable states in BFS order (letters in alphabet order)."""
+    order, delta = explore([a.ts.initial], a.ts.delta.__getitem__)
+    finals = frozenset(i for i, s in enumerate(order) if s in a.finals)
+    return Dfa(DetTS(a.ts.alphabet, len(order), 0, tuple(delta)), finals)
+
+
+def dfa_isomorphic(a: Dfa, b: Dfa) -> bool:
+    ca, cb = canonical_dfa(a), canonical_dfa(b)
+    return ca.ts.delta == cb.ts.delta and ca.finals == cb.finals \
+        and ca.ts.alphabet == cb.ts.alphabet
+
+
+def one_pair_rabin_empty(a: Nba,
+                         avoid: frozenset[tuple[int, int, int]] = frozenset()
+                         ) -> Lasso | None:
+    """Search for a reachable cycle containing a transition of a.acc and no
+    transition of ``avoid``.  Stems may still cross ``avoid`` transitions.
+
+    Returns None when empty, else the least lasso over a's own state ids
+    (see _least_lasso)."""
+    graph: list[list[Edge]] = [[] for _ in range(a.state_count)]
+    for tr in sorted(a.trans):
+        graph[tr[0]].append((tr[1], tr[2], tr in a.acc, tr in avoid))
+    return _least_lasso(graph, a.initials)

@@ -35,17 +35,18 @@ from omega_fdfa import (
     run_word,
 )
 from omega_fdfa.core_automata import (
-    canonical_dfa,
+    _least_lasso,
+    _pair_graph,
+    _phase_graph,
+    _product,
     dba_state_equiv,
     det_to_nba,
-    dfa_isomorphic,
     explore,
-    one_pair_rabin_empty,
-    sccs,
     short_words,
     shortest_state_words,
 )
 
+from helpers import canonical_dfa, dfa_isomorphic, one_pair_rabin_empty, sccs
 from oracles import naive_member, naive_nba_member, words_upto
 
 AB = Alphabet(("a", "b"))
@@ -244,6 +245,13 @@ def test_member_matches_naive_oracle_on_random_dbas():
                     assert member_upword_det(d, w) == naive_member(d, w)
 
 
+def test_nba_membership_rejects_letters_outside_the_alphabet():
+    nba = det_to_nba(gen_fig1())
+    for letter in (-1, 2):
+        with pytest.raises(AlphabetError):
+            member_upword_nba(nba, UpWord((0,), (letter,)))
+
+
 def test_nba_membership_agrees_with_det_view():
     for seed in range(8):
         d = gen_random_dba(seed, 3, 2)
@@ -371,6 +379,14 @@ def _random_nba(rng, states):
     return Nba(AB, states, initials or frozenset([0]), trans, acc)
 
 
+def _engine_nbas(rng):
+    nbas = [_random_nba(rng, rng.randint(1, 4)) for _ in range(24)]
+    nbas += [fdfa_to_nba(build_canonical_fdfa(gen_random_dba(seed, 4, 2),
+                                              LIMIT)) for seed in range(8)]
+    nbas += [det_to_nba(gen_random_dba(seed, 3, 2)) for seed in range(4)]
+    return nbas
+
+
 def test_nba_engines_agree_with_independent_oracles():
     # A witness must lie in the stated languages, and None (or True for
     # inclusion) means no lasso u . v^omega with |u| <= 3, 1 <= |v| <= 3
@@ -386,10 +402,7 @@ def test_nba_engines_agree_with_independent_oracles():
             assert all(lang(result.upword()) for lang in langs)
 
     rng = random.Random(8)
-    nbas = [_random_nba(rng, rng.randint(1, 4)) for _ in range(24)]
-    nbas += [fdfa_to_nba(build_canonical_fdfa(gen_random_dba(seed, 4, 2),
-                                              LIMIT)) for seed in range(8)]
-    nbas += [det_to_nba(gen_random_dba(seed, 3, 2)) for seed in range(4)]
+    nbas = _engine_nbas(rng)
     for i, a in enumerate(nbas):
         b = nbas[(i + 7) % len(nbas)]
         d = gen_random_dba(100 + i, rng.randint(1, 4), 2)
@@ -401,3 +414,68 @@ def test_nba_engines_agree_with_independent_oracles():
         check(nba_dba_included(a, d), in_a, lambda w: not in_d(w))
         check(nba_dba_intersection_witness(a, d), in_a, in_d)
         check(nba_nba_intersection_witness(a, b), in_a, in_b)
+
+
+def _targets(a, q, letter):
+    return sorted(t for s, x, t in a.trans if (s, x) == (q, letter))
+
+
+def _tuple_keyed_product(roots, moves):
+    """The product numbered by explore over tuple-keyed states, each row
+    sorted by (letter, target id): the numbering contract of _product."""
+    marks = []
+
+    def successors(p):
+        marks.append(moves(p))
+        return [t for _, t, _, _ in marks[-1]]
+
+    nodes, rows = explore(roots, successors)
+    return [sorted((l, i, x, y) for i, (l, _, x, y) in zip(row, edges))
+            for row, edges in zip(rows, marks)], len(set(roots))
+
+
+def test_integer_coded_products_match_a_tuple_keyed_reference():
+    # witnesses depend on state ids and row order, so the integer-coded pair
+    # and phase graphs must be the tuple-keyed graphs, row for row
+    nbas = _engine_nbas(random.Random(8))
+    for i, a in enumerate(nbas):
+        b = nbas[(i + 7) % len(nbas)]
+
+        def pair_moves(p):
+            qa, qb = p
+            return [(l, (ta, tb), (qa, l, ta) in a.acc, (qb, l, tb) in b.acc)
+                    for l in range(a.alphabet.size)
+                    for ta in _targets(a, qa, l) for tb in _targets(b, qb, l)]
+
+        pairs, nroots = _tuple_keyed_product(
+            [(p, q) for p in sorted(a.initials) for q in sorted(b.initials)],
+            pair_moves)
+
+        def phase_moves(p):
+            q, phase = p
+            return [(l, (t, (not y) if phase else x), phase and y, False)
+                    for l, t, x, y in pairs[q]]
+
+        phases, nphase_roots = _tuple_keyed_product(
+            [(q, False) for q in range(nroots)], phase_moves)
+        graph, roots = _pair_graph(a, b)
+        assert (graph, roots) == (pairs, range(nroots))
+        assert _phase_graph(graph, roots) == (phases, range(nphase_roots))
+
+
+def test_product_counts_a_duplicated_root_once():
+    # 0 -a-> 1 and an accepting b-loop on 1: listed twice, root 0 must not
+    # make state 1 a root, whose lasso would skip the stem a
+    moves = {0: [(0, 1, False, False)], 1: [(1, 1, True, False)]}
+    graph, roots = _product([0, 0], moves.__getitem__)
+    assert list(roots) == [0]
+    assert _least_lasso(graph, roots) == Lasso((0,), (1,))
+
+
+def test_sorted_product_rows_pin_an_intersection_witness():
+    # the least lasso reads each row in (letter, target id) order; in the
+    # order moves lists the edges this pair's witness is b (bab)^omega
+    rng = random.Random(761)
+    a = _random_nba(rng, rng.randint(2, 6))
+    b = _random_nba(rng, rng.randint(2, 6))
+    assert nba_nba_intersection_witness(a, b) == Lasso((1,), (1, 0, 0))

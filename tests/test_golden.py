@@ -27,7 +27,8 @@ from omega_fdfa import (
     nba_nba_intersection_witness,
 )
 from omega_fdfa.cli import format_automaton, format_fdfa, main
-from omega_fdfa.core_automata import one_pair_rabin_empty
+
+from helpers import one_pair_rabin_empty
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

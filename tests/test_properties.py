@@ -20,8 +20,9 @@ from omega_fdfa import (
     normalize,
     run_word,
 )
-from omega_fdfa.core_automata import canonical_dfa, dba_state_equiv
+from omega_fdfa.core_automata import dba_state_equiv
 
+from helpers import canonical_dfa
 from oracles import naive_member, words_upto
 
 

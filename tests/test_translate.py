@@ -29,6 +29,7 @@ from omega_fdfa import (
 )
 from omega_fdfa.core_automata import det_to_nba
 
+from helpers import one_pair_rabin_empty
 from oracles import words_upto
 
 ZOO = [gen_fig1(), gen_sigma_star_aa(), gen_ln(1), gen_ln(2)]
@@ -58,7 +59,7 @@ def test_nba_complement_disjoint_from_reference():
 
 
 def test_finals_free_fdfa_gives_empty_nba():
-    from omega_fdfa.core_automata import Alphabet, one_pair_rabin_empty
+    from omega_fdfa.core_automata import Alphabet
     leading = DetTS(Alphabet(("a", "b")), 1, 0, ((0, 0),))
     p = Dfa(DetTS(Alphabet(("a", "b")), 1, 0, ((0, 0),)), frozenset())
     nba = fdfa_to_nba(Fdfa(leading, (p,)))
