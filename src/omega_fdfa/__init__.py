@@ -5,7 +5,6 @@ decision, translations to Buchi automata, and active learning."""
 from .congruence import (
     LeadingQuotient,
     build_canonical_fdfa,
-    check_rp_refinement,
     compute_leading,
     cosafety_vu_dfa,
     cu_dfa,
@@ -61,7 +60,6 @@ from .learn import (
     FdfaTeacher,
     LearnLimitExceeded,
     LearnStats,
-    LearnerLimits,
     QueryLog,
     learn_limit_fdfa,
 )

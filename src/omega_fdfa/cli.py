@@ -36,7 +36,6 @@ from .fdfa import FLAVORS, Fdfa, LIMIT, accepts_upword, size_report
 from .learn import (
     DbaTeacher,
     FdfaTeacher,
-    LearnerLimits,
     QueryLog,
     learn_limit_fdfa,
 )
@@ -114,7 +113,7 @@ def _parse_block(lines: list[str], pos: int, alphabet: Alphabet | None
 
 def _block_to_automaton(fields: dict) -> Dfa | DetOmega | Nba:
     """Build an automaton from block fields; partial transition tables are
-    completed with a fresh rejecting sink."""
+    completed with a fresh rejecting sink, which no finals line can name."""
     alphabet: Alphabet = fields["alphabet"]
     n = fields["states"]
     if n < 1:
@@ -126,6 +125,13 @@ def _block_to_automaton(fields: dict) -> Dfa | DetOmega | Nba:
     if not 0 <= initial < n:
         raise ParseError("initial out of range")
     acceptance = fields["acceptance"] or "finals"
+    # checked before a sink is added, so finals name declared states only
+    finals = fields["finals"]
+    if finals is not None:
+        if acceptance != "finals":
+            raise ParseError(f"a {acceptance} block carries no finals")
+        if not all(0 <= f < n for f in finals):
+            raise ParseError("final state out of range")
     table: dict[tuple[int, int], list[tuple[int, bool]]] = {}
     for s, letter, t, acc in fields["trans"]:
         a = alphabet.index(letter)
@@ -166,8 +172,7 @@ def _block_to_automaton(fields: dict) -> Dfa | DetOmega | Nba:
         delta.append(tuple(n for _ in range(alphabet.size)))
     ts = DetTS(alphabet, count, initial, tuple(delta))
     if acceptance == "finals":
-        finals = frozenset(fields["finals"] or ())
-        return Dfa(ts, finals)
+        return Dfa(ts, frozenset(finals or ()))
     polarity = BUCHI if acceptance == "buchi" else COBUCHI
     return DetOmega(ts, frozenset(acc_pairs), polarity)
 
@@ -378,7 +383,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     else:
         raise ParseError("teacher must be dba:FILE or fdfa:FILE")
     hypothesis, stats = learn_limit_fdfa(
-        teacher, LearnerLimits(max_iterations=args.max_iterations))
+        teacher, max_iterations=args.max_iterations)
     if args.out:
         _write_out(format_fdfa(hypothesis), args.out)
     if args.log and log is not None:

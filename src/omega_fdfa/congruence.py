@@ -1,26 +1,28 @@
 """Leading right congruence and the four canonical progress DFAs computed
 from a reference deterministic Buchi automaton, plus the co-safety
-cross-check construction and a bounded refinement checker.
+cross-check construction.
 
 One construction does its per-DBA work once.  The leading congruence comes
 from one pass over the pair graph of the reference's reachable states
-(``core_automata.dba_equiv_table``).  The transition-profile monoid of the
-reference does not depend on the leading class or the flavor; it is
-explored once, over the reachable states only, and its profiles are bytes
-when at most 128 states are reachable.  Each flavor then computes only the
-finalities it reads.  Periodic alone builds, per profile, the vector of
-classes from whose representative the profile's omega-power is accepted.
-Limit walks only the representatives that a profile returns into their own
-class: every other class finds the profile final.  For each of the two, one
-partition refinement of the monoid by those finalities gives the coarsest
-right congruence respecting every class's final profiles, and each class's
-progress DFA is minimized on this shared quotient with its own finals.  The
-quotient is often far smaller than the monoid (tens of blocks where it has
-thousands of profiles), but where the classes' finals are unrelated it can
-be nearly as large.  Syntactic and recurrent need no quotient of their own:
-on nonempty periods both are limit_u intersected with
-C_u = {v : u . v ~ u}, the product of the leading TS rooted at u with the
-limit DFA, and recurrent is that product minimized.
+(``core_automata.dba_equiv_table``), and ``coarsest_quotient``, the
+refinement that also quotients the monoid, builds the leading DFA from it.
+The transition-profile monoid of the reference does not depend on the
+leading class or the flavor; it is explored once, over the reachable states
+only, and its profiles are bytes when at most 128 states are reachable.
+Each flavor then computes only the finalities it reads.  Periodic alone
+builds, per profile, the vector of classes from whose representative the
+profile's omega-power is accepted.  Limit walks only the representatives
+that a profile returns into their own class: every other class finds the
+profile final.  For each of the two, one partition refinement of the monoid
+by those finalities gives the coarsest right congruence respecting every
+class's final profiles, and each class's progress DFA is minimized on this
+shared quotient with its own finals.  The quotient is often far smaller
+than the monoid (tens of blocks where it has thousands of profiles), but
+where the classes' finals are unrelated it can be nearly as large.
+Syntactic and recurrent need no quotient of their own: on nonempty periods
+both are limit_u intersected with C_u = {v : u . v ~ u}, the product of the
+leading TS rooted at u with the limit DFA, and recurrent is that product
+minimized.
 
 That shared work is cached on the ``LeadingQuotient`` and lives as long as
 it.  The module constants PAIR_CAP and PROFILE_CAP, read at call time, cap
@@ -40,7 +42,6 @@ from .core_automata import (
     DetTS,
     Dfa,
     ResourceLimitError,
-    UpWord,
     Word,
     _scc_ids,
     coarsest_quotient,
@@ -49,8 +50,6 @@ from .core_automata import (
     dfa_minimize,
     dfa_product,
     explore,
-    member_upword_det,
-    short_words,
     shortest_state_words,
 )
 from .fdfa import Fdfa, LIMIT, PERIODIC, RECURRENT, SYNTACTIC
@@ -133,40 +132,18 @@ def compute_leading(d: DetOmega) -> LeadingQuotient:
         raise ResourceLimitError(
             f"leading congruence exceeded cap of {PAIR_CAP} state pairs")
     equiv = dba_equiv_table(d, reachable)
-    # groups of indices into reachable, then of states
-    groups: list[list[int]] = []
-    for i in range(len(reachable)):
-        for g in groups:
-            if equiv[g[0]][i]:
-                g.append(i)
-                break
-        else:
-            groups.append([i])
-    groups = [[reachable[i] for i in g] for g in groups]
-    provisional = [-1] * ts.state_count
-    for gi, g in enumerate(groups):
-        for s in g:
-            provisional[s] = gi
-
-    # quotient transitions, with a well-definedness check
-    raw_delta: list[tuple[int, ...]] = []
-    for g in groups:
-        row = tuple(provisional[ts.delta[g[0]][a]] for a in range(ts.alphabet.size))
-        for s in g[1:]:
-            if tuple(provisional[ts.delta[s][a]]
-                     for a in range(ts.alphabet.size)) != row:
-                raise AutomatonError("leading quotient is not well-defined")
-        raw_delta.append(row)
-
-    # canonical class numbering: BFS from the initial class in letter order
-    order, delta = explore([provisional[ts.initial]], raw_delta.__getitem__)
-    rename = {g: c for c, g in enumerate(order)}
-    class_of = tuple(rename[provisional[s]] if provisional[s] >= 0 else -1
+    # label each state by the least one equivalent to it; residual equivalence
+    # is a right congruence, so the refinement splits no label's states
+    least = dict(zip(reachable, (reachable[row.index(True)] for row in equiv)))
+    firsts, leading = coarsest_quotient(ts, least.__getitem__)
+    if len(firsts) != len(set(least.values())):
+        raise AutomatonError("leading quotient is not well-defined")
+    block = {least[s]: c for c, s in enumerate(firsts)}
+    class_of = tuple(block[least[s]] if s in least else -1
                      for s in range(ts.state_count))
-    leading = DetTS(ts.alphabet, len(order), 0, tuple(delta))
-    reps = tuple(min(groups[g]) for g in order)
     words = shortest_state_words(leading)
-    rep_words = tuple(words[c] for c in range(len(order)))
+    reps = tuple(block)
+    rep_words = tuple(words[c] for c in range(len(reps)))
     return LeadingQuotient(d, class_of, leading, reps, rep_words)
 
 
@@ -341,28 +318,16 @@ def cosafety_vu_dfa(lq: LeadingQuotient, u_class: int) -> Dfa:
         raise AutomatonError("co-safety construction needs a Buchi reference")
     ts = d.ts
     n = ts.state_count
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for s in range(n):
-        for a in range(ts.alphabet.size):
-            if (s, a) not in d.acc:
-                succ[s].append(ts.delta[s][a])
-    comp = _scc_ids(succ)
-    top = n
+    comp = _scc_ids([[t for a, t in enumerate(row) if (s, a) not in d.acc]
+                     for s, row in enumerate(ts.delta)])
+    # an accepting edge or one that leaves its quiet SCC falls into top = n
+    top_row = (n,) * ts.alphabet.size
+    delta = tuple(tuple(n if (p, a) in d.acc or comp[p] != comp[t] else t
+                        for a, t in enumerate(row))
+                  for p, row in enumerate(ts.delta)) + (top_row,)
 
     def d_q(q: int) -> Dfa:
-        delta = []
-        for p in range(n):
-            row = []
-            for a in range(ts.alphabet.size):
-                t = ts.delta[p][a]
-                if (p, a) in d.acc or comp[p] != comp[t]:
-                    row.append(top)
-                else:
-                    row.append(t)
-            delta.append(tuple(row))
-        delta.append(tuple(top for _ in range(ts.alphabet.size)))
-        return Dfa(DetTS(ts.alphabet, n + 1, q, tuple(delta)),
-                   frozenset([top]))
+        return Dfa(DetTS(ts.alphabet, n + 1, q, delta), frozenset([n]))
 
     members = [s for s in range(n) if lq.class_of[s] == u_class]
     if not members:
@@ -372,46 +337,3 @@ def cosafety_vu_dfa(lq: LeadingQuotient, u_class: int) -> Dfa:
         result = dfa_product(result, d_q(q), lambda x, y: x and y)
     return dfa_minimize(result)
 
-
-def check_rp_refinement(lq: LeadingQuotient, u_class: int, flavor: str,
-                        bound: int) -> list[tuple[Word, Word, Word]]:
-    """For every pair of words the flavor's progress DFA identifies, verify
-    the underspecified-congruence condition: whenever both u.x.v ~ u and
-    u.y.v ~ u and both periods are nonempty, the periods (xv)^omega and
-    (yv)^omega agree on membership.  Returns the list of violating
-    (x, y, v) triples (expected empty)."""
-    d = lq.ref
-    p = progress_dfa(lq, u_class, flavor)
-    rep_state = lq.reps[u_class]
-    words = short_words(d.ts.alphabet.size, bound)
-
-    def returns(z: Word) -> bool:
-        s = rep_state
-        for a in z:
-            s = d.ts.delta[s][a]
-        return lq.class_of[s] == u_class
-
-    def omega_member(z: Word) -> bool:
-        if not z:
-            return False
-        rooted = replace(d, ts=replace(d.ts, initial=rep_state))
-        return member_upword_det(rooted, UpWord((), z))
-
-    groups: dict[int, list[Word]] = {}
-    for x in words:
-        s = p.ts.initial
-        for a in x:
-            s = p.ts.delta[s][a]
-        groups.setdefault(s, []).append(x)
-
-    violations: list[tuple[Word, Word, Word]] = []
-    for group in groups.values():
-        rep = group[0]
-        for x in group[1:]:
-            for v in words:
-                if not (x + v) or not (rep + v):
-                    continue
-                if returns(x + v) and returns(rep + v):
-                    if omega_member(x + v) != omega_member(rep + v):
-                        violations.append((x, rep, v))
-    return violations

@@ -113,9 +113,6 @@ class DetTS:
                 if not 0 <= t < self.state_count:
                     raise AutomatonError("delta target out of range")
 
-    def step(self, state: int, letter: int) -> int:
-        return self.delta[state][letter]
-
 
 @dataclass(frozen=True)
 class Dfa:

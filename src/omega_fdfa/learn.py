@@ -37,6 +37,8 @@ from .translate import fdfa_to_nba
 # Word budget of the bounded counterexample search: prefixes and periods are
 # the words of the longest lengths whose whole length layers fit in it.
 FALLBACK_WORDS = 360
+# Membership queries one learning run may ask; read at call time.
+MAX_MQ = 200_000
 
 
 class LearnLimitExceeded(ResourceLimitError):
@@ -45,12 +47,6 @@ class LearnLimitExceeded(ResourceLimitError):
 
 class CounterexampleError(AutomatonError):
     """The teacher returned a word that is not a counterexample."""
-
-
-@dataclass(frozen=True)
-class LearnerLimits:
-    max_iterations: int = 500
-    max_mq: int = 200_000
 
 
 @dataclass
@@ -302,9 +298,8 @@ class _Session:
     """One learning run: the membership-query cache, the leading table, and
     one progress table per leading representative."""
 
-    def __init__(self, teacher, limits: LearnerLimits):
+    def __init__(self, teacher):
         self.teacher = teacher
-        self.limits = limits
         self.alphabet: Alphabet = teacher.alphabet
         self.cache: dict[tuple[Word, Word], bool] = {}
         k = self.alphabet.size
@@ -318,9 +313,9 @@ class _Session:
             return False  # the epsilon^omega convention
         key = (prefix, period)
         if key not in self.cache:
-            if self.teacher.mq_count >= self.limits.max_mq:
+            if self.teacher.mq_count >= MAX_MQ:
                 raise LearnLimitExceeded(
-                    f"membership query cap {self.limits.max_mq} exceeded")
+                    f"membership query cap {MAX_MQ} exceeded")
             self.cache[key] = self.teacher.mq(prefix, period)
         return self.cache[key]
 
@@ -329,7 +324,8 @@ class _Session:
         return run_word(self.leading, 0, w)
 
     def _progress_entry(self, u: Word, x: Word, v: Word) -> bool:
-        if self.leading_state(u + x + v) != self.leading_state(u):
+        q = self.leading_state(u)
+        if run_word(self.leading, q, x + v) != q:
             return True
         return self.mq(u, x + v)
 
@@ -392,14 +388,14 @@ class _Session:
         table.close()
 
 
-def learn_limit_fdfa(teacher, limits: LearnerLimits = LearnerLimits()
+def learn_limit_fdfa(teacher, *, max_iterations: int = 500
                      ) -> tuple[Fdfa, LearnStats]:
     """Run the limit-FDFA learner to convergence against the teacher."""
-    session = _Session(teacher, limits)
+    session = _Session(teacher)
     session.close_leading()
     h = session.hypothesis()
     stats = LearnStats()
-    for iteration in range(limits.max_iterations):
+    for iteration in range(max_iterations):
         stats.iterations = iteration + 1
         ce = teacher.eq(h)
         if ce is None:
@@ -413,4 +409,4 @@ def learn_limit_fdfa(teacher, limits: LearnerLimits = LearnerLimits()
             raise CounterexampleError(
                 "counterexample analysis did not change the hypothesis")
     raise LearnLimitExceeded(
-        f"no convergence within {limits.max_iterations} iterations")
+        f"no convergence within {max_iterations} iterations")

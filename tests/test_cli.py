@@ -96,6 +96,18 @@ def test_automaton_parse_errors():
     with pytest.raises(ParseError):
         parse_automaton("alphabet: a\nstates: 2\ninitial: 0\n"
                         "acceptance: finals\ntrans: 0 a 0\ntrans: 0 a 1")
+    # finals name declared states only: not the fresh sink of a partial
+    # table, and not in a buchi or cobuchi block, in range or not
+    for text in ("alphabet: a b\nstates: 1\ninitial: 0\ntrans: 0 a 0\n"
+                 "finals: 1",
+                 "alphabet: a\nstates: 1\ninitial: 0\ntrans: 0 a 0\n"
+                 "finals: 0 2",
+                 "alphabet: a\nstates: 1\ninitial: 0\nacceptance: buchi\n"
+                 "trans: 0 a 0 acc\nfinals: 0",
+                 "alphabet: a\nstates: 1\ninitial: 0\n"
+                 "acceptance: cobuchi\ntrans: 0 a 0\nfinals: 7"):
+        with pytest.raises(ParseError):
+            parse_automaton(text)
 
 
 def test_fdfa_round_trip(fig1):
@@ -380,6 +392,11 @@ def test_cmd_accepts_well_formed_fdfa(cli, tmp_path):
      "acc marks"),
     (A_OMEGA.replace("trans: 0 a 0\nprogress", "trans: 0 a 0 acc\nprogress"),
      "acc marks"),
+    # a progress block with no transitions gets a sink, state 1
+    (A_OMEGA.replace("trans: 0 a 0\nfinals: 0\n", "finals: 1\n"),
+     "final state out of range"),
+    (A_OMEGA.replace("finals: 0\n", "finals: 0 3\n"),
+     "final state out of range"),
 ])
 def test_malformed_fdfa_exits_2(cli, tmp_path, text, message):
     path = _write(tmp_path, "bad.fdfa", text)

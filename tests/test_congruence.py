@@ -1,6 +1,5 @@
-"""Tests for the leading quotient, the four progress DFAs, the co-safety
-cross-check, and the bounded refinement checker — validated against the
-brute-force congruence oracle."""
+"""Tests for the leading quotient, the four progress DFAs and the co-safety
+cross-check, validated against the brute-force congruence oracle."""
 
 import random
 from dataclasses import fields, replace
@@ -24,7 +23,6 @@ from omega_fdfa import (
     SYNTACTIC,
     UpWord,
     build_canonical_fdfa,
-    check_rp_refinement,
     compute_leading,
     cosafety_vu_dfa,
     cu_dfa,
@@ -77,6 +75,22 @@ def test_leading_one_class(saa):
 def test_leading_requires_buchi(fig1):
     with pytest.raises(AutomatonError):
         compute_leading(DetOmega(fig1.ts, fig1.acc, COBUCHI))
+
+
+def test_leading_refuses_a_table_that_is_no_right_congruence(fig1,
+                                                              monkeypatch):
+    # states 1 and 4 said equivalent, though letter a leads them to the
+    # inequivalent states 2 and 4: the refinement splits them apart again
+    table = congruence.dba_equiv_table
+
+    def merged(d, states):
+        equiv = table(d, states)
+        equiv[1][4] = equiv[4][1] = True
+        return equiv
+
+    monkeypatch.setattr(congruence, "dba_equiv_table", merged)
+    with pytest.raises(AutomatonError, match="not well-defined"):
+        compute_leading(fig1)
 
 
 def test_leading_ln_counts():
@@ -327,20 +341,22 @@ def test_shared_quotient_built_once_per_construction_and_flavor(
         return coarsest_quotient(ts, label)
 
     monkeypatch.setattr(congruence, "coarsest_quotient", counting)
+    # compute_leading quotients the reference once
     lq = compute_leading(gen_fig1())
+    assert len(calls) == 1
     classes = range(lq.leading.state_count)
     # syntactic and recurrent are products of cu_dfa with limit, so they
     # share limit's
-    for flavor, built in ((PERIODIC, 1), (SYNTACTIC, 2), (LIMIT, 2),
-                          (RECURRENT, 2)):
+    for flavor, built in ((PERIODIC, 2), (SYNTACTIC, 3), (LIMIT, 3),
+                          (RECURRENT, 3)):
         for c in classes:
             progress_dfa(lq, c, flavor)
         assert len(calls) == built, flavor
-    assert len(calls) == 2
-    # every construction builds its own
+    assert len(calls) == 3
+    # every construction builds its own leading DFA and quotient
     for flavor in FLAVORS:
         build_canonical_fdfa(gen_fig1(), flavor)
-    assert len(calls) == 6
+    assert len(calls) == 11
 
 
 def test_only_the_periodic_quotient_starts_from_a_profile_dfa(monkeypatch):
@@ -575,30 +591,6 @@ def test_cosafety_matches_limit_sink_class():
                                   Dfa(lim.ts, frozenset([sink])))
     with pytest.raises(AutomatonError):
         cosafety_vu_dfa(compute_leading(gen_fig1()), 17)
-
-
-def test_refinement_checker_clean_on_canonical():
-    fig1 = gen_fig1()
-    lq = compute_leading(fig1)
-    for c in range(lq.leading.state_count):
-        for flavor in FLAVORS:
-            assert check_rp_refinement(lq, c, flavor, 3) == []
-    lq2 = compute_leading(gen_ln(2))
-    for c in range(lq2.leading.state_count):
-        assert check_rp_refinement(lq2, c, RECURRENT, 2) == []
-        assert check_rp_refinement(lq2, c, LIMIT, 2) == []
-
-
-def test_refinement_checker_flags_too_coarse_dfa(saa, monkeypatch):
-    # collapse every word to one class: aa.v and v then disagree on
-    # membership for returning periods, so the checker must object
-    import omega_fdfa.congruence as congruence
-    lq = compute_leading(saa)
-    one = Dfa(replace(lq.leading, state_count=1, initial=0,
-                      delta=((0, 0),)), frozenset([0]))
-    monkeypatch.setattr(congruence, "progress_dfa",
-                        lambda *args, **kwargs: one)
-    assert congruence.check_rp_refinement(lq, 0, LIMIT, 2) != []
 
 
 def test_build_canonical_fdfa_records_flavor(fig1):

@@ -4,12 +4,12 @@ import re
 
 import pytest
 
+import omega_fdfa.learn as learn
 from omega_fdfa import (
     DbaTeacher,
     FdfaTeacher,
     LIMIT,
     LearnLimitExceeded,
-    LearnerLimits,
     QueryLog,
     UpWord,
     accepts_upword,
@@ -96,14 +96,15 @@ def test_query_log_format(fig1):
         assert pattern.match(line), line
 
 
-def test_mq_cap(fig1):
-    with pytest.raises(LearnLimitExceeded):
-        learn_limit_fdfa(DbaTeacher(fig1), LearnerLimits(max_mq=3))
+def test_mq_cap(fig1, monkeypatch):
+    monkeypatch.setattr(learn, "MAX_MQ", 3)
+    with pytest.raises(LearnLimitExceeded, match="membership query cap 3 "):
+        learn_limit_fdfa(DbaTeacher(fig1))
 
 
 def test_iteration_cap(fig1):
     with pytest.raises(LearnLimitExceeded):
-        learn_limit_fdfa(DbaTeacher(fig1), LearnerLimits(max_iterations=1))
+        learn_limit_fdfa(DbaTeacher(fig1), max_iterations=1)
 
 
 def test_learned_hypothesis_passes_fresh_equivalence(fig1):
