@@ -68,53 +68,51 @@ def _clean_lines(text: str) -> list[str]:
     return out
 
 
-def _parse_block(lines: list[str], pos: int, alphabet: Alphabet | None
-                 ) -> tuple[dict, int]:
-    """Parse one automaton block starting at lines[pos]; returns the fields
-    and the next position."""
-    fields: dict = {"trans": [], "finals": None, "acceptance": None,
-                    "alphabet": alphabet}
-    while pos < len(lines):
+def _read_block(lines: list[str], pos: int, alphabet: Alphabet | None,
+                fdfa_block: str = "") -> tuple[Dfa | DetOmega | Nba, int]:
+    """Read and build one automaton block starting at lines[pos]; returns
+    the automaton and the next position.  Every field but ``trans:`` appears
+    at most once.  An FDFA block (``fdfa_block`` "leading" or "progress")
+    carries no acceptance line or acc marks, and a leading block no finals;
+    a progress block inherits ``alphabet`` and may restate it.  Partial
+    tables are completed with a fresh rejecting sink."""
+    fields: dict = {}
+    trans: list[tuple[int, str, int, bool]] = []
+    while pos < len(lines) and ":" in lines[pos]:
         line = lines[pos]
         key, _, rest = line.partition(":")
-        key = key.strip()
-        rest = rest.strip()
-        if ":" not in line:
-            break
-        if key == "alphabet":
-            fields["alphabet"] = Alphabet(tuple(rest.split()))
-        elif key == "states":
-            fields["states"] = int(rest)
-        elif key == "initial":
-            fields["initial"] = int(rest)
-        elif key == "acceptance":
-            if rest not in ("buchi", "cobuchi", "finals"):
-                raise ParseError(f"unknown acceptance {rest!r}")
-            fields["acceptance"] = rest
-        elif key == "trans":
+        key, rest = key.strip(), rest.strip()
+        if key == "trans":
             parts = rest.split()
             if len(parts) not in (3, 4):
                 raise ParseError(f"bad transition line {line!r}")
             if len(parts) == 4 and parts[3] != "acc":
                 raise ParseError(f"bad transition flag {parts[3]!r}")
-            fields["trans"].append((int(parts[0]), parts[1], int(parts[2]),
-                                    len(parts) == 4))
+            trans.append((int(parts[0]), parts[1], int(parts[2]),
+                          len(parts) == 4))
+        elif key in fields:
+            raise ParseError(f"repeated field {key!r}")
+        elif key == "alphabet":
+            fields[key] = Alphabet(tuple(rest.split()))
+        elif key in ("states", "initial"):
+            fields[key] = int(rest)
+        elif key == "acceptance":
+            if rest not in ("buchi", "cobuchi", "finals"):
+                raise ParseError(f"unknown acceptance {rest!r}")
+            fields[key] = rest
         elif key == "finals":
-            fields["finals"] = tuple(int(t) for t in rest.split())
+            fields[key] = tuple(int(t) for t in rest.split())
         else:
             raise ParseError(f"unknown field {key!r}")
         pos += 1
-    if fields["alphabet"] is None:
+    alphabet = fields.get("alphabet", alphabet)
+    if alphabet is None:
         raise ParseError("missing alphabet")
     if "states" not in fields or "initial" not in fields:
         raise ParseError("missing states or initial")
-    return fields, pos
+    if fdfa_block and ("acceptance" in fields or any(t[3] for t in trans)):
+        raise ParseError("FDFA blocks carry no acceptance line or acc marks")
 
-
-def _block_to_automaton(fields: dict) -> Dfa | DetOmega | Nba:
-    """Build an automaton from block fields; partial transition tables are
-    completed with a fresh rejecting sink, which no finals line can name."""
-    alphabet: Alphabet = fields["alphabet"]
     n = fields["states"]
     if n < 1:
         raise ParseError("states must be >= 1")
@@ -124,77 +122,50 @@ def _block_to_automaton(fields: dict) -> Dfa | DetOmega | Nba:
     initial = fields["initial"]
     if not 0 <= initial < n:
         raise ParseError("initial out of range")
-    acceptance = fields["acceptance"] or "finals"
+    acceptance = fields.get("acceptance", "finals")
     # checked before a sink is added, so finals name declared states only
-    finals = fields["finals"]
+    finals = fields.get("finals")
     if finals is not None:
+        if fdfa_block == "leading":
+            raise ParseError("the leading block carries no finals")
         if acceptance != "finals":
             raise ParseError(f"a {acceptance} block carries no finals")
         if not all(0 <= f < n for f in finals):
             raise ParseError("final state out of range")
     table: dict[tuple[int, int], list[tuple[int, bool]]] = {}
-    for s, letter, t, acc in fields["trans"]:
+    for s, letter, t, acc in trans:
         a = alphabet.index(letter)
         if not (0 <= s < n and 0 <= t < n):
             raise ParseError("transition state out of range")
         table.setdefault((s, a), []).append((t, acc))
 
-    deterministic = all(len(v) == 1 for v in table.values())
-    if not deterministic:
+    if not all(len(v) == 1 for v in table.values()):
         if acceptance != "buchi":
             raise ParseError("nondeterminism requires buchi acceptance")
-        trans = set()
-        acc = set()
-        for (s, a), targets in table.items():
-            for t, marked in targets:
-                trans.add((s, a, t))
-                if marked:
-                    acc.add((s, a, t))
+        edges = {(s, a, t, marked) for (s, a), targets in table.items()
+                 for t, marked in targets}
         return Nba(alphabet, n, frozenset([initial]),
-                   frozenset(trans), frozenset(acc))
+                   frozenset(e[:3] for e in edges),
+                   frozenset(e[:3] for e in edges if e[3])), pos
 
-    total = all((s, a) in table for s in range(n) for a in range(alphabet.size))
-    count = n if total else n + 1
-    delta = []
-    acc_pairs = set()
-    for s in range(n):
-        row = []
-        for a in range(alphabet.size):
-            if (s, a) in table:
-                t, marked = table[(s, a)][0]
-                row.append(t)
-                if marked:
-                    acc_pairs.add((s, a))
-            else:
-                row.append(n)
-        delta.append(tuple(row))
-    if not total:
-        delta.append(tuple(n for _ in range(alphabet.size)))
-    ts = DetTS(alphabet, count, initial, tuple(delta))
+    delta = [tuple(table[s, a][0][0] if (s, a) in table else n
+                   for a in range(alphabet.size)) for s in range(n)]
+    if len(table) < n * alphabet.size:  # partial: add the sink, state n
+        delta.append((n,) * alphabet.size)
+    ts = DetTS(alphabet, len(delta), initial, tuple(delta))
     if acceptance == "finals":
-        return Dfa(ts, frozenset(finals or ()))
+        return Dfa(ts, frozenset(finals or ())), pos
+    acc_pairs = frozenset(sa for sa, [(_, marked)] in table.items() if marked)
     polarity = BUCHI if acceptance == "buchi" else COBUCHI
-    return DetOmega(ts, frozenset(acc_pairs), polarity)
+    return DetOmega(ts, acc_pairs, polarity), pos
 
 
 def parse_automaton(text: str) -> Dfa | DetOmega | Nba:
     lines = _clean_lines(text)
-    fields, pos = _parse_block(lines, 0, None)
+    obj, pos = _read_block(lines, 0, None)
     if pos != len(lines):
         raise ParseError(f"trailing content: {lines[pos]!r}")
-    return _block_to_automaton(fields)
-
-
-def _parse_fdfa_dfa(lines: list[str], pos: int, alphabet: Alphabet | None
-                    ) -> tuple[Dfa, dict, int]:
-    """Parse one DFA block of an FDFA, which carries no acceptance line and
-    no acc marks; returns the DFA, the fields and the next position."""
-    fields, pos = _parse_block(lines, pos, alphabet)
-    if fields["acceptance"] is not None or any(t[3] for t in fields["trans"]):
-        raise ParseError("FDFA blocks carry no acceptance line or acc marks")
-    dfa = _block_to_automaton({**fields, "acceptance": "finals"})
-    assert isinstance(dfa, Dfa)  # nondeterminism needs buchi acceptance
-    return dfa, fields, pos
+    return obj
 
 
 def parse_fdfa(text: str) -> Fdfa:
@@ -210,9 +181,7 @@ def parse_fdfa(text: str) -> Fdfa:
         pos += 1
     if pos >= len(lines) or lines[pos] != "leading":
         raise ParseError("expected a 'leading' block")
-    leading_dfa, fields, pos = _parse_fdfa_dfa(lines, pos + 1, None)
-    if fields["finals"] is not None:
-        raise ParseError("the leading block carries no finals")
+    leading_dfa, pos = _read_block(lines, pos + 1, None, "leading")
     leading = leading_dfa.ts
 
     progress: dict[int, Dfa] = {}
@@ -223,8 +192,8 @@ def parse_fdfa(text: str) -> Fdfa:
         state = int(parts[1])
         if state in progress:
             raise ParseError(f"repeated progress block {state}")
-        progress[state], _, pos = _parse_fdfa_dfa(lines, pos + 1,
-                                                  leading.alphabet)
+        progress[state], pos = _read_block(lines, pos + 1, leading.alphabet,
+                                           "progress")
     if sorted(progress) != list(range(leading.state_count)):
         raise ParseError("need exactly one progress block per leading state")
     return Fdfa(leading, tuple(progress[i] for i in range(leading.state_count)),

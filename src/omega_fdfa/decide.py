@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core_automata import AutomatonError, Lasso, nba_dba_included
-from .fdfa import Fdfa, LIMIT, RECURRENT, extract_fb, sink_final_state
+from .fdfa import Fdfa, LIMIT, RECURRENT, SinkFinalMissing, extract_fb
 from .translate import fdfa_to_dba, fdfa_to_nba
 
 
@@ -29,14 +29,13 @@ def decide_dba_recognizable(f: Fdfa) -> DecideResult:
     if f.flavor != LIMIT:
         raise AutomatonError("a limit-flavor FDFA is required")
 
-    for u_class, p in enumerate(f.progress):
-        if p.finals and sink_final_state(p) is None:
-            return DecideResult(
-                False,
-                f"progress DFA of leading state {u_class} has final states "
-                "but no sink final state (not co-safety)")
-
-    fb = extract_fb(f)
+    try:
+        fb = extract_fb(f)
+    except SinkFinalMissing as err:
+        return DecideResult(
+            False,
+            f"progress DFA of leading state {err.u_class} has final states "
+            "but no sink final state (not co-safety)")
     nba = fdfa_to_nba(f)
     dba = fdfa_to_dba(fb)
     verdict = nba_dba_included(nba, dba)

@@ -100,8 +100,9 @@ class _Teacher:
     bounded enumeration scans each such pair once, at its first prefix in
     length-lex order, and memoizes both verdicts per (state, period)."""
 
-    def __init__(self, alphabet: Alphabet, log: QueryLog | None):
-        self.alphabet = alphabet
+    def __init__(self, ref_ts: DetTS, log: QueryLog | None):
+        self.ref_ts = ref_ts
+        self.alphabet = ref_ts.alphabet
         self.log = log
         self.mq_count = 0
         self.eq_count = 0
@@ -113,9 +114,9 @@ class _Teacher:
         raise NotImplementedError
 
     def _ref_state(self, u: Word) -> int:
-        """The reference state that u reaches; membership of u . v^omega
-        depends on u only through it."""
-        raise NotImplementedError
+        """The state of the reference's TS that u reaches; membership of
+        u . v^omega depends on u only through it."""
+        return run_word(self.ref_ts, self.ref_ts.initial, u)
 
     def mq(self, prefix: Word, period: Word) -> bool:
         self.mq_count += 1
@@ -168,14 +169,11 @@ class DbaTeacher(_Teacher):
     """Oracle backed by a reference DBA."""
 
     def __init__(self, ref: DetOmega, log: QueryLog | None = None):
-        super().__init__(ref.ts.alphabet, log)
+        super().__init__(ref.ts, log)
         self.ref = ref
 
     def _member(self, w: UpWord) -> bool:
         return member_upword_det(self.ref, w)
-
-    def _ref_state(self, u: Word) -> int:
-        return run_word(self.ref.ts, self.ref.ts.initial, u)
 
     def _exact_candidates(self, h: Fdfa) -> Iterator[Lasso]:
         # everything the hypothesis NBA accepts must be in L(ref)
@@ -193,7 +191,7 @@ class FdfaTeacher(_Teacher):
     """Oracle backed by a saturated FDFA (for targets no DBA recognizes)."""
 
     def __init__(self, ref: Fdfa, log: QueryLog | None = None):
-        super().__init__(ref.leading.alphabet, log)
+        super().__init__(ref.leading, log)
         self.ref = ref
         # the reference's NBA and its complement's, shared by every EQ
         self._ref_nba = fdfa_to_nba(ref)
@@ -201,9 +199,6 @@ class FdfaTeacher(_Teacher):
 
     def _member(self, w: UpWord) -> bool:
         return accepts_upword(self.ref, w)
-
-    def _ref_state(self, u: Word) -> int:
-        return run_word(self.ref.leading, self.ref.leading.initial, u)
 
     def _exact_candidates(self, h: Fdfa) -> Iterator[Lasso]:
         # hypothesis-not-included direction, then target-not-included

@@ -108,6 +108,16 @@ def test_automaton_parse_errors():
                  "acceptance: cobuchi\ntrans: 0 a 0\nfinals: 7"):
         with pytest.raises(ParseError):
             parse_automaton(text)
+    # every field but trans: appears at most once, even when the repeat
+    # agrees with the first line
+    dfa = "alphabet: a\nstates: 1\ninitial: 0\ntrans: 0 a 0\nfinals: 0\n"
+    for field, repeat in (("finals", "finals:\n"), ("states", "states: 1\n"),
+                          ("initial", "initial: 0\n"),
+                          ("acceptance", "acceptance: finals\n"
+                           "acceptance: finals\n"),
+                          ("alphabet", "alphabet: a b\n")):
+        with pytest.raises(ParseError, match=f"repeated field '{field}'"):
+            parse_automaton(dfa + repeat)
 
 
 def test_fdfa_round_trip(fig1):
@@ -397,6 +407,7 @@ def test_cmd_accepts_well_formed_fdfa(cli, tmp_path):
      "final state out of range"),
     (A_OMEGA.replace("finals: 0\n", "finals: 0 3\n"),
      "final state out of range"),
+    (A_OMEGA + "finals:\n", "repeated field"),
 ])
 def test_malformed_fdfa_exits_2(cli, tmp_path, text, message):
     path = _write(tmp_path, "bad.fdfa", text)
