@@ -72,10 +72,10 @@ def _read_block(lines: list[str], pos: int, alphabet: Alphabet | None,
                 fdfa_block: str = "") -> tuple[Dfa | DetOmega | Nba, int]:
     """Read and build one automaton block starting at lines[pos]; returns
     the automaton and the next position.  Every field but ``trans:`` appears
-    at most once.  An FDFA block (``fdfa_block`` "leading" or "progress")
-    carries no acceptance line or acc marks, and a leading block no finals;
-    a progress block inherits ``alphabet`` and may restate it.  Partial
-    tables are completed with a fresh rejecting sink."""
+    at most once, and acc marks only in a buchi or cobuchi block.  An FDFA
+    block (``fdfa_block`` "leading" or "progress") has no acceptance line and
+    a leading block no finals; a progress block inherits ``alphabet`` and may
+    restate it.  Partial tables are completed with a fresh rejecting sink."""
     fields: dict = {}
     trans: list[tuple[int, str, int, bool]] = []
     while pos < len(lines) and ":" in lines[pos]:
@@ -110,8 +110,11 @@ def _read_block(lines: list[str], pos: int, alphabet: Alphabet | None,
         raise ParseError("missing alphabet")
     if "states" not in fields or "initial" not in fields:
         raise ParseError("missing states or initial")
-    if fdfa_block and ("acceptance" in fields or any(t[3] for t in trans)):
-        raise ParseError("FDFA blocks carry no acceptance line or acc marks")
+    if fdfa_block and "acceptance" in fields:
+        raise ParseError("FDFA blocks carry no acceptance line")
+    acceptance = fields.get("acceptance", "finals")
+    if acceptance == "finals" and any(t[3] for t in trans):
+        raise ParseError("acc marks appear only in buchi and cobuchi blocks")
 
     n = fields["states"]
     if n < 1:
@@ -122,7 +125,6 @@ def _read_block(lines: list[str], pos: int, alphabet: Alphabet | None,
     initial = fields["initial"]
     if not 0 <= initial < n:
         raise ParseError("initial out of range")
-    acceptance = fields.get("acceptance", "finals")
     # checked before a sink is added, so finals name declared states only
     finals = fields.get("finals")
     if finals is not None:
@@ -200,42 +202,38 @@ def parse_fdfa(text: str) -> Fdfa:
                 flavor=flavor)
 
 
-def _format_block(ts: DetTS, acceptance: str,
-                  acc_pairs: frozenset[tuple[int, int]] = frozenset(),
-                  finals: frozenset[int] | None = None,
-                  with_alphabet: bool = True) -> list[str]:
-    out = []
-    if with_alphabet:
-        out.append("alphabet: " + " ".join(ts.alphabet.letters))
-    out.append(f"states: {ts.state_count}")
-    out.append(f"initial: {ts.initial}")
-    if acceptance:
+def _format_block(obj: Dfa | DetOmega | Nba | DetTS,
+                  fdfa_block: str = "") -> list[str]:
+    """The lines of one block, the inverse of ``_read_block``: a Dfa,
+    DetOmega, Nba, or an FDFA leading block's DetTS.  An FDFA block gets no
+    acceptance line, and a progress block no alphabet line."""
+    if isinstance(obj, Nba):
+        if len(obj.initials) != 1:
+            raise AutomatonError("the text format carries a single initial")
+        alphabet, n, [initial] = obj.alphabet, obj.state_count, obj.initials
+        acceptance, trans, marked = BUCHI, sorted(obj.trans), obj.acc
+    else:
+        ts = obj if isinstance(obj, DetTS) else obj.ts
+        alphabet, n, initial = ts.alphabet, ts.state_count, ts.initial
+        trans = [(s, a, t) for s, row in enumerate(ts.delta)
+                 for a, t in enumerate(row)]
+        omega = isinstance(obj, DetOmega)
+        acceptance = obj.polarity if omega else "finals"
+        marked = {(s, a, ts.delta[s][a]) for s, a in obj.acc} if omega else ()
+    out = [f"states: {n}", f"initial: {initial}"]
+    if fdfa_block != "progress":
+        out.insert(0, "alphabet: " + " ".join(alphabet.letters))
+    if not fdfa_block:
         out.append(f"acceptance: {acceptance}")
-    for s in range(ts.state_count):
-        for a in range(ts.alphabet.size):
-            mark = " acc" if (s, a) in acc_pairs else ""
-            out.append(f"trans: {s} {ts.alphabet.letters[a]} {ts.delta[s][a]}{mark}")
-    if finals is not None:
-        out.append("finals: " + " ".join(str(s) for s in sorted(finals)))
+    out += [f"trans: {s} {alphabet.letters[a]} {t}"
+            + (" acc" if (s, a, t) in marked else "") for s, a, t in trans]
+    if isinstance(obj, Dfa):
+        out.append("finals: " + " ".join(str(s) for s in sorted(obj.finals)))
     return out
 
 
 def format_automaton(obj: Dfa | DetOmega | Nba) -> str:
-    if isinstance(obj, Dfa):
-        lines = _format_block(obj.ts, "finals", finals=obj.finals)
-    elif isinstance(obj, DetOmega):
-        lines = _format_block(obj.ts, obj.polarity, acc_pairs=obj.acc)
-    else:
-        lines = ["alphabet: " + " ".join(obj.alphabet.letters),
-                 f"states: {obj.state_count}"]
-        if len(obj.initials) != 1:
-            raise AutomatonError("the text format carries a single initial")
-        lines.append(f"initial: {next(iter(obj.initials))}")
-        lines.append("acceptance: buchi")
-        for s, a, t in sorted(obj.trans):
-            mark = " acc" if (s, a, t) in obj.acc else ""
-            lines.append(f"trans: {s} {obj.alphabet.letters[a]} {t}{mark}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(_format_block(obj)) + "\n"
 
 
 def format_fdfa(f: Fdfa) -> str:
@@ -243,13 +241,12 @@ def format_fdfa(f: Fdfa) -> str:
     if f.flavor:
         lines.append(f"flavor: {f.flavor}")
     lines.append("leading")
-    lines.extend(_format_block(f.leading, ""))
+    lines.extend(_format_block(f.leading, "leading"))
     for i, p in enumerate(f.progress):
         lines.append(f"progress {i}")
         if f.labels is not None:
             lines.append(f"# rep: {f.leading.alphabet.format_word(f.labels[i])}")
-        lines.extend(_format_block(p.ts, "", finals=p.finals,
-                                   with_alphabet=False))
+        lines.extend(_format_block(p, "progress"))
     return "\n".join(lines) + "\n"
 
 

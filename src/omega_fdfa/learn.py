@@ -301,7 +301,7 @@ class _Session:
         self.lead = _Table(k, [((), (a,)) for a in range(k)],
                            lambda row, exp: self.mq(row + exp[0], exp[1]))
         self.progress: dict[Word, _Table] = {}
-        self.leading: DetTS | None = None
+        self.close_leading()
 
     def mq(self, prefix: Word, period: Word) -> bool:
         if not period:
@@ -315,7 +315,6 @@ class _Session:
         return self.cache[key]
 
     def leading_state(self, w: Word) -> int:
-        assert self.leading is not None
         return run_word(self.leading, 0, w)
 
     def _progress_entry(self, u: Word, x: Word, v: Word) -> bool:
@@ -337,27 +336,26 @@ class _Session:
                     lambda x, v, u=u: self._progress_entry(u, x, v))
             self.progress[u].close()
 
-    def progress_dfa(self, u: Word) -> Dfa:
-        table = self.progress[u]
-        ts = DetTS(self.alphabet, len(table.reps), 0, table.delta())
-        return Dfa(ts, frozenset(i for i, rep in enumerate(table.reps)
-                                 if table.entry(rep, ())))
-
     def hypothesis(self) -> Fdfa:
-        assert self.leading is not None
-        progress = tuple(self.progress_dfa(u) for u in self.lead.reps)
-        return Fdfa(self.leading, progress, labels=tuple(self.lead.reps),
-                    flavor=LIMIT)
+        progress = []
+        for u in self.lead.reps:
+            t = self.progress[u]
+            ts = DetTS(self.alphabet, len(t.reps), 0, t.delta())
+            progress.append(Dfa(ts, frozenset(
+                i for i, rep in enumerate(t.reps) if t.entry(rep, ()))))
+        return Fdfa(self.leading, tuple(progress),
+                    labels=tuple(self.lead.reps), flavor=LIMIT)
 
     # --- counterexample analysis ------------------------------------------
     def analyze(self, h: Fdfa, ce: UpWord) -> None:
         w = normalize(h, ce)
         x, y = w.prefix, w.period
-        x_rep = self.lead.reps[self.leading_state(x)]
+        q = self.leading_state(x)
+        x_rep = self.lead.reps[q]
         if self.mq(x, y) != self.mq(x_rep, y):
             self._refine_leading(x, y)
         else:
-            self._refine_progress(x_rep, y)
+            self._refine_progress(x_rep, h.progress[q], y)
 
     def _refine_leading(self, x: Word, y: Word) -> None:
         s = [self.lead.reps[self.leading_state(x[:i])]
@@ -368,8 +366,7 @@ class _Session:
         self.lead.add_exp((x[j:], y))
         self.close_leading()
 
-    def _refine_progress(self, u: Word, y: Word) -> None:
-        progress = self.progress_dfa(u)
+    def _refine_progress(self, u: Word, progress: Dfa, y: Word) -> None:
         table = self.progress[u]
 
         def value(i: int) -> bool:
@@ -387,7 +384,6 @@ def learn_limit_fdfa(teacher, *, max_iterations: int = 500
                      ) -> tuple[Fdfa, LearnStats]:
     """Run the limit-FDFA learner to convergence against the teacher."""
     session = _Session(teacher)
-    session.close_leading()
     h = session.hypothesis()
     stats = LearnStats()
     for iteration in range(max_iterations):

@@ -15,7 +15,7 @@ from .core_automata import (
     dfa_product,
     explore,
 )
-from .fdfa import Fdfa, sink_final_state
+from .fdfa import Fdfa, RECURRENT, SYNTACTIC, sink_final_state
 
 
 def _component(f: Fdfa, q: int, fstate: int) -> Dfa:
@@ -98,7 +98,13 @@ def fdfa_to_ldba(f: Fdfa) -> Ldba:
 def fdfa_to_dba(f: Fdfa) -> DetOmega:
     """Deterministic Buchi automaton for a sink-final-only FDFA: run the
     leading DFA and the current progress DFA side by side; on entering a
-    progress final, reset the progress component and mark the transition."""
+    progress final, reset the progress component and mark the transition.
+    Only a reset moves the run on to the next leading class, so syntactic and
+    recurrent families, which reject every period that leaves its class, are
+    refused; limit and periodic families are not."""
+    if f.flavor in (SYNTACTIC, RECURRENT):
+        raise AutomatonError(
+            f"the DBA translation is unsound for {f.flavor} FDFAs")
     for u_class, p in enumerate(f.progress):
         if p.finals and (sink_final_state(p) is None or len(p.finals) != 1):
             raise AutomatonError(

@@ -10,6 +10,10 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 from omega_fdfa import (
+    Alphabet,
+    BUCHI,
+    DetOmega,
+    DetTS,
     gen_fig1,
     gen_fig5_fdfa,
     gen_ln,
@@ -36,6 +40,16 @@ def fig5():
 @pytest.fixture
 def ln2():
     return gen_ln(2)
+
+
+@pytest.fixture
+def escape_dba():
+    """A 5-state DBA whose syntactic and recurrent families are
+    sink-final-only, yet a^omega, which it accepts, is lost by their reset
+    DBAs: both families reject every period that leaves its leading class."""
+    delta = ((3, 2), (3, 2), (3, 0), (3, 3), (1, 4))
+    acc = frozenset({(0, 0), (3, 0), (3, 1), (4, 0)})
+    return DetOmega(DetTS(Alphabet(("a", "b")), 5, 0, delta), acc, BUCHI)
 
 
 @pytest.fixture

@@ -6,12 +6,17 @@ from math import isqrt
 import pytest
 
 from omega_fdfa import (
+    Alphabet,
+    AutomatonError,
     DetOmega,
     Dfa,
+    FLAVORS,
     LIMIT,
     Nba,
     RECURRENT,
     build_canonical_fdfa,
+    fdfa_to_ldba,
+    fdfa_to_nba,
     gen_fig1,
     gen_fig5_fdfa,
     gen_ln,
@@ -21,6 +26,7 @@ from omega_fdfa import (
 from omega_fdfa.cli import (
     MAX_STATES,
     ParseError,
+    _single_initial,
     build_parser,
     format_automaton,
     format_fdfa,
@@ -29,14 +35,35 @@ from omega_fdfa.cli import (
     parse_fdfa,
 )
 from omega_fdfa.congruence import PAIR_CAP
+from omega_fdfa.core_automata import det_to_nba
 
 
 # --------------------------------------------------------------------------
 # formats
 
-def test_automaton_round_trip_dba(fig1):
-    again = parse_automaton(format_automaton(fig1))
-    assert again == fig1
+# zoo and seeded random DBAs, their canonical families in every flavor,
+# and the limit families' NBA and LDBA translations
+DBAS = [gen_fig1(), gen_sigma_star_aa(), gen_ln(1), gen_ln(2), gen_ln(3)] \
+    + [gen_random_dba(seed, 3 + seed % 5, 1 + seed % 3) for seed in range(12)]
+
+
+def _families():
+    return [build_canonical_fdfa(d, flavor)
+            for d in DBAS for flavor in FLAVORS]
+
+
+def _reread(obj):
+    """parse_automaton(format_automaton(obj)).  A deterministic buchi block
+    reads back as a DetOmega, so an Nba whose transitions happen to be
+    deterministic and total comes back as the DetOmega of its table."""
+    again = parse_automaton(format_automaton(obj))
+    return det_to_nba(again) if isinstance(obj, Nba) \
+        and isinstance(again, DetOmega) else again
+
+
+def test_automaton_round_trip_dba():
+    for d in DBAS:
+        assert parse_automaton(format_automaton(d)) == d
 
 
 def test_automaton_round_trip_dfa():
@@ -55,6 +82,8 @@ def test_automaton_round_trip_dfa():
     assert isinstance(dfa, Dfa)
     assert dfa.accepts((0,)) and not dfa.accepts((0, 1))
     assert parse_automaton(format_automaton(dfa)) == dfa
+    for p in (p for f in _families() for p in f.progress):
+        assert parse_automaton(format_automaton(p)) == p
 
 
 def test_automaton_partial_table_gets_sink():
@@ -84,6 +113,18 @@ def test_automaton_nondeterministic_becomes_nba():
     nba = parse_automaton(text)
     assert isinstance(nba, Nba)
     assert parse_automaton(format_automaton(nba)) == nba
+    for f in _families():
+        if f.flavor == LIMIT:
+            for made in (fdfa_to_nba(f), fdfa_to_ldba(f).nba):
+                one = _single_initial(made)
+                assert _reread(one) == one
+
+
+def test_format_refuses_several_initials():
+    nba = Nba(Alphabet(("a",)), 2, frozenset({0, 1}),
+              frozenset({(0, 0, 1), (1, 0, 1)}), frozenset({(1, 0, 1)}))
+    with pytest.raises(AutomatonError, match="single initial"):
+        format_automaton(nba)
 
 
 def test_automaton_parse_errors():
@@ -96,6 +137,15 @@ def test_automaton_parse_errors():
     with pytest.raises(ParseError):
         parse_automaton("alphabet: a\nstates: 2\ninitial: 0\n"
                         "acceptance: finals\ntrans: 0 a 0\ntrans: 0 a 1")
+    # acc marks appear only in buchi and cobuchi blocks, never in a DFA
+    # block, with or without its acceptance line
+    for text in ("alphabet: a b\nstates: 2\ninitial: 0\n"
+                 "acceptance: finals\ntrans: 0 a 1 acc\ntrans: 0 b 0\n"
+                 "trans: 1 a 1\ntrans: 1 b 0\nfinals: 1",
+                 "alphabet: a b\nstates: 2\ninitial: 0\ntrans: 0 a 1 acc\n"
+                 "trans: 0 b 0\ntrans: 1 a 1\ntrans: 1 b 0\nfinals: 1"):
+        with pytest.raises(ParseError, match="acc marks"):
+            parse_automaton(text)
     # finals name declared states only: not the fresh sink of a partial
     # table, and not in a buchi or cobuchi block, in range or not
     for text in ("alphabet: a b\nstates: 1\ninitial: 0\ntrans: 0 a 0\n"
@@ -120,12 +170,12 @@ def test_automaton_parse_errors():
             parse_automaton(dfa + repeat)
 
 
-def test_fdfa_round_trip(fig1):
-    f = build_canonical_fdfa(fig1, LIMIT)
-    again = parse_fdfa(format_fdfa(f))
-    assert again.leading == f.leading
-    assert again.progress == f.progress
-    assert again.flavor == f.flavor
+def test_fdfa_round_trip():
+    for f in _families():
+        again = parse_fdfa(format_fdfa(f))
+        assert again.leading == f.leading
+        assert again.progress == f.progress
+        assert again.flavor == f.flavor
 
 
 def test_fdfa_round_trip_fig5(fig5):
@@ -302,6 +352,17 @@ def test_cmd_translate_round_trip(cli, fig1_fdfa_file, tmp_path):
 def test_cmd_translate_dba_needs_sink_final_only(cli, fig5_file):
     assert cli("translate", fig5_file, "--to", "dba")[0] == 2
     assert cli("translate", fig5_file, "--to", "ldba")[0] == 0
+
+
+def test_cmd_translate_dba_refuses_recurrent(cli, escape_dba, tmp_path):
+    # the recurrent family is sink-final-only, but its reset DBA would
+    # reject a^omega, which the DBA accepts
+    dba = _write(tmp_path, "escape.aut", format_automaton(escape_dba))
+    rec = str(tmp_path / "rec.fdfa")
+    assert cli("canon", dba, "--flavor", "recurrent", "--out", rec)[0] == 0
+    code, out, err = cli("translate", rec, "--to", "dba")
+    assert (code, out) == (2, "")
+    assert "unsound for recurrent" in err and "Traceback" not in err
 
 
 def test_cmd_learn_stats_line(cli, fig1_file, tmp_path):

@@ -10,6 +10,8 @@ from omega_fdfa import (
     FLAVORS,
     Fdfa,
     LIMIT,
+    RECURRENT,
+    SYNTACTIC,
     UpWord,
     build_canonical_fdfa,
     complement_finals,
@@ -98,12 +100,26 @@ def test_ldba_language_and_shape():
             assert s not in ldba.jump_sources
 
 
-def test_dba_round_trip_equals_reference():
-    for d in ZOO:
-        fb = extract_fb(build_canonical_fdfa(d, LIMIT))
-        dba = fdfa_to_dba(fb)
-        assert nba_dba_included(det_to_nba(dba), d) is True
-        assert nba_dba_included(det_to_nba(d), dba) is True
+def test_dba_round_trip_equals_reference(escape_dba):
+    # every family fdfa_to_dba accepts gives the reference's language both
+    # ways; syntactic and recurrent families are refused outright
+    translated = 0
+    for d in ZOO + [escape_dba]:
+        for flavor in FLAVORS:
+            f = build_canonical_fdfa(d, flavor)
+            if flavor in (SYNTACTIC, RECURRENT):
+                with pytest.raises(AutomatonError, match="unsound"):
+                    fdfa_to_dba(f)
+                continue
+            for family in (f, extract_fb(f)) if flavor == LIMIT else (f,):
+                try:
+                    dba = fdfa_to_dba(family)
+                except AutomatonError:
+                    continue  # not sink-final-only
+                translated += 1
+                assert nba_dba_included(det_to_nba(dba), d) is True
+                assert nba_dba_included(det_to_nba(d), dba) is True
+    assert translated > len(ZOO) + 1
 
 
 def test_dba_requires_sink_final_only():
