@@ -7,7 +7,9 @@ from one pass over the pair graph of the reference's reachable states
 (``core_automata.dba_equiv_table``), and ``coarsest_quotient``, the
 refinement that also quotients the monoid, builds the leading DFA from it.
 The transition-profile monoid of the reference does not depend on the
-leading class or the flavor; it is explored once, over the reachable states
+leading class or the flavor; it is explored once, by
+``core_automata.transition_monoid`` (one breadth-first loop over the
+reference's TS and its accepting transitions), over the reachable states
 only, and its profiles are bytes when at most 128 states are reachable.
 Each flavor then computes only the finalities it reads.  Periodic alone
 builds, per profile, the vector of classes from whose representative the
@@ -41,6 +43,7 @@ from .core_automata import (
     DetOmega,
     DetTS,
     Dfa,
+    Monoid,
     ResourceLimitError,
     Word,
     _scc_ids,
@@ -51,18 +54,13 @@ from .core_automata import (
     dfa_product,
     explore,
     shortest_state_words,
+    transition_monoid,
 )
 from .fdfa import Fdfa, LIMIT, PERIODIC, RECURRENT, SYNTACTIC
 
 PROFILE_CAP = 200_000
 PAIR_CAP = 1_000_000
-# profiles are bytes up to this many reachable states, whose entries
-# (state << 1 | bit) then fit in a byte
-BYTE_PROFILES = 128
 
-# (profiles, profile TS, reachable states in profile-entry order); see
-# _explore_profiles
-Monoid = tuple[list[Sequence[int]], DetTS, list[int]]
 # (quotient of the profile TS, final blocks of each class); see
 # _shared_quotient
 Quotient = tuple[DetTS, tuple[frozenset[int], ...]]
@@ -148,30 +146,9 @@ def compute_leading(d: DetOmega) -> LeadingQuotient:
 
 
 def _explore_profiles(d: DetOmega, cap: int) -> Monoid:
-    """The transition-profile TS of d, explored from the identity (the
-    profile of epsilon), and d's reachable states in the order that profile
-    entries follow.  The profile of a word z holds, for the i-th reachable
-    state, ``(j << 1) | bit``: z leads it to the j-th, and bit says whether
-    that run took an accepting transition.  Profiles are bytes when at most
-    BYTE_PROFILES states are reachable, else tuples."""
-    ts = d.ts
-    states, moves = explore([ts.initial], ts.delta.__getitem__)
-    entries = range(2 * len(states))
-    # steps[a][x] is the profile entry x extended by the letter a
-    steps = [[(moves[x >> 1][a] << 1) | (x & 1)
-              | ((states[x >> 1], a) in d.acc) for x in entries]
-             for a in range(ts.alphabet.size)]
-    if len(states) <= BYTE_PROFILES:
-        # bytes.translate maps every entry through a 256-byte table at once
-        tables = [bytes(step).ljust(256, b"\0") for step in steps]
-        identity, extend = (bytes(entries[::2]),
-                            lambda p: [p.translate(t) for t in tables])
-    else:
-        lookups = [step.__getitem__ for step in steps]
-        identity, extend = (tuple(entries[::2]),
-                            lambda p: [tuple(map(f, p)) for f in lookups])
-    profiles, delta = explore([identity], extend, cap)
-    return profiles, DetTS(ts.alphabet, len(profiles), 0, tuple(delta)), states
+    """The transition-profile TS of d, whose profile bits mark d's accepting
+    transitions (see core_automata.transition_monoid)."""
+    return transition_monoid(d.ts, d.acc, cap)
 
 
 def _by_entry(lq: LeadingQuotient,

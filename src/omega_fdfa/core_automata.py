@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+from typing import Callable, Collection, Hashable, Iterable, Sequence, TypeVar
 
 Word = tuple[int, ...]
 S = TypeVar("S", bound=Hashable)
@@ -134,7 +134,9 @@ class DetOmega:
 
     ``acc`` holds (state, letter) pairs.  Buchi polarity accepts runs taking
     marked transitions infinitely often; coBuchi accepts runs taking them
-    only finitely often.
+    only finitely often.  ``_nba``, the automaton viewed as an NBA (Buchi
+    polarity only), is built on first use, outside ``==``, ``hash`` and
+    ``repr``.
     """
 
     ts: DetTS
@@ -147,6 +149,17 @@ class DetOmega:
         for s, a in self.acc:
             if not (0 <= s < self.ts.state_count and 0 <= a < self.ts.alphabet.size):
                 raise AutomatonError("acc pair out of range")
+
+    @cached_property
+    def _nba(self) -> Nba:
+        if self.polarity != BUCHI:
+            raise AutomatonError("det_to_nba expects Buchi polarity")
+        ts = self.ts
+        trans = frozenset((s, a, ts.delta[s][a]) for s in range(ts.state_count)
+                          for a in range(ts.alphabet.size))
+        acc = frozenset((s, a, ts.delta[s][a]) for s, a in self.acc)
+        return Nba(ts.alphabet, ts.state_count, frozenset([ts.initial]),
+                   trans, acc)
 
 
 @dataclass(frozen=True)
@@ -223,8 +236,8 @@ def run_word(ts: DetTS, state: int, w: Word) -> int:
     return state
 
 
-def explore(roots: Iterable[S], successors: Callable[[S], Iterable[S]],
-            cap: int | None = None) -> tuple[list[S], list[tuple[int, ...]]]:
+def explore(roots: Iterable[S], successors: Callable[[S], Iterable[S]]
+            ) -> tuple[list[S], list[tuple[int, ...]]]:
     """Number the states reachable from ``roots`` in breadth-first discovery
     order: the distinct roots first, then each state's new successors in the
     order ``successors`` lists them.  Returns ``(nodes, rows)`` where
@@ -232,8 +245,7 @@ def explore(roots: Iterable[S], successors: Callable[[S], Iterable[S]],
     ``successors(nodes[i])`` returned, in the same order.
 
     ``successors`` runs exactly once per state, in id order, so a caller can
-    collect per-edge data (such as acceptance marks) alongside.  Raises
-    ResourceLimitError when more than ``cap`` states are reachable."""
+    collect per-edge data (such as acceptance marks) alongside."""
     index: dict[S, int] = {}
     nodes: list[S] = []
     for r in roots:
@@ -246,14 +258,69 @@ def explore(roots: Iterable[S], successors: Callable[[S], Iterable[S]],
         for t in successors(state):
             i = index.get(t)
             if i is None:
-                if cap is not None and len(nodes) >= cap:
-                    raise ResourceLimitError(
-                        f"more than {cap} reachable states")
                 i = index[t] = len(nodes)
                 nodes.append(t)
             row.append(i)
         rows.append(tuple(row))
     return nodes, rows
+
+
+# profiles are bytes up to this many reachable states, whose entries
+# (state << 1 | bit) then fit in a byte
+BYTE_PROFILES = 128
+
+# (profiles, profile TS, reachable states in profile-entry order); see
+# transition_monoid
+Monoid = tuple[list[Sequence[int]], DetTS, list[int]]
+
+
+def transition_monoid(ts: DetTS, marks: Collection[tuple[int, int]],
+                      cap: int) -> Monoid:
+    """The transition-profile TS of ts with its ``marks`` (a set of (state,
+    letter) pairs), explored from the identity (the profile of epsilon),
+    and ts's reachable states in the order that profile entries follow.  The
+    profile of a word z holds, for the i-th reachable state,
+    ``(j << 1) | bit``: z leads it to the j-th, and bit says whether that
+    run took a marked transition.  Profiles are bytes when at most
+    BYTE_PROFILES states are reachable, else tuples.  They are numbered as
+    ``explore`` numbers them; raises ResourceLimitError when more than
+    ``cap`` are reachable."""
+    states, moves = explore([ts.initial], ts.delta.__getitem__)
+    entries = range(2 * len(states))
+    # steps[a][x] is the profile entry x extended by the letter a
+    steps = [[(moves[x >> 1][a] << 1) | (x & 1)
+              | ((states[x >> 1], a) in marks) for x in entries]
+             for a in range(ts.alphabet.size)]
+    if len(states) <= BYTE_PROFILES:
+        # bytes.translate maps every entry through a 256-byte table at once
+        tables = [bytes(step).ljust(256, b"\0") for step in steps]
+        identity, extend = bytes(entries[::2]), bytes.translate
+    else:
+        tables = [step.__getitem__ for step in steps]
+        identity, extend = (tuple(entries[::2]),
+                            lambda p, f: tuple(map(f, p)))
+    index = {identity: 0}
+    profiles = [identity]
+    # cols[a][i] is the id of profile i extended by a; the rows are built
+    # once the walk is complete
+    cols: list[list[int]] = [[] for _ in tables]
+    letters = [(table, col.append) for table, col in zip(tables, cols)]
+    get = index.get
+    for p in profiles:  # profiles grows while it is walked
+        for table, put in letters:
+            q = extend(p, table)
+            i = get(q)
+            if i is None:
+                i = len(profiles)
+                if i >= cap:
+                    raise ResourceLimitError(f"more than {cap} profiles")
+                index[q] = i
+                profiles.append(q)
+            put(i)
+    # the index is no longer needed; freeing it first lowers the peak
+    del index, get
+    delta = tuple(zip(*cols))
+    return profiles, DetTS(ts.alphabet, len(profiles), 0, delta), states
 
 
 def short_words(nletters: int, max_len: int) -> list[Word]:
@@ -467,14 +534,9 @@ def _least_lasso(graph: Sequence[Sequence[Edge]],
 
 
 def det_to_nba(d: DetOmega) -> Nba:
-    """View a deterministic Buchi automaton as an NBA."""
-    if d.polarity != BUCHI:
-        raise AutomatonError("det_to_nba expects Buchi polarity")
-    ts = d.ts
-    trans = frozenset((s, a, ts.delta[s][a])
-                      for s in range(ts.state_count) for a in range(ts.alphabet.size))
-    acc = frozenset((s, a, ts.delta[s][a]) for s, a in d.acc)
-    return Nba(ts.alphabet, ts.state_count, frozenset([ts.initial]), trans, acc)
+    """View a deterministic Buchi automaton as an NBA, built once per
+    automaton."""
+    return d._nba
 
 
 def _product(roots: Iterable[int], moves: Callable[[int], Iterable[Move]]

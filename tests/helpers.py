@@ -1,15 +1,22 @@
 """Test-only helpers over the package's graph algorithms: SCC listing, DFA
-renumbering and isomorphism, and a one-pair Rabin emptiness check.  Unlike
+renumbering and isomorphism, a one-pair Rabin emptiness check and a
+transition monoid explored by the generic ``explore``.  Unlike
 ``oracles.py`` these reuse the package's own search (``explore``,
 ``_scc_ids``, ``_least_lasso``), so they pin its results rather than check
 them independently."""
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
-from omega_fdfa import DetTS, Dfa, Lasso, Nba
-from omega_fdfa.core_automata import Edge, _least_lasso, _scc_ids, explore
+from omega_fdfa import DetTS, Dfa, Lasso, Nba, ResourceLimitError
+from omega_fdfa.core_automata import (
+    Edge,
+    Monoid,
+    _least_lasso,
+    _scc_ids,
+    explore,
+)
 
 
 def sccs(succ: Sequence[Iterable[int]]) -> list[list[int]]:
@@ -48,3 +55,31 @@ def one_pair_rabin_empty(a: Nba,
     for tr in sorted(a.trans):
         graph[tr[0]].append((tr[1], tr[2], tr in a.acc, tr in avoid))
     return _least_lasso(graph, a.initials)
+
+
+def explored_monoid(ts: DetTS, marks: Collection[tuple[int, int]], cap: int,
+                    as_bytes: bool) -> Monoid:
+    """``core_automata.transition_monoid`` in the given profile encoding,
+    explored by ``explore`` with one successor list per profile.  Raises
+    ResourceLimitError once a profile beyond the first ``cap`` is walked,
+    which happens iff more than ``cap`` profiles are reachable."""
+    states, moves = explore([ts.initial], ts.delta.__getitem__)
+    entries = range(2 * len(states))
+    steps = [[(moves[x >> 1][a] << 1) | (x & 1)
+              | ((states[x >> 1], a) in marks) for x in entries]
+             for a in range(ts.alphabet.size)]
+    tables = [bytes(step).ljust(256, b"\0") for step in steps]
+    identity = bytes(entries[::2]) if as_bytes else tuple(entries[::2])
+    walked = 0
+
+    def extend(p: Sequence[int]) -> list[Sequence[int]]:
+        nonlocal walked
+        walked += 1
+        if walked > cap:
+            raise ResourceLimitError(f"more than {cap} profiles")
+        if as_bytes:
+            return [p.translate(t) for t in tables]
+        return [tuple(step[x] for x in p) for step in steps]
+
+    profiles, delta = explore([identity], extend)
+    return profiles, DetTS(ts.alphabet, len(profiles), 0, tuple(delta)), states

@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 import pytest
 
 import omega_fdfa.congruence as congruence
+import omega_fdfa.core_automata as core_automata
 from omega_fdfa import (
     Alphabet,
     AutomatonError,
@@ -402,7 +403,7 @@ def test_profiles_are_tuples_above_128_reachable_states():
     fig1 = gen_fig1()
     big = _with_length_counter(fig1, 43)
     profiles, _, states = congruence._explore_profiles(big, 10_000)
-    assert len(states) > congruence.BYTE_PROFILES == 128
+    assert len(states) > core_automata.BYTE_PROFILES == 128
     assert {type(p) for p in profiles} == {tuple}
     for flavor in FLAVORS:
         assert build_canonical_fdfa(big, flavor) == \
@@ -415,7 +416,7 @@ def test_bytes_and_tuple_profiles_number_the_monoid_alike(monkeypatch):
               gen_random_dba(5, 8, 3)):
         as_bytes = congruence._explore_profiles(d, cap)
         fdfas = [build_canonical_fdfa(d, flavor) for flavor in FLAVORS]
-        monkeypatch.setattr(congruence, "BYTE_PROFILES", 0)
+        monkeypatch.setattr(core_automata, "BYTE_PROFILES", 0)
         as_tuples = congruence._explore_profiles(d, cap)
         assert {type(p) for p in as_bytes[0]} == {bytes}
         assert [tuple(p) for p in as_bytes[0]] == as_tuples[0]

@@ -3,9 +3,11 @@ membership, and the emptiness/inclusion engines."""
 
 import functools
 import random
+from dataclasses import fields, replace
 
 import pytest
 
+import omega_fdfa.core_automata as core_automata
 from omega_fdfa import (
     Alphabet,
     AlphabetError,
@@ -26,7 +28,9 @@ from omega_fdfa import (
     dfa_product,
     fdfa_to_nba,
     gen_fig1,
+    gen_ln,
     gen_random_dba,
+    learn_limit_fdfa,
     member_upword_det,
     member_upword_nba,
     nba_dba_included,
@@ -44,9 +48,17 @@ from omega_fdfa.core_automata import (
     explore,
     short_words,
     shortest_state_words,
+    transition_monoid,
 )
+from omega_fdfa.learn import DbaTeacher, QueryLog
 
-from helpers import canonical_dfa, dfa_isomorphic, one_pair_rabin_empty, sccs
+from helpers import (
+    canonical_dfa,
+    dfa_isomorphic,
+    explored_monoid,
+    one_pair_rabin_empty,
+    sccs,
+)
 from oracles import naive_member, naive_nba_member, words_upto
 
 AB = Alphabet(("a", "b"))
@@ -121,13 +133,40 @@ def test_explore_numbers_in_discovery_order():
     assert rows == [(2, 1, 2), (0, 3), (), (3,)]  # aligned with successors
 
 
-def test_explore_cap():
-    def chain(n):
-        return [n + 1] if n < 9 else []
+@pytest.mark.parametrize("as_bytes", [True, False])
+def test_transition_monoid_matches_the_generic_explorer(monkeypatch,
+                                                        as_bytes):
+    # fig1, ln(1..6) and 200 seeded random DBAs with 1-8 states and 1-3
+    # letters; the cap refuses the few largest monoids in both explorers
+    cap = 20_000
+    if not as_bytes:
+        monkeypatch.setattr(core_automata, "BYTE_PROFILES", 0)
+    dbas = [gen_fig1()] + [gen_ln(n) for n in range(1, 7)] \
+        + [gen_random_dba(seed, 1 + seed % 8, 1 + seed // 8 % 3)
+           for seed in range(200)]
+    refused = 0
+    for d in dbas:
+        try:
+            want = explored_monoid(d.ts, d.acc, cap, as_bytes)
+        except ResourceLimitError:
+            with pytest.raises(ResourceLimitError):
+                transition_monoid(d.ts, d.acc, cap)
+            refused += 1
+            continue
+        got = transition_monoid(d.ts, d.acc, cap)
+        assert {type(p) for p in got[0]} == {bytes if as_bytes else tuple}
+        assert got == want, d
+    assert 0 < refused < 10
 
-    assert len(explore([0], chain, cap=10)[0]) == 10
-    with pytest.raises(ResourceLimitError):
-        explore([0], chain, cap=9)
+
+def test_transition_monoid_cap_is_inclusive():
+    for d in (gen_fig1(), gen_ln(3), gen_random_dba(0, 5, 2)):
+        profiles, ts, states = transition_monoid(d.ts, d.acc, 10_000)
+        size = len(profiles)
+        assert transition_monoid(d.ts, d.acc, size) == (profiles, ts, states)
+        with pytest.raises(ResourceLimitError,
+                           match=f"^more than {size - 1} profiles$"):
+            transition_monoid(d.ts, d.acc, size - 1)
 
 
 def test_short_words_length_then_lex():
@@ -261,6 +300,41 @@ def test_nba_membership_agrees_with_det_view():
                 if v:
                     w = UpWord(u, v)
                     assert member_upword_nba(nba, w) == member_upword_det(d, w)
+
+
+def test_det_to_nba_is_built_once_per_dba():
+    d = gen_fig1()
+    nba = det_to_nba(d)
+    assert det_to_nba(d) is nba
+    # the cached view stays outside ==, hash and repr
+    assert set(vars(d)) > {f.name for f in fields(d)}
+    fresh = gen_fig1()
+    assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+    assert det_to_nba(fresh) == nba and det_to_nba(fresh) is not nba
+    # a refused view caches nothing
+    cobuchi = replace(d, polarity=COBUCHI)
+    with pytest.raises(AutomatonError):
+        det_to_nba(cobuchi)
+    assert set(vars(cobuchi)) == {f.name for f in fields(cobuchi)}
+
+
+def test_learning_is_unchanged_by_the_cached_nba_view(monkeypatch):
+    def learned(d):
+        log = QueryLog(d.ts.alphabet)
+        return learn_limit_fdfa(DbaTeacher(d, log))[0], log.lines
+
+    targets = [gen_fig1()] + [gen_random_dba(seed, 4, 2) for seed in range(4)]
+    cached = [learned(d) for d in targets]
+    built = []
+
+    def rebuilt(d):
+        # a fresh NBA, with no successor table yet, on every call
+        built.append(d)
+        return replace(d._nba)
+
+    monkeypatch.setattr(core_automata, "det_to_nba", rebuilt)
+    assert [learned(d) for d in targets] == cached
+    assert built
 
 
 # --------------------------------------------------------------------------
