@@ -362,13 +362,11 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 def cmd_bench_ln(args: argparse.Namespace) -> int:
     if args.max_n < 1 or args.max_n > 12:
-        print("error: --max-n must be between 1 and 12", file=sys.stderr)
-        return EXIT_INPUT
+        raise ParseError("--max-n must be between 1 and 12")
     flavors = args.flavors.split(",")
     for flavor in flavors:
         if flavor not in FLAVORS:
-            print(f"error: unknown flavor {flavor!r}", file=sys.stderr)
-            return EXIT_INPUT
+            raise ParseError(f"unknown flavor {flavor!r}")
     print("n\tflavor\tleading\tprogress_total\ttotal\tmillis")
     for n in range(1, args.max_n + 1):
         for flavor in flavors:
@@ -382,25 +380,22 @@ def cmd_bench_ln(args: argparse.Namespace) -> int:
 
 
 def cmd_accepts(args: argparse.Namespace) -> int:
+    if args.v == "":
+        raise ParseError("the period must be nonempty")
     text = _read(args.input)
     if _clean_lines(text)[:1] == ["fdfa"]:
-        f = parse_fdfa(text)
-        alphabet = f.leading.alphabet
-        w = UpWord(_parse_word(alphabet, args.u),
-                   _parse_word(alphabet, args.v))
-        member = accepts_upword(f, w)
+        obj = parse_fdfa(text)
+        alphabet, member = obj.leading.alphabet, accepts_upword
     else:
         obj = parse_automaton(text)
         if isinstance(obj, Dfa):
             raise ParseError("membership needs an omega-automaton or FDFA")
-        alphabet = obj.ts.alphabet if isinstance(obj, DetOmega) else obj.alphabet
-        w = UpWord(_parse_word(alphabet, args.u),
-                   _parse_word(alphabet, args.v))
         if isinstance(obj, DetOmega):
-            member = member_upword_det(obj, w)
+            alphabet, member = obj.ts.alphabet, member_upword_det
         else:
-            member = member_upword_nba(obj, w)
-    print("member" if member else "non-member")
+            alphabet, member = obj.alphabet, member_upword_nba
+    w = UpWord(_parse_word(alphabet, args.u), _parse_word(alphabet, args.v))
+    print("member" if member(obj, w) else "non-member")
     return EXIT_OK
 
 
@@ -458,9 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "v", None) == "":
-        print("error: the period must be nonempty", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.func(args)
     except ResourceLimitError as err:

@@ -354,9 +354,8 @@ def member_upword_det(a: DetOmega, w: UpWord) -> bool:
 def member_upword_nba(a: Nba, w: UpWord) -> bool:
     """Decide membership by producting a with the positions of the lasso
     word (u, v): position i reads letter i and moves to i+1, the last one
-    wraps back to the start of v.  Every product state is reachable and no
-    edge is second-marked, so the word is accepted iff an accepting edge
-    joins two states of one SCC."""
+    wraps back to the start of v.  The word is accepted iff the product has
+    a lasso through an accepting edge."""
     letters = (*w.prefix, *w.period)
     m, succ = len(letters), a._succ
     if not all(0 <= letter < a.alphabet.size for letter in letters):
@@ -368,10 +367,8 @@ def member_upword_nba(a: Nba, w: UpWord) -> bool:
         return [(letters[pos], t * m + nxt, marked, False)
                 for t, marked in succ[q][letters[pos]]]
 
-    graph, _ = _product([q * m for q in sorted(a.initials)], moves)
-    comp = _scc_ids([[t for _, t, _, _ in row] for row in graph])
-    return any(accepting and comp[s] == comp[t]
-               for s, row in enumerate(graph) for _, t, accepting, _ in row)
+    return _least_lasso(*_product([q * m for q in sorted(a.initials)],
+                                  moves)) is not None
 
 
 def dfa_product(a: Dfa, b: Dfa, final_rule: Callable[[bool, bool], bool]) -> Dfa:

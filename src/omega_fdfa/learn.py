@@ -4,6 +4,7 @@ analysis, and two teacher realizations."""
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -215,17 +216,21 @@ class FdfaTeacher(_Teacher):
 class _Table:
     """An observation table: rows, the representatives among them, and the
     experiments, with cells given by entry(row, exp).  The leading table and
-    every progress table are instances."""
+    every progress table are instances.
+
+    ``close`` visits the rows once each in length-lex order and evaluates
+    each row's vector once: a row whose vector is new is promoted, and its
+    successors, which sort after it, join the pass.  ``delta``, each
+    representative's successor representatives by letter, is read off the
+    same vectors."""
 
     def __init__(self, nletters: int, exps: list, entry):
         self.nletters = nletters
-        self.rows: list[Word] = [()]
+        self.rows: set[Word] = {()}
         self.reps: list[Word] = [()]
         self.exps = exps
         self.entry = entry
-
-    def vector(self, row: Word) -> tuple[bool, ...]:
-        return tuple(self.entry(row, exp) for exp in self.exps)
+        self.delta: tuple[tuple[int, ...], ...] = ()
 
     def add_exp(self, exp) -> None:
         if exp in self.exps:
@@ -233,41 +238,35 @@ class _Table:
         self.exps.append(exp)
 
     def close(self) -> None:
+        vecs: dict[Word, tuple[bool, ...]] = {}
+
+        def vector(row: Word) -> tuple[bool, ...]:
+            if row not in vecs:
+                vecs[row] = tuple(self.entry(row, exp) for exp in self.exps)
+            return vecs[row]
+
         # progress entries depend on the leading DFA, so representatives
         # promoted before a leading refinement may have collapsed; drop the
         # later duplicates (their rows stay, and closing re-promotes freely).
         # Leading entries are plain membership queries and never collapse.
-        rep_vecs: list[tuple[bool, ...]] = []
-        kept = []
+        reps: dict[tuple[bool, ...], Word] = {}
         for rep in self.reps:
-            vec = self.vector(rep)
-            if vec not in rep_vecs:
-                rep_vecs.append(vec)
-                kept.append(rep)
-        self.reps = kept
-        row_set = set(self.rows)
-        while True:
-            for rep in self.reps:
-                for a in range(self.nletters):
-                    if rep + (a,) not in row_set:
-                        row_set.add(rep + (a,))
-                        self.rows.append(rep + (a,))
-            for row in sorted(self.rows, key=lambda w: (len(w), w)):
-                vec = self.vector(row)
-                if vec not in rep_vecs:
-                    self.reps.append(row)
-                    rep_vecs.append(vec)
-                    break
-            else:
-                return
-
-    def delta(self) -> tuple[tuple[int, ...], ...]:
-        index = {self.vector(r): i for i, r in enumerate(self.reps)}
-        succ = [[self.vector(rep + (a,)) for a in range(self.nletters)]
-                for rep in self.reps]
-        if any(vec not in index for row in succ for vec in row):
-            raise AutomatonError("observation table is not closed")
-        return tuple(tuple(index[vec] for vec in row) for row in succ)
+            reps.setdefault(vector(rep), rep)
+        heap = [(len(w), w) for w in self.rows]
+        heapq.heapify(heap)
+        while heap:
+            _, row = heapq.heappop(heap)
+            if reps.setdefault(vector(row), row) != row:
+                continue
+            for a in range(self.nletters):
+                if row + (a,) not in self.rows:
+                    self.rows.add(row + (a,))
+                    heapq.heappush(heap, (len(row) + 1, row + (a,)))
+        self.reps = list(reps.values())
+        index = {vec: i for i, vec in enumerate(reps)}
+        self.delta = tuple(tuple(index[vecs[rep + (a,)]]
+                                 for a in range(self.nletters))
+                           for rep in self.reps)
 
 
 def _breakpoint(value, n: int) -> int | None:
@@ -328,7 +327,7 @@ class _Session:
         entries depend on it, so every progress table is re-closed."""
         self.lead.close()
         self.leading = DetTS(self.alphabet, len(self.lead.reps), 0,
-                             self.lead.delta())
+                             self.lead.delta)
         for u in self.lead.reps:
             if u not in self.progress:
                 self.progress[u] = _Table(
@@ -340,7 +339,7 @@ class _Session:
         progress = []
         for u in self.lead.reps:
             t = self.progress[u]
-            ts = DetTS(self.alphabet, len(t.reps), 0, t.delta())
+            ts = DetTS(self.alphabet, len(t.reps), 0, t.delta)
             progress.append(Dfa(ts, frozenset(
                 i for i, rep in enumerate(t.reps) if t.entry(rep, ()))))
         return Fdfa(self.leading, tuple(progress),

@@ -1,9 +1,9 @@
 """Test-only helpers over the package's graph algorithms: SCC listing, DFA
-renumbering and isomorphism, a one-pair Rabin emptiness check and a
-transition monoid explored by the generic ``explore``.  Unlike
-``oracles.py`` these reuse the package's own search (``explore``,
-``_scc_ids``, ``_least_lasso``), so they pin its results rather than check
-them independently."""
+renumbering and isomorphism, a one-pair Rabin emptiness check, a
+transition monoid explored by the generic ``explore``, and the learner's
+former restart-scan table closing.  Unlike ``oracles.py`` these reuse the
+package's own search (``explore``, ``_scc_ids``, ``_least_lasso``), so they
+pin its results rather than check them independently."""
 
 from __future__ import annotations
 
@@ -83,3 +83,39 @@ def explored_monoid(ts: DetTS, marks: Collection[tuple[int, int]], cap: int,
 
     profiles, delta = explore([identity], extend)
     return profiles, DetTS(ts.alphabet, len(profiles), 0, tuple(delta)), states
+
+
+def restart_scan_close(table) -> None:
+    """``learn._Table.close`` as it was before the one-pass close: after each
+    promotion, rescan every row in length-lex order from the start,
+    evaluating each row's vector afresh; then recompute every
+    representative's and successor's vector to read off ``delta``."""
+    def vector(row):
+        return tuple(table.entry(row, exp) for exp in table.exps)
+
+    rep_vecs: list[tuple[bool, ...]] = []
+    kept = []
+    for rep in table.reps:
+        vec = vector(rep)
+        if vec not in rep_vecs:
+            rep_vecs.append(vec)
+            kept.append(rep)
+    table.reps = kept
+    while True:
+        for rep in table.reps:
+            for a in range(table.nletters):
+                table.rows.add(rep + (a,))
+        for row in sorted(table.rows, key=lambda w: (len(w), w)):
+            vec = vector(row)
+            if vec not in rep_vecs:
+                table.reps.append(row)
+                rep_vecs.append(vec)
+                break
+        else:
+            break
+    index = {vector(r): i for i, r in enumerate(table.reps)}
+    succ = [[vector(rep + (a,)) for a in range(table.nletters)]
+            for rep in table.reps]
+    if any(vec not in index for row in succ for vec in row):
+        raise AssertionError("observation table is not closed")
+    table.delta = tuple(tuple(index[vec] for vec in row) for row in succ)

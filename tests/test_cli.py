@@ -415,8 +415,11 @@ def test_cmd_bench_ln(cli):
 
 
 def test_cmd_bench_ln_validates_range(cli):
-    assert cli("bench-ln", "--max-n", "13")[0] == 2
-    assert cli("bench-ln", "--flavors", "limit,nope")[0] == 2
+    for max_n in ("0", "13"):
+        assert cli("bench-ln", "--max-n", max_n) == (
+            2, "", "error: --max-n must be between 1 and 12\n")
+    assert cli("bench-ln", "--flavors", "limit,nope") == (
+        2, "", "error: unknown flavor 'nope'\n")
 
 
 def test_cmd_accepts_dba(cli, fig1_file):
@@ -431,8 +434,11 @@ def test_cmd_accepts_fdfa(cli, fig1_fdfa_file, fig5_file):
     assert cli("accepts", fig5_file, "-", "2")[1].strip() == "member"
 
 
-def test_cmd_accepts_rejects_empty_period(cli, fig1_file):
-    assert cli("accepts", fig1_file, "a", "")[0] == 2
+def test_cmd_accepts_rejects_empty_period(cli, fig1_file, tmp_path):
+    refusal = (2, "", "error: the period must be nonempty\n")
+    assert cli("accepts", fig1_file, "a", "") == refusal
+    # refused before the file is read
+    assert cli("accepts", str(tmp_path / "missing.aut"), "a", "") == refusal
 
 
 def test_cmd_accepts_rejects_plain_dfa(cli, tmp_path):
