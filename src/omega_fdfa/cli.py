@@ -340,19 +340,18 @@ def cmd_learn(args: argparse.Namespace) -> int:
     kind, _, path = args.teacher.partition(":")
     if kind == "dba" and path:
         ref = _load_dba(path)
-        log = QueryLog(ref.ts.alphabet) if args.log else None
-        teacher = DbaTeacher(ref, log=log)
+        alphabet, make_teacher = ref.ts.alphabet, DbaTeacher
     elif kind == "fdfa" and path:
-        f = parse_fdfa(_read(path))
-        log = QueryLog(f.leading.alphabet) if args.log else None
-        teacher = FdfaTeacher(f, log=log)
+        ref = parse_fdfa(_read(path))
+        alphabet, make_teacher = ref.leading.alphabet, FdfaTeacher
     else:
         raise ParseError("teacher must be dba:FILE or fdfa:FILE")
+    log = QueryLog(alphabet) if args.log else None
     hypothesis, stats = learn_limit_fdfa(
-        teacher, max_iterations=args.max_iterations)
+        make_teacher(ref, log=log), max_iterations=args.max_iterations)
     if args.out:
         _write_out(format_fdfa(hypothesis), args.out)
-    if args.log and log is not None:
+    if log is not None:
         _write_out("\n".join(log.lines) + "\n", args.log)
     report = size_report(hypothesis)
     print(f"leading={report.leading} progress_total={sum(report.progress)} "

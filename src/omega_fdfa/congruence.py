@@ -293,6 +293,8 @@ def cosafety_vu_dfa(lq: LeadingQuotient, u_class: int) -> Dfa:
     d = lq.ref
     if d.polarity != BUCHI:
         raise AutomatonError("co-safety construction needs a Buchi reference")
+    if not 0 <= u_class < lq.leading.state_count:
+        raise AutomatonError("invalid leading class")
     ts = d.ts
     n = ts.state_count
     comp = _scc_ids([[t for a, t in enumerate(row) if (s, a) not in d.acc]
@@ -307,8 +309,6 @@ def cosafety_vu_dfa(lq: LeadingQuotient, u_class: int) -> Dfa:
         return Dfa(DetTS(ts.alphabet, n + 1, q, delta), frozenset([n]))
 
     members = [s for s in range(n) if lq.class_of[s] == u_class]
-    if not members:
-        raise AutomatonError("invalid leading class")
     result = d_q(members[0])
     for q in members[1:]:
         result = dfa_product(result, d_q(q), lambda x, y: x and y)

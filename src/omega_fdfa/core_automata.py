@@ -337,6 +337,8 @@ def member_upword_det(a: DetOmega, w: UpWord) -> bool:
     """Decide u . v^omega in L(a) by iterating the period until the state
     sequence at period boundaries cycles."""
     s = run_word(a.ts, a.ts.initial, w.prefix)
+    if min(w.period) < 0 or max(w.period) >= a.ts.alphabet.size:
+        raise AlphabetError("word letter outside alphabet")
     seen: dict[int, int] = {}
     flags: list[bool] = []
     while s not in seen:

@@ -3,81 +3,70 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core_automata import (
     AutomatonError,
     BUCHI,
     DetOmega,
     DetTS,
-    Dfa,
     Nba,
-    dfa_product,
+    dfa_product,  # noqa: F401  (fdfabench/spans.py wraps it here)
     explore,
 )
 from .fdfa import Fdfa, RECURRENT, SYNTACTIC, sink_final_state
 
 
-def _component(f: Fdfa, q: int, fstate: int) -> Dfa:
-    """The period recognizer P for leading state q and progress final f:
-    (leading q->q) x (progress init->f) x (progress f->f)."""
-    lead = Dfa(replace(f.leading, initial=q), frozenset([q]))
-    n = f.progress[q]
-    to_final = Dfa(n.ts, frozenset([fstate]))
-    around_final = Dfa(replace(n.ts, initial=fstate), frozenset([fstate]))
-    rule = lambda x, y: x and y
-    return dfa_product(dfa_product(lead, to_final, rule), around_final, rule)
-
-
-def _assemble(f: Fdfa, duplicate: bool) -> tuple[Nba, frozenset[int]]:
-    """Shared NBA/LDBA assembly.  Components realize the omega-power of each
-    period recognizer: transitions entering a final state are redirected to
-    the component's initial state and marked accepting.  With ``duplicate``
-    the original transition is kept as well, which makes the component accept
+def _assemble(f: Fdfa, duplicate: bool) -> Nba:
+    """Shared NBA/LDBA assembly: the leading copy, then one component per
+    leading state q and progress final f, in (q, sorted finals) order.  A
+    component is the period recognizer (leading q->q) x (progress init->f) x
+    (progress f->f), walked breadth-first over such triples from
+    (q, init, f); its only final state is (q, f, f).  Transitions entering
+    it are redirected to the component's initial state and marked accepting,
+    which realizes the recognizer's omega-power.  With ``duplicate`` the
+    original transition is kept as well, which makes the component accept
     the exact omega-power at the price of nondeterminism."""
     m = f.leading
-    nletters = m.alphabet.size
+    lead = m.delta
     trans: set[tuple[int, int, int]] = set()
     acc: set[tuple[int, int, int]] = set()
-    for s in range(m.state_count):
-        for a in range(nletters):
-            trans.add((s, a, m.delta[s][a]))
-
     offset = m.state_count
-    comp_inits: dict[int, list[int]] = {q: [] for q in range(m.state_count)}
-    for q in range(m.state_count):
-        for fstate in sorted(f.progress[q].finals):
-            p = _component(f, q, fstate)
-            base = offset
-            offset += p.ts.state_count
-            init = base + p.ts.initial
-            comp_inits[q].append(init)
-            for s in range(p.ts.state_count):
-                for a in range(nletters):
-                    t = p.ts.delta[s][a]
-                    if t in p.finals:
-                        trans.add((base + s, a, init))
-                        acc.add((base + s, a, init))
-                        if duplicate and base + t != init:
-                            trans.add((base + s, a, base + t))
-                    else:
-                        trans.add((base + s, a, base + t))
+    comp_inits: list[list[int]] = [[] for _ in range(m.state_count)]
+    for q, p in enumerate(f.progress):
+        prog = p.ts.delta
+        for fstate in sorted(p.finals):
+            triples, rows = explore(
+                [(q, p.ts.initial, fstate)],
+                lambda x: zip(lead[x[0]], prog[x[1]], prog[x[2]]))
+            final = (q, fstate, fstate)
+            base = offset  # the component's initial state, triple 0
+            offset += len(triples)
+            comp_inits[q].append(base)
+            for s, row in enumerate(rows, base):
+                for a, t in enumerate(row):
+                    if triples[t] == final:
+                        trans.add((s, a, base))
+                        acc.add((s, a, base))
+                        if not duplicate:
+                            continue
+                    trans.add((s, a, base + t))
 
-    # jumps from the leading copy into the components, without epsilon moves
-    for s in range(m.state_count):
-        for a in range(nletters):
-            for init in comp_inits[m.delta[s][a]]:
+    # the leading copy, which also jumps into the components of each target,
+    # without epsilon moves
+    for s, row in enumerate(lead):
+        for a, t in enumerate(row):
+            trans.add((s, a, t))
+            for init in comp_inits[t]:
                 trans.add((s, a, init))
     initials = frozenset([m.initial] + comp_inits[m.initial])
-    nba = Nba(m.alphabet, offset, initials, frozenset(trans), frozenset(acc))
-    return nba, frozenset(range(m.state_count))
+    return Nba(m.alphabet, offset, initials, frozenset(trans), frozenset(acc))
 
 
 def fdfa_to_nba(f: Fdfa) -> Nba:
     """NBA for the union over leading states q and progress finals f of
     L(leading to q) . (period recognizer)^omega."""
-    nba, _ = _assemble(f, duplicate=True)
-    return nba
+    return _assemble(f, duplicate=True)
 
 
 @dataclass(frozen=True)
@@ -91,8 +80,8 @@ class Ldba:
 
 
 def fdfa_to_ldba(f: Fdfa) -> Ldba:
-    nba, leading_states = _assemble(f, duplicate=False)
-    return Ldba(nba, leading_states)
+    return Ldba(_assemble(f, duplicate=False),
+                frozenset(range(f.leading.state_count)))
 
 
 def fdfa_to_dba(f: Fdfa) -> DetOmega:

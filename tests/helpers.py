@@ -1,20 +1,23 @@
 """Test-only helpers over the package's graph algorithms: SCC listing, DFA
 renumbering and isomorphism, a one-pair Rabin emptiness check, a
-transition monoid explored by the generic ``explore``, and the learner's
-former restart-scan table closing.  Unlike ``oracles.py`` these reuse the
+transition monoid explored by the generic ``explore``, the learner's
+former restart-scan table closing, and the former nested-product assembly
+of the Buchi translations.  Unlike ``oracles.py`` these reuse the
 package's own search (``explore``, ``_scc_ids``, ``_least_lasso``), so they
 pin its results rather than check them independently."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Collection, Iterable, Sequence
 
-from omega_fdfa import DetTS, Dfa, Lasso, Nba, ResourceLimitError
+from omega_fdfa import DetTS, Dfa, Fdfa, Lasso, Nba, ResourceLimitError
 from omega_fdfa.core_automata import (
     Edge,
     Monoid,
     _least_lasso,
     _scc_ids,
+    dfa_product,
     explore,
 )
 
@@ -119,3 +122,53 @@ def restart_scan_close(table) -> None:
     if any(vec not in index for row in succ for vec in row):
         raise AssertionError("observation table is not closed")
     table.delta = tuple(tuple(index[vec] for vec in row) for row in succ)
+
+
+def nested_product_nba(f: Fdfa, duplicate: bool) -> Nba:
+    """``translate._assemble`` as it was before the one-walk period
+    recognizers: each component is the product DFA (leading q->q) x
+    (progress init->f) x (progress f->f), built by two nested
+    ``dfa_product`` calls, and its finals are read off that product."""
+    def component(q: int, fstate: int) -> Dfa:
+        lead = Dfa(replace(f.leading, initial=q), frozenset([q]))
+        n = f.progress[q]
+        to_final = Dfa(n.ts, frozenset([fstate]))
+        around_final = Dfa(replace(n.ts, initial=fstate), frozenset([fstate]))
+        rule = lambda x, y: x and y
+        return dfa_product(dfa_product(lead, to_final, rule), around_final,
+                           rule)
+
+    m = f.leading
+    nletters = m.alphabet.size
+    trans: set[tuple[int, int, int]] = set()
+    acc: set[tuple[int, int, int]] = set()
+    for s in range(m.state_count):
+        for a in range(nletters):
+            trans.add((s, a, m.delta[s][a]))
+
+    offset = m.state_count
+    comp_inits: dict[int, list[int]] = {q: [] for q in range(m.state_count)}
+    for q in range(m.state_count):
+        for fstate in sorted(f.progress[q].finals):
+            p = component(q, fstate)
+            base = offset
+            offset += p.ts.state_count
+            init = base + p.ts.initial
+            comp_inits[q].append(init)
+            for s in range(p.ts.state_count):
+                for a in range(nletters):
+                    t = p.ts.delta[s][a]
+                    if t in p.finals:
+                        trans.add((base + s, a, init))
+                        acc.add((base + s, a, init))
+                        if duplicate and base + t != init:
+                            trans.add((base + s, a, base + t))
+                    else:
+                        trans.add((base + s, a, base + t))
+
+    for s in range(m.state_count):
+        for a in range(nletters):
+            for init in comp_inits[m.delta[s][a]]:
+                trans.add((s, a, init))
+    initials = frozenset([m.initial] + comp_inits[m.initial])
+    return Nba(m.alphabet, offset, initials, frozenset(trans), frozenset(acc))

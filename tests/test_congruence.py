@@ -592,6 +592,13 @@ def test_cosafety_matches_limit_sink_class():
                                   Dfa(lim.ts, frozenset([sink])))
     with pytest.raises(AutomatonError):
         cosafety_vu_dfa(compute_leading(gen_fig1()), 17)
+    # rooted at state 1, fig1 cannot reach state 0, whose class_of entry is
+    # -1; class -1 is still no leading class
+    d = gen_fig1()
+    lq = compute_leading(replace(d, ts=replace(d.ts, initial=1)))
+    assert lq.class_of[0] == -1
+    with pytest.raises(AutomatonError, match="invalid leading class"):
+        cosafety_vu_dfa(lq, -1)
 
 
 def test_build_canonical_fdfa_records_flavor(fig1):

@@ -291,6 +291,14 @@ def test_nba_membership_rejects_letters_outside_the_alphabet():
             member_upword_nba(nba, UpWord((0,), (letter,)))
 
 
+def test_det_membership_rejects_period_letters_outside_the_alphabet():
+    # -1 would otherwise read as the last letter, and a.b^omega is in fig1
+    d = gen_fig1()
+    for letter in (-1, 2, 5):
+        with pytest.raises(AlphabetError):
+            member_upword_det(d, UpWord((0,), (letter,)))
+
+
 def test_nba_membership_agrees_with_det_view():
     for seed in range(8):
         d = gen_random_dba(seed, 3, 2)

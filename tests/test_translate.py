@@ -22,6 +22,7 @@ from omega_fdfa import (
     gen_fig1,
     gen_fig5_fdfa,
     gen_ln,
+    gen_random_dba,
     gen_sigma_star_aa,
     member_upword_det,
     member_upword_nba,
@@ -31,7 +32,7 @@ from omega_fdfa import (
 )
 from omega_fdfa.core_automata import det_to_nba
 
-from helpers import one_pair_rabin_empty
+from helpers import nested_product_nba, one_pair_rabin_empty
 from oracles import words_upto
 
 ZOO = [gen_fig1(), gen_sigma_star_aa(), gen_ln(1), gen_ln(2)]
@@ -138,3 +139,36 @@ def test_nba_accepts_fig5_patterns():
     assert member_upword_nba(nba, UpWord((), (0, 3)))     # (14)^omega
     assert not member_upword_nba(nba, UpWord((), (2,)))   # 3^omega
     assert not member_upword_nba(nba, UpWord((3,), (2,)))  # 4.3^omega
+
+
+def _parity_families():
+    """The zoo and fig5, and seeded random DBAs, in every flavor, with their
+    complements and (for limit families with sink finals) their F_b
+    restrictions."""
+    refs = ZOO + [gen_ln(3)] + [gen_random_dba(seed, 2 + seed % 5,
+                                               1 + seed % 2)
+                                for seed in range(60)]
+    yield gen_fig5_fdfa()
+    for d in refs:
+        for flavor in FLAVORS:
+            yield build_canonical_fdfa(d, flavor)
+
+
+def test_one_walk_components_equal_nested_products():
+    # the one-walk period recognizers number every state as the former
+    # nested DFA products did, so both translations are unchanged
+    checked = 0
+    for f in _parity_families():
+        family = [f, complement_finals(f)]
+        try:
+            family.append(extract_fb(f))
+        except AutomatonError:
+            pass  # not limit, or a progress DFA without a sink final
+        for g in family:
+            assert fdfa_to_nba(g) == nested_product_nba(g, True)
+            ldba = fdfa_to_ldba(g)
+            assert ldba.nba == nested_product_nba(g, False)
+            assert ldba.jump_sources == frozenset(
+                range(g.leading.state_count))
+            checked += 1
+    assert checked > 400
