@@ -356,8 +356,8 @@ def member_upword_det(a: DetOmega, w: UpWord) -> bool:
 def member_upword_nba(a: Nba, w: UpWord) -> bool:
     """Decide membership by producting a with the positions of the lasso
     word (u, v): position i reads letter i and moves to i+1, the last one
-    wraps back to the start of v.  The word is accepted iff the product has
-    a lasso through an accepting edge."""
+    wraps back to the start of v.  Every product state is reachable, so the
+    word is accepted iff an accepting edge of the product lies on a cycle."""
     letters = (*w.prefix, *w.period)
     m, succ = len(letters), a._succ
     if not all(0 <= letter < a.alphabet.size for letter in letters):
@@ -369,8 +369,8 @@ def member_upword_nba(a: Nba, w: UpWord) -> bool:
         return [(letters[pos], t * m + nxt, marked, False)
                 for t, marked in succ[q][letters[pos]]]
 
-    return _least_lasso(*_product([q * m for q in sorted(a.initials)],
-                                  moves)) is not None
+    graph, _ = _product([q * m for q in sorted(a.initials)], moves)
+    return bool(_loop_edges(graph)[1])
 
 
 def dfa_product(a: Dfa, b: Dfa, final_rule: Callable[[bool, bool], bool]) -> Dfa:
@@ -499,6 +499,18 @@ def _bfs_words(graph: Sequence[Sequence[Edge]], sources: Iterable[int],
     return words
 
 
+def _loop_edges(graph: Sequence[Sequence[Edge]]
+                ) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The SCC ids of the graph of unmarked edges, and the accepting,
+    unmarked edges s -l-> t inside an SCC of it, as (s, l, t) in row order.
+    ``graph[s]`` lists s's edges."""
+    comp = _scc_ids([[t for _, t, _, second in row if not second]
+                     for row in graph])
+    return comp, [(s, l, t) for s, row in enumerate(graph)
+                  for l, t, accepting, second in row
+                  if accepting and not second and comp[s] == comp[t]]
+
+
 def _least_lasso(graph: Sequence[Sequence[Edge]],
                  roots: Iterable[int]) -> Lasso | None:
     """The least lasso from ``roots`` whose loop takes an accepting edge and
@@ -510,11 +522,7 @@ def _least_lasso(graph: Sequence[Sequence[Edge]],
     its loop is l and then the breadth-first word from t back to s within
     that SCC.  Candidates are compared by (total length, stem length, stem,
     loop)."""
-    comp = _scc_ids([[t for _, t, _, second in row if not second]
-                     for row in graph])
-    loops = [(s, l, t) for s, row in enumerate(graph)
-             for l, t, accepting, second in row
-             if accepting and not second and comp[s] == comp[t]]
+    comp, loops = _loop_edges(graph)
     if not loops:
         return None
     stems = _bfs_words(graph, roots)

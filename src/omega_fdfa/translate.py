@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .core_automata import (
     AutomatonError,
@@ -26,7 +27,13 @@ def _assemble(f: Fdfa, duplicate: bool) -> Nba:
     it are redirected to the component's initial state and marked accepting,
     which realizes the recognizer's omega-power.  With ``duplicate`` the
     original transition is kept as well, which makes the component accept
-    the exact omega-power at the price of nondeterminism."""
+    the exact omega-power at the price of nondeterminism.
+
+    Components are trimmed to their useful triples, those from which an
+    edge into (q, f, f) is reachable; the rest could never take an accepting
+    edge.  The kept triples keep their breadth-first order, and a component
+    whose initial triple is not kept is left out with the leading copy's
+    jumps into it."""
     m = f.leading
     lead = m.delta
     trans: set[tuple[int, int, int]] = set()
@@ -40,17 +47,33 @@ def _assemble(f: Fdfa, duplicate: bool) -> Nba:
                 [(q, p.ts.initial, fstate)],
                 lambda x: zip(lead[x[0]], prog[x[1]], prog[x[2]]))
             final = (q, fstate, fstate)
+            preds: list[list[int]] = [[] for _ in rows]
+            for s, row in enumerate(rows):
+                for t in row:
+                    preds[t].append(s)
+            useful = [False] * len(rows)
+            stack = [s for t, x in enumerate(triples) if x == final
+                     for s in preds[t]]
+            while stack:
+                s = stack.pop()
+                if not useful[s]:
+                    useful[s] = True
+                    stack += preds[s]
+            if not useful[0]:
+                continue  # the component could never take an accepting edge
             base = offset  # the component's initial state, triple 0
-            offset += len(triples)
+            ids = dict(zip(compress(range(len(rows)), useful), count(base)))
+            offset += len(ids)
             comp_inits[q].append(base)
-            for s, row in enumerate(rows, base):
-                for a, t in enumerate(row):
+            for s, i in ids.items():
+                for a, t in enumerate(rows[s]):
                     if triples[t] == final:
-                        trans.add((s, a, base))
-                        acc.add((s, a, base))
+                        trans.add((i, a, base))
+                        acc.add((i, a, base))
                         if not duplicate:
                             continue
-                    trans.add((s, a, base + t))
+                    if t in ids:
+                        trans.add((i, a, ids[t]))
 
     # the leading copy, which also jumps into the components of each target,
     # without epsilon moves

@@ -1,10 +1,11 @@
 """Test-only helpers over the package's graph algorithms: SCC listing, DFA
 renumbering and isomorphism, a one-pair Rabin emptiness check, a
 transition monoid explored by the generic ``explore``, the learner's
-former restart-scan table closing, and the former nested-product assembly
-of the Buchi translations.  Unlike ``oracles.py`` these reuse the
-package's own search (``explore``, ``_scc_ids``, ``_least_lasso``), so they
-pin its results rather than check them independently."""
+former restart-scan table closing, the former nested-product assembly of
+the Buchi translations and a trim of its useless component states.  Unlike
+``oracles.py`` most of these reuse the package's own search (``explore``,
+``_scc_ids``, ``_least_lasso``), so they pin its results rather than check
+them independently."""
 
 from __future__ import annotations
 
@@ -172,3 +173,30 @@ def nested_product_nba(f: Fdfa, duplicate: bool) -> Nba:
                 trans.add((s, a, init))
     initials = frozenset([m.initial] + comp_inits[m.initial])
     return Nba(m.alphabet, offset, initials, frozenset(trans), frozenset(acc))
+
+
+def trim_useless(a: Nba, kept: int) -> Nba:
+    """a without its states from ``kept`` on that reach no accepting
+    transition, found by a backward search over a's own transitions; the
+    remaining states keep their order, and a's transitions between them and
+    its initial states among them are renumbered to match."""
+    preds: dict[int, set[int]] = {}
+    for s, _, t in a.trans:
+        preds.setdefault(t, set()).add(s)
+    useful = {s for s, _, _ in a.acc}
+    todo = list(useful)
+    while todo:
+        for s in preds.get(todo.pop(), ()):
+            if s not in useful:
+                useful.add(s)
+                todo.append(s)
+    new = {s: i for i, s in enumerate(
+        s for s in range(a.state_count) if s < kept or s in useful)}
+
+    def renumber(trans):
+        return frozenset((new[s], letter, new[t]) for s, letter, t in trans
+                         if s in new and t in new)
+
+    return Nba(a.alphabet, len(new),
+               frozenset(new[s] for s in a.initials if s in new),
+               renumber(a.trans), renumber(a.acc))

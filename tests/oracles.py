@@ -53,10 +53,13 @@ def naive_nba_member(a: Nba, w: UpWord) -> bool:
     u and everything they reach by whole periods, some p has a step p -> q
     that takes an accepting transition and q leads back to p."""
 
+    targets: dict[tuple[int, int], list[int]] = {}
+    for s, letter, t in a.trans:
+        targets.setdefault((s, letter), []).append(t)
+
     def step(pairs: set, letter: int) -> set:
         return {(t, hit or (s, letter, t) in a.acc)
-                for s, hit in pairs for s2, l, t in a.trans
-                if s2 == s and l == letter}
+                for s, hit in pairs for t in targets.get((s, letter), ())}
 
     now = {(q, False) for q in a.initials}
     for letter in w.prefix:

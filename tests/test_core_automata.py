@@ -461,6 +461,18 @@ def _random_nba(rng, states):
     return Nba(AB, states, initials or frozenset([0]), trans, acc)
 
 
+def test_nba_membership_agrees_with_the_naive_oracle():
+    # member_upword_nba only asks whether an accepting edge of the word's
+    # product lies on a cycle; the step-relation oracle must agree
+    rng = random.Random(19)
+    words = [UpWord(u, v) for u in words_upto(2, 3)
+             for v in words_upto(2, 3) if v]
+    for _ in range(60):
+        a = _random_nba(rng, rng.randint(1, 6))
+        assert all(member_upword_nba(a, w) == naive_nba_member(a, w)
+                   for w in words)
+
+
 def _engine_nbas(rng):
     nbas = [_random_nba(rng, rng.randint(1, 4)) for _ in range(24)]
     nbas += [fdfa_to_nba(build_canonical_fdfa(gen_random_dba(seed, 4, 2),

@@ -32,8 +32,8 @@ from omega_fdfa import (
 )
 from omega_fdfa.core_automata import det_to_nba
 
-from helpers import nested_product_nba, one_pair_rabin_empty
-from oracles import words_upto
+from helpers import nested_product_nba, one_pair_rabin_empty, trim_useless
+from oracles import naive_nba_member, words_upto
 
 ZOO = [gen_fig1(), gen_sigma_star_aa(), gen_ln(1), gen_ln(2)]
 
@@ -155,8 +155,9 @@ def _parity_families():
 
 
 def test_one_walk_components_equal_nested_products():
-    # the one-walk period recognizers number every state as the former
-    # nested DFA products did, so both translations are unchanged
+    # the one-walk period recognizers, trimmed to useful states, number
+    # every state as the former nested DFA products do once their useless
+    # component states are removed
     checked = 0
     for f in _parity_families():
         family = [f, complement_finals(f)]
@@ -165,10 +166,72 @@ def test_one_walk_components_equal_nested_products():
         except AutomatonError:
             pass  # not limit, or a progress DFA without a sink final
         for g in family:
-            assert fdfa_to_nba(g) == nested_product_nba(g, True)
+            lead = g.leading.state_count
+            assert fdfa_to_nba(g) == trim_useless(
+                nested_product_nba(g, True), lead)
             ldba = fdfa_to_ldba(g)
-            assert ldba.nba == nested_product_nba(g, False)
+            assert ldba.nba == trim_useless(nested_product_nba(g, False), lead)
             assert ldba.jump_sources == frozenset(
                 range(g.leading.state_count))
             checked += 1
     assert checked > 400
+
+
+def _omega_words(nletters, bound):
+    """One UpWord u . v^omega for each omega-word with such a lasso, |u| +
+    |v| <= bound: v is cut to its primitive root and u's last letters are
+    rotated into v, which leaves the word unchanged."""
+    out = set()
+    for u in words_upto(nletters, bound - 1):
+        for v in words_upto(nletters, bound - len(u)):
+            if not v:
+                continue
+            root = next(v[:n] for n in range(1, len(v) + 1)
+                        if v[:n] * (len(v) // n) == v)
+            while u and u[-1] == root[-1]:
+                u, root = u[:-1], root[-1:] + root[:-1]
+            out.add((u, root))
+    return [UpWord(u, v) for u, v in sorted(out)]
+
+
+def _reaches_acceptance(nba, s):
+    """Whether a path from s takes an accepting transition, by a forward
+    search."""
+    seen, todo = {s}, [s]
+    while todo:
+        x = todo.pop()
+        for tr in nba.trans:
+            if tr[0] == x:
+                if tr in nba.acc:
+                    return True
+                if tr[2] not in seen:
+                    seen.add(tr[2])
+                    todo.append(tr[2])
+    return False
+
+
+def test_trimmed_components_are_useful_and_keep_the_language():
+    # every component state can still take an accepting edge, the LDBA's
+    # components stay deterministic, and both translations accept exactly
+    # the UP-words with |u| + |v| <= 6 that the untrimmed assembly accepts
+    refs = [gen_fig1(), gen_sigma_star_aa(), gen_ln(1)] + [
+        gen_random_dba(seed, 2 + seed % 3, 2) for seed in range(8)]
+    for d in refs:
+        words = _omega_words(d.ts.alphabet.size, 6)
+        for flavor in FLAVORS:
+            f = build_canonical_fdfa(d, flavor)
+            for g in (f, complement_finals(f)):
+                lead = g.leading.state_count
+                nba, ldba = fdfa_to_nba(g), fdfa_to_ldba(g)
+                for a, dup in ((nba, True), (ldba.nba, False)):
+                    assert all(_reaches_acceptance(a, s)
+                               for s in range(lead, a.state_count))
+                    untrimmed = nested_product_nba(g, dup)
+                    for w in words:
+                        assert naive_nba_member(a, w) \
+                            == naive_nba_member(untrimmed, w)
+                targets = {}
+                for s, letter, t in ldba.nba.trans:
+                    if s not in ldba.jump_sources:
+                        targets.setdefault((s, letter), set()).add(t)
+                assert all(len(ts) == 1 for ts in targets.values())
