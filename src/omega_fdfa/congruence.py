@@ -14,13 +14,19 @@ only, and its profiles are bytes when at most 128 states are reachable.
 Each flavor then computes only the finalities it reads.  Periodic alone
 builds, per profile, the vector of classes from whose representative the
 profile's omega-power is accepted.  Limit walks only the representatives
-that a profile returns into their own class: every other class finds the
-profile final.  For each of the two, one partition refinement of the monoid
-by those finalities gives the coarsest right congruence respecting every
-class's final profiles, and each class's progress DFA is minimized on this
-shared quotient with its own finals.  The quotient is often far smaller
-than the monoid (tens of blocks where it has thousands of profiles), but
-where the classes' finals are unrelated it can be nearly as large.
+that a profile returns into their own class (every other class finds the
+profile final), in one flat loop per profile, ``_limit_labels``: each run
+goes to its first repeated state and once around its cycle.  For each of
+the two, one partition refinement of the monoid by those finalities gives
+the coarsest right congruence respecting every class's final profiles, and
+each class's progress DFA is minimized on this shared quotient with its own
+finals.  The refinement (``core_automata._refine``, the column-wise Moore
+rounds that ``coarsest_quotient`` also runs) takes the monoid's own rows as
+they are: ``transition_monoid`` numbers them breadth-first with every
+profile reachable, so the monoid is not walked a second time.  The quotient
+is often far smaller than the monoid (tens of blocks where it has thousands
+of profiles), but where the classes' finals are unrelated it can be nearly
+as large.
 Syntactic and recurrent need no quotient of their own: on nonempty periods
 both are limit_u intersected with C_u = {v : u . v ~ u}, the product of the
 leading TS rooted at u with the limit DFA, and recurrent is that product
@@ -46,6 +52,7 @@ from .core_automata import (
     Monoid,
     ResourceLimitError,
     Word,
+    _refine,
     _scc_ids,
     coarsest_quotient,
     dba_equiv_table,
@@ -224,11 +231,57 @@ def _epsilon_joins_accepted_returns(d: Dfa) -> Dfa:
     return Dfa(new_ts, d.finals | {iota})
 
 
+def _limit_labels(profiles: Sequence[Sequence[int]], reps: Sequence[int],
+                  class_of: Sequence[int]) -> tuple[list[int], list[int]]:
+    """For each profile, the id of the set of leading classes for which it is
+    not limit-final, and those sets by id, as bit masks over the classes.
+    ``reps`` are the classes' representatives and ``class_of`` the class of
+    each entry, both in profile-entry order (see _by_entry).
+
+    z is final for u unless it returns u's representative r into u's class
+    and z^omega is rejected from r, so only the returning representatives
+    are walked: from r until the first repeated state, which lies on the
+    run's cycle, and then once around that cycle, or-ing its entries'
+    bits."""
+    ids: dict[int, int] = {}
+    labels: list[int] = []
+    put = labels.append
+    pairs = list(enumerate(reps))
+    # seen[s] == mark iff the current walk has visited s
+    seen = [0] * len(class_of)
+    mark = 0
+    for p in profiles:
+        rejects = 0
+        for u, r in pairs:
+            s = p[r] >> 1
+            if class_of[s] != u:
+                continue
+            mark += 1
+            seen[r] = mark
+            while seen[s] != mark:
+                seen[s] = mark
+                s = p[s] >> 1
+            bits = p[s]
+            t = bits >> 1
+            while t != s:
+                e = p[t]
+                bits |= e
+                t = e >> 1
+            if not bits & 1:
+                rejects |= 1 << u
+        i = ids.get(rejects)
+        if i is None:
+            i = ids[rejects] = len(ids)
+        put(i)
+    return labels, list(ids)
+
+
 def _shared_quotient(lq: LeadingQuotient, flavor: str) -> Quotient:
     """The profile TS of lq's reference quotiented by the coarsest right
     congruence that respects, for every leading class u, the flavor's
     (periodic or limit) final profiles of u, and the final blocks of each
     class.  Built once per flavor on lq, through its cached properties."""
+    classes = range(len(lq.reps))
     if flavor == PERIODIC:
         # class 0's profile DFA explores the monoid and the acceptance
         # vectors that every class's finals come from
@@ -236,24 +289,15 @@ def _shared_quotient(lq: LeadingQuotient, flavor: str) -> Quotient:
         labels, vectors = lq._accepts
     else:
         profiles, ts, states = lq._monoid
-        reps, class_of = _by_entry(lq, states)
-
-        def rejected(p: Sequence[int]) -> tuple[int, ...]:
-            # z is final for u unless it returns u's representative into u's
-            # class and z^omega is rejected from there, so only the returning
-            # representatives are walked
-            back = [u for u, r in enumerate(reps) if class_of[p[r] >> 1] == u]
-            accepts = _omega_accepts(p, [reps[u] for u in back])
-            return tuple([u for u, a in zip(back, accepts) if not a])
-
-        ids: dict[tuple[int, ...], int] = {}
-        labels = [ids.setdefault(rejected(p), len(ids)) for p in profiles]
-        vectors = [tuple(u not in rejects for u in range(len(reps)))
-                   for rejects in ids]
-    blocks, quotient = coarsest_quotient(ts, labels.__getitem__)
+        labels, masks = _limit_labels(profiles, *_by_entry(lq, states))
+        vectors = [tuple([not mask >> u & 1 for u in classes])
+                   for mask in masks]
+    # the monoid is numbered breadth-first with every profile reachable, so
+    # its own rows are refined without walking it again
+    blocks, quotient = _refine(ts.alphabet, ts.delta, labels)
     finals = tuple(frozenset(b for b, i in enumerate(blocks)
                              if vectors[labels[i]][u])
-                   for u in range(len(lq.reps)))
+                   for u in classes)
     return quotient, finals
 
 

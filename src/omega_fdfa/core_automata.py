@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import count
 from typing import Callable, Collection, Hashable, Iterable, Sequence, TypeVar
 
 Word = tuple[int, ...]
@@ -398,26 +399,37 @@ def coarsest_quotient(ts: DetTS,
     breadth-first order of ts, which is the quotient's own breadth-first
     order: the quotient is already numbered in breadth-first order."""
     order, rows = explore([ts.initial], ts.delta.__getitem__)
-    ids: dict[Hashable, int] = {}
-    block = [ids.setdefault(label(s), len(ids)) for s in order]
-    nblocks = len(ids)
+    reps, quotient = _refine(ts.alphabet, rows, list(map(label, order)))
+    return [order[i] for i in reps], quotient
+
+
+def _refine(alphabet: Alphabet, rows: Sequence[Sequence[int]],
+            labels: Sequence[Hashable]) -> tuple[list[int], DetTS]:
+    """``coarsest_quotient`` of a TS whose states are all reachable and
+    numbered breadth-first from state 0, given as its ``rows`` and each
+    state's label.
+
+    Each round keys every state by its block and its successors' blocks,
+    one letter's column at a time, and renumbers the keys by first
+    appearance, which keeps blocks numbered by their least state."""
+    rank = dict(zip(dict.fromkeys(labels), count()))
+    block = list(map(rank.__getitem__, labels))
+    nblocks = len(rank)
+    cols = list(zip(*rows))
     while True:
-        sigs: dict[tuple[int, ...], int] = {}
-        block = [sigs.setdefault((b, *map(block.__getitem__, row)),
-                                 len(sigs))
-                 for b, row in zip(block, rows)]
+        keys = list(zip(block, *(map(block.__getitem__, col)
+                                 for col in cols)))
+        rank = dict(zip(dict.fromkeys(keys), count()))
         # blocks only ever split, so an unchanged count means stable
-        if len(sigs) == nblocks:
+        if len(rank) == nblocks:
             break
-        nblocks = len(sigs)
-    rep = [-1] * nblocks
-    for i in range(len(order)):
-        if rep[block[i]] < 0:
-            rep[block[i]] = i
-    delta = tuple(tuple(block[t] for t in rows[rep[b]])
-                  for b in range(nblocks))
-    return ([order[i] for i in rep],
-            DetTS(ts.alphabet, nblocks, block[0], delta))
+        block = list(map(rank.__getitem__, keys))
+        nblocks = len(rank)
+    # the least state of each block, in block order
+    reps = sorted(dict(zip(reversed(block), reversed(range(len(block)))))
+                  .values())
+    delta = tuple(tuple(map(block.__getitem__, rows[r])) for r in reps)
+    return reps, DetTS(alphabet, nblocks, 0, delta)
 
 
 def dfa_minimize(a: Dfa) -> Dfa:

@@ -31,9 +31,11 @@ def _assemble(f: Fdfa, duplicate: bool) -> Nba:
 
     Components are trimmed to their useful triples, those from which an
     edge into (q, f, f) is reachable; the rest could never take an accepting
-    edge.  The kept triples keep their breadth-first order, and a component
-    whose initial triple is not kept is left out with the leading copy's
-    jumps into it."""
+    edge.  Without ``duplicate`` no transition enters (q, f, f) unless it is
+    the initial triple, so there a component keeps only the useful triples
+    that its initial triple reaches.  The kept triples keep their
+    breadth-first order, and a component whose initial triple is not kept
+    is left out with the leading copy's jumps into it."""
     m = f.leading
     lead = m.delta
     trans: set[tuple[int, int, int]] = set()
@@ -61,6 +63,17 @@ def _assemble(f: Fdfa, duplicate: bool) -> Nba:
                     stack += preds[s]
             if not useful[0]:
                 continue  # the component could never take an accepting edge
+            if not duplicate:
+                # no edge enters (q, f, f) unless it is the start, so only
+                # the useful triples the start reaches without it are kept
+                kept, stack = [False] * len(rows), [0]
+                kept[0] = True
+                while stack:
+                    for t in rows[stack.pop()]:
+                        if useful[t] and not kept[t] and triples[t] != final:
+                            kept[t] = True
+                            stack.append(t)
+                useful = kept
             base = offset  # the component's initial state, triple 0
             ids = dict(zip(compress(range(len(rows)), useful), count(base)))
             offset += len(ids)

@@ -2,7 +2,8 @@
 renumbering and isomorphism, a one-pair Rabin emptiness check, a
 transition monoid explored by the generic ``explore``, the learner's
 former restart-scan table closing, the former nested-product assembly of
-the Buchi translations and a trim of its useless component states.  Unlike
+the Buchi translations and a trim of its useless component states, and
+the former round-by-round partition refinement.  Unlike
 ``oracles.py`` most of these reuse the package's own search (``explore``,
 ``_scc_ids``, ``_least_lasso``), so they pin its results rather than check
 them independently."""
@@ -10,7 +11,7 @@ them independently."""
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Sequence
 
 from omega_fdfa import DetTS, Dfa, Fdfa, Lasso, Nba, ResourceLimitError
 from omega_fdfa.core_automata import (
@@ -177,21 +178,30 @@ def nested_product_nba(f: Fdfa, duplicate: bool) -> Nba:
 
 def trim_useless(a: Nba, kept: int) -> Nba:
     """a without its states from ``kept`` on that reach no accepting
-    transition, found by a backward search over a's own transitions; the
-    remaining states keep their order, and a's transitions between them and
-    its initial states among them are renumbered to match."""
-    preds: dict[int, set[int]] = {}
-    for s, _, t in a.trans:
-        preds.setdefault(t, set()).add(s)
-    useful = {s for s, _, _ in a.acc}
-    todo = list(useful)
-    while todo:
-        for s in preds.get(todo.pop(), ()):
-            if s not in useful:
-                useful.add(s)
-                todo.append(s)
+    transition or that no initial state reaches, found by a backward and a
+    forward search over a's own transitions; the remaining states keep their
+    order, and a's transitions between them and its initial states among
+    them are renumbered to match."""
+    def closure(start: Iterable[int], edges: Iterable[tuple[int, int]]
+                ) -> set[int]:
+        succ: dict[int, set[int]] = {}
+        for s, t in edges:
+            succ.setdefault(s, set()).add(t)
+        seen = set(start)
+        todo = list(seen)
+        while todo:
+            for t in succ.get(todo.pop(), ()):
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        return seen
+
+    useful = closure((s for s, _, _ in a.acc),
+                     ((t, s) for s, _, t in a.trans))
+    reached = closure(a.initials, ((s, t) for s, _, t in a.trans))
     new = {s: i for i, s in enumerate(
-        s for s in range(a.state_count) if s < kept or s in useful)}
+        s for s in range(a.state_count)
+        if s < kept or s in useful and s in reached)}
 
     def renumber(trans):
         return frozenset((new[s], letter, new[t]) for s, letter, t in trans
@@ -200,3 +210,31 @@ def trim_useless(a: Nba, kept: int) -> Nba:
     return Nba(a.alphabet, len(new),
                frozenset(new[s] for s in a.initials if s in new),
                renumber(a.trans), renumber(a.acc))
+
+
+def moore_quotient(ts: DetTS, label: Callable[[int], Hashable]
+                   ) -> tuple[list[int], DetTS]:
+    """``core_automata.coarsest_quotient`` as it was before the column-wise
+    rounds: each round keys every state by the tuple of its block and its
+    successors' blocks, built per state, and renumbers the keys in
+    breadth-first order as they first appear."""
+    order, rows = explore([ts.initial], ts.delta.__getitem__)
+    ids: dict[Hashable, int] = {}
+    block = [ids.setdefault(label(s), len(ids)) for s in order]
+    nblocks = len(ids)
+    while True:
+        sigs: dict[tuple[int, ...], int] = {}
+        block = [sigs.setdefault((b, *map(block.__getitem__, row)),
+                                 len(sigs))
+                 for b, row in zip(block, rows)]
+        if len(sigs) == nblocks:
+            break
+        nblocks = len(sigs)
+    rep = [-1] * nblocks
+    for i in range(len(order)):
+        if rep[block[i]] < 0:
+            rep[block[i]] = i
+    delta = tuple(tuple(block[t] for t in rows[rep[b]])
+                  for b in range(nblocks))
+    return ([order[i] for i in rep],
+            DetTS(ts.alphabet, nblocks, block[0], delta))

@@ -1,12 +1,12 @@
 """Independent oracles used to validate the library: step-by-step
-ultimately-periodic membership checks for DBAs and NBAs and a brute-force
-word-partition oracle for the four progress congruences.  Everything here is
-deliberately naive and shares no logic with the package beyond raw
-transition lookups."""
+ultimately-periodic membership checks for DBAs and NBAs, a brute-force
+word-partition oracle for the four progress congruences and a brute-force
+limit-finality oracle over words.  Everything here is deliberately naive
+and shares no logic with the package beyond raw transition lookups."""
 
 from __future__ import annotations
 
-from omega_fdfa import BUCHI, DetOmega, Nba, UpWord, Word
+from omega_fdfa import BUCHI, DetOmega, DetTS, Nba, UpWord, Word
 from omega_fdfa.congruence import LeadingQuotient
 
 
@@ -185,3 +185,41 @@ def partitions_match(d: DetOmega, lq: LeadingQuotient, u_class: int,
         if oracle_partition(d, lq, u_class, flavor, xs, vbound) == got:
             return True
     return False
+
+
+def access_words(ts: DetTS) -> list[Word]:
+    """For each state of ts that its initial state reaches, in breadth-first
+    order, the word on which the breadth-first search first reached it."""
+    order, words = [ts.initial], [()]
+    seen = {ts.initial}
+    for s, w in zip(order, words):  # both grow while they are walked
+        for a, t in enumerate(ts.delta[s]):
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+                words.append(w + (a,))
+    return words
+
+
+def limit_finals(d: DetOmega, lq: LeadingQuotient,
+                 words: list[Word]) -> list[frozenset[int]]:
+    """For each leading class u, the indices of the words z that are
+    limit-final for u, decided per word: z is final unless the leading DFA
+    takes x_u . z back to u (x_u the access word of u) and a naive run
+    rejects x_u . z^omega.  Epsilon is never accepted, so it is final for
+    no class."""
+    leading = lq.leading
+
+    def run(w: Word) -> int:
+        s = leading.initial
+        for a in w:
+            s = leading.delta[s][a]
+        return s
+
+    out = []
+    for u, x in enumerate(lq.rep_words):
+        out.append(frozenset(
+            i for i, z in enumerate(words)
+            if run(x + z) != u
+            or z and naive_member(d, UpWord(x, z))))
+    return out

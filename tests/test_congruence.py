@@ -43,7 +43,7 @@ from omega_fdfa import (
 from omega_fdfa.core_automata import dba_equiv_table, dba_state_equiv
 from omega_fdfa.fdfa import sink_final_state
 
-from oracles import partitions_match, words_upto
+from oracles import access_words, limit_finals, partitions_match, words_upto
 
 
 def test_leading_fig1_has_five_classes(fig1):
@@ -334,14 +334,22 @@ def test_shared_quotient_matches_minimizing_on_the_whole_monoid(
 
 def test_shared_quotient_built_once_per_construction_and_flavor(
         monkeypatch):
+    # the leading DFA comes from coarsest_quotient, and each shared quotient
+    # refines the monoid's own rows with _refine
     calls = []
     coarsest_quotient = congruence.coarsest_quotient
+    refine = congruence._refine
 
     def counting(ts, label):
         calls.append(ts.state_count)
         return coarsest_quotient(ts, label)
 
+    def counting_refine(alphabet, rows, labels):
+        calls.append(len(rows))
+        return refine(alphabet, rows, labels)
+
     monkeypatch.setattr(congruence, "coarsest_quotient", counting)
+    monkeypatch.setattr(congruence, "_refine", counting_refine)
     # compute_leading quotients the reference once
     lq = compute_leading(gen_fig1())
     assert len(calls) == 1
@@ -442,6 +450,40 @@ def test_profiles_cover_only_reachable_states(monkeypatch):
     for flavor in FLAVORS:
         assert build_canonical_fdfa(padded, flavor) == \
             build_canonical_fdfa(fig1, flavor), flavor
+
+
+def _assert_limit_finals_match_the_oracle(d):
+    lq = compute_leading(d)
+    profiles, ts, states = lq._monoid
+    words = access_words(ts)
+    assert len(words) == len(profiles)
+    want = limit_finals(d, lq, words)
+    # the labels name, per profile, the classes it is not final for
+    labels, masks = congruence._limit_labels(
+        profiles, *congruence._by_entry(lq, states))
+    classes = range(len(lq.reps))
+    for i in range(len(profiles)):
+        assert {u for u in classes if masks[labels[i]] >> u & 1} == \
+            {u for u in classes if i not in want[u]}, (d, i)
+    # and the limit quotient's final blocks are exactly the oracle's finals
+    quotient, finals = lq._limit_quotient
+    blocks = [run_word(quotient, quotient.initial, z) for z in words]
+    for u in classes:
+        assert frozenset(i for i, b in enumerate(blocks)
+                         if b in finals[u]) == want[u], (d, u)
+
+
+def test_limit_finals_match_the_brute_force_oracle(monkeypatch):
+    for seed in range(8):
+        for n in range(4, 8):
+            for k in (2, 3):
+                _assert_limit_finals_match_the_oracle(
+                    gen_random_dba(seed, n, k))
+    # the same walks over tuple profiles
+    monkeypatch.setattr(core_automata, "BYTE_PROFILES", 0)
+    d = gen_random_dba(3, 7, 3)
+    assert {type(p) for p in compute_leading(d)._monoid[0]} == {tuple}
+    _assert_limit_finals_match_the_oracle(d)
 
 
 def test_recurrent_from_limit_matches_recurrent_on_the_whole_monoid():

@@ -43,6 +43,7 @@ from omega_fdfa.core_automata import (
     _pair_graph,
     _phase_graph,
     _product,
+    coarsest_quotient,
     dba_state_equiv,
     det_to_nba,
     explore,
@@ -56,6 +57,7 @@ from helpers import (
     canonical_dfa,
     dfa_isomorphic,
     explored_monoid,
+    moore_quotient,
     one_pair_rabin_empty,
     sccs,
 )
@@ -238,6 +240,28 @@ def test_dfa_minimize_is_numbered_in_bfs_order():
         small = dfa_minimize(Dfa(ts, frozenset(
             s for s in range(n) if rng.random() < 0.4)))
         assert canonical_dfa(small) == small
+
+
+def test_coarsest_quotient_matches_round_by_round_refinement():
+    # the column-wise rounds return the same reps and the same numbered
+    # quotient as the former per-state rounds, with all-equal, all-distinct
+    # and random labels on one-state, one-letter and random TSs
+    rng = random.Random(21)
+    cases = [DetTS(Alphabet(("a",)), 1, 0, ((0,),)),
+             DetTS(AB, 1, 0, ((0, 0),)),
+             DetTS(Alphabet(("a",)), 6, 2, ((1,), (2,), (3,), (4,), (5,),
+                                            (3,)))]
+    for _ in range(300):
+        n, k = rng.randint(1, 40), rng.randint(1, 3)
+        cases.append(DetTS(Alphabet(tuple("abc"[:k])), n, rng.randrange(n),
+                           tuple(tuple(rng.randrange(n) for _ in range(k))
+                                 for _ in range(n))))
+    for ts in cases:
+        states = range(ts.state_count)
+        for labels in ([0 for _ in states], list(states),
+                       [rng.randrange(3) for _ in states]):
+            assert coarsest_quotient(ts, labels.__getitem__) == \
+                moore_quotient(ts, labels.__getitem__), (ts, labels)
 
 
 def test_dfa_lang_equal_detects_difference():

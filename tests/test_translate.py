@@ -157,7 +157,8 @@ def _parity_families():
 def test_one_walk_components_equal_nested_products():
     # the one-walk period recognizers, trimmed to useful states, number
     # every state as the former nested DFA products do once their useless
-    # component states are removed
+    # component states are removed: those that take no accepting edge, and
+    # in the LDBA those that no initial state reaches
     checked = 0
     for f in _parity_families():
         family = [f, complement_finals(f)]
@@ -210,10 +211,23 @@ def _reaches_acceptance(nba, s):
     return False
 
 
+def _reached(nba):
+    """The states some initial state reaches, by a forward search."""
+    seen, todo = set(nba.initials), list(nba.initials)
+    while todo:
+        x = todo.pop()
+        for s, _, t in nba.trans:
+            if s == x and t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
 def test_trimmed_components_are_useful_and_keep_the_language():
-    # every component state can still take an accepting edge, the LDBA's
-    # components stay deterministic, and both translations accept exactly
-    # the UP-words with |u| + |v| <= 6 that the untrimmed assembly accepts
+    # every component state is reached and can still take an accepting edge,
+    # the LDBA's components stay deterministic, and both translations accept
+    # exactly the UP-words with |u| + |v| <= 6 that the untrimmed assembly
+    # accepts
     refs = [gen_fig1(), gen_sigma_star_aa(), gen_ln(1)] + [
         gen_random_dba(seed, 2 + seed % 3, 2) for seed in range(8)]
     for d in refs:
@@ -226,6 +240,7 @@ def test_trimmed_components_are_useful_and_keep_the_language():
                 for a, dup in ((nba, True), (ldba.nba, False)):
                     assert all(_reaches_acceptance(a, s)
                                for s in range(lead, a.state_count))
+                    assert set(range(lead, a.state_count)) <= _reached(a)
                     untrimmed = nested_product_nba(g, dup)
                     for w in words:
                         assert naive_nba_member(a, w) \
