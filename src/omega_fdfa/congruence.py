@@ -5,36 +5,31 @@ cross-check construction.
 One construction does its per-DBA work once.  The leading congruence comes
 from one pass over the pair graph of the reference's reachable states
 (``core_automata.dba_equiv_table``), and ``coarsest_quotient``, the
-refinement that also quotients the monoid, builds the leading DFA from it.
-The transition-profile monoid of the reference does not depend on the
-leading class or the flavor; it is explored once, by
-``core_automata.transition_monoid`` (one breadth-first loop over the
-reference's TS and its accepting transitions), over the reachable states
-only, and its profiles are bytes when at most 128 states are reachable.
-Each flavor then computes only the finalities it reads.  Periodic alone
-builds, per profile, the vector of classes from whose representative the
-profile's omega-power is accepted.  Limit walks only the representatives
-that a profile returns into their own class (every other class finds the
-profile final), in one flat loop per profile, ``_limit_labels``: each run
-goes to its first repeated state and once around its cycle.  For each of
-the two, one partition refinement of the monoid by those finalities gives
-the coarsest right congruence respecting every class's final profiles, and
-each class's progress DFA is minimized on this shared quotient with its own
-finals.  The refinement (``core_automata._refine``, the column-wise Moore
-rounds that ``coarsest_quotient`` also runs) takes the monoid's own rows as
-they are: ``transition_monoid`` numbers them breadth-first with every
-profile reachable, so the monoid is not walked a second time.  The quotient
-is often far smaller than the monoid (tens of blocks where it has thousands
-of profiles), but where the classes' finals are unrelated it can be nearly
-as large.
-Syntactic and recurrent need no quotient of their own: on nonempty periods
+refinement that also minimizes DFAs, builds the leading DFA from it.
+
+Profile DFAs are transition monoids of the reference, explored by
+``core_automata.transition_monoid``; profiles are bytes when at most 128
+states are reachable.  Periodic reads the whole orbit of each class's
+representative, so it explores the whole monoid once per construction and
+labels each profile with the classes from whose representative its
+omega-power is accepted.  One partition refinement of the monoid's own rows
+(``core_automata._refine``; ``transition_monoid`` numbers them breadth-first
+with every profile reachable) quotients it by those labels, and each class's
+progress DFA is minimized on this shared quotient with its own finals.
+Limit reads less.  A period z is limit-final for u unless z takes u's
+representative r back into u's class and z^omega is rejected from r, and a
+run that returns stays in u's class, since the leading congruence is a right
+congruence.  So each class's limit DFA is its class-local monoid, whose
+profiles hold entries for the class members only (still pointing to any
+reachable state), labelled by ``_limit_finals`` and minimized.
+Syntactic and recurrent need no monoid of their own: on nonempty periods
 both are limit_u intersected with C_u = {v : u . v ~ u}, the product of the
 leading TS rooted at u with the limit DFA, and recurrent is that product
 minimized.
 
-That shared work is cached on the ``LeadingQuotient`` and lives as long as
-it.  The module constants PAIR_CAP and PROFILE_CAP, read at call time, cap
-the leading pair graph and the monoid.
+The periodic work is cached on the ``LeadingQuotient`` and lives as long as
+it; nothing is kept for limit.  The module constants PAIR_CAP and
+PROFILE_CAP, read at call time, cap the leading pair graph and each monoid.
 """
 
 from __future__ import annotations
@@ -68,8 +63,8 @@ from .fdfa import Fdfa, LIMIT, PERIODIC, RECURRENT, SYNTACTIC
 PROFILE_CAP = 200_000
 PAIR_CAP = 1_000_000
 
-# (quotient of the profile TS, final blocks of each class); see
-# _shared_quotient
+# (quotient of the whole profile TS, periodic final blocks of each class);
+# see LeadingQuotient._periodic_quotient
 Quotient = tuple[DetTS, tuple[frozenset[int], ...]]
 
 
@@ -81,10 +76,10 @@ class LeadingQuotient:
     ``reps[c]`` is the least reference state id in class c; ``rep_words[c]``
     is the shortest, lexicographically least access word of class c.
 
-    The work that every class and flavor share (the profile monoid, the
-    periodic acceptance vectors, the periodic and limit quotients) is
-    computed on first use and kept in cached properties, outside ``==``,
-    ``hash`` and ``repr``.  A computation that raises caches nothing.
+    The periodic flavor's work, which every class shares (the whole
+    profile monoid, its acceptance vectors and its quotient), is computed
+    on first use and kept in cached properties, outside ``==``, ``hash`` and
+    ``repr``.  A computation that raises caches nothing.
     """
 
     ref: DetOmega
@@ -97,11 +92,7 @@ class LeadingQuotient:
     def _monoid(self) -> Monoid:
         """The profile TS of ``ref``; raises ResourceLimitError above
         PROFILE_CAP profiles."""
-        try:
-            return _explore_profiles(self.ref, PROFILE_CAP)
-        except ResourceLimitError:
-            raise ResourceLimitError(
-                f"profile DFA exceeded cap of {PROFILE_CAP} states") from None
+        return _explore_profiles(self.ref, PROFILE_CAP)
 
     @cached_property
     def _accepts(self) -> tuple[list[int], list[tuple[bool, ...]]]:
@@ -110,7 +101,8 @@ class LeadingQuotient:
         that profile); and the distinct vectors by id.  Profiles share few
         distinct vectors."""
         profiles, _, states = self._monoid
-        reps, _ = _by_entry(self, states)
+        entry = {s: i for i, s in enumerate(states)}
+        reps = [entry[r] for r in self.reps]
         ids: dict[tuple[bool, ...], int] = {}
         labels = [ids.setdefault(_omega_accepts(p, reps), len(ids))
                   for p in profiles]
@@ -118,11 +110,19 @@ class LeadingQuotient:
 
     @cached_property
     def _periodic_quotient(self) -> Quotient:
-        return _shared_quotient(self, PERIODIC)
-
-    @cached_property
-    def _limit_quotient(self) -> Quotient:
-        return _shared_quotient(self, LIMIT)
+        """The profile TS quotiented by the coarsest right congruence that
+        respects every class's periodic finals, and the final blocks of
+        each class."""
+        # class 0's profile DFA explores the monoid and the acceptance
+        # vectors that every class's finals come from
+        ts = periodic_lang_dfa(self, 0).ts
+        labels, vectors = self._accepts
+        # the monoid is numbered breadth-first with every profile reachable,
+        # so its own rows are refined without walking it again
+        blocks, quotient = _refine(ts.alphabet, ts.delta, labels)
+        return quotient, tuple(
+            frozenset(b for b, i in enumerate(blocks) if vectors[labels[i]][u])
+            for u in range(len(self.reps)))
 
 
 def compute_leading(d: DetOmega) -> LeadingQuotient:
@@ -152,18 +152,17 @@ def compute_leading(d: DetOmega) -> LeadingQuotient:
     return LeadingQuotient(d, class_of, leading, reps, rep_words)
 
 
-def _explore_profiles(d: DetOmega, cap: int) -> Monoid:
-    """The transition-profile TS of d, whose profile bits mark d's accepting
-    transitions (see core_automata.transition_monoid)."""
-    return transition_monoid(d.ts, d.acc, cap)
-
-
-def _by_entry(lq: LeadingQuotient,
-              states: list[int]) -> tuple[list[int], list[int]]:
-    """lq's class representatives as profile entries, and the leading class
-    of each profile entry."""
-    entry = {s: i for i, s in enumerate(states)}
-    return [entry[r] for r in lq.reps], [lq.class_of[s] for s in states]
+def _explore_profiles(d: DetOmega, cap: int,
+                      domain: Sequence[int] | None = None) -> Monoid:
+    """The transition-profile TS of d over the ``domain`` states (default:
+    every reachable state), whose profile bits mark d's accepting
+    transitions (see core_automata.transition_monoid); raises
+    ResourceLimitError above ``cap`` profiles."""
+    try:
+        return transition_monoid(d.ts, d.acc, cap, domain)
+    except ResourceLimitError:
+        raise ResourceLimitError(
+            f"profile DFA exceeded cap of {cap} states") from None
 
 
 def _omega_accepts(p: Sequence[int],
@@ -231,74 +230,41 @@ def _epsilon_joins_accepted_returns(d: Dfa) -> Dfa:
     return Dfa(new_ts, d.finals | {iota})
 
 
-def _limit_labels(profiles: Sequence[Sequence[int]], reps: Sequence[int],
-                  class_of: Sequence[int]) -> tuple[list[int], list[int]]:
-    """For each profile, the id of the set of leading classes for which it is
-    not limit-final, and those sets by id, as bit masks over the classes.
-    ``reps`` are the classes' representatives and ``class_of`` the class of
-    each entry, both in profile-entry order (see _by_entry).
+def _limit_finals(monoid: Monoid, members: Sequence[int]) -> frozenset[int]:
+    """The ids of the profiles of u's class-local monoid that are limit-final
+    for u, where ``members`` are u's states in increasing order, the domain
+    of the monoid's profiles; the first is u's representative r.
 
-    z is final for u unless it returns u's representative r into u's class
-    and z^omega is rejected from r, so only the returning representatives
-    are walked: from r until the first repeated state, which lies on the
-    run's cycle, and then once around that cycle, or-ing its entries'
-    bits."""
-    ids: dict[int, int] = {}
-    labels: list[int] = []
-    put = labels.append
-    pairs = list(enumerate(reps))
-    # seen[s] == mark iff the current walk has visited s
-    seen = [0] * len(class_of)
-    mark = 0
-    for p in profiles:
-        rejects = 0
-        for u, r in pairs:
-            s = p[r] >> 1
-            if class_of[s] != u:
-                continue
-            mark += 1
-            seen[r] = mark
-            while seen[s] != mark:
-                seen[s] = mark
-                s = p[s] >> 1
-            bits = p[s]
-            t = bits >> 1
-            while t != s:
-                e = p[t]
-                bits |= e
-                t = e >> 1
-            if not bits & 1:
-                rejects |= 1 << u
-        i = ids.get(rejects)
-        if i is None:
-            i = ids[rejects] = len(ids)
-        put(i)
-    return labels, list(ids)
-
-
-def _shared_quotient(lq: LeadingQuotient, flavor: str) -> Quotient:
-    """The profile TS of lq's reference quotiented by the coarsest right
-    congruence that respects, for every leading class u, the flavor's
-    (periodic or limit) final profiles of u, and the final blocks of each
-    class.  Built once per flavor on lq, through its cached properties."""
-    classes = range(len(lq.reps))
-    if flavor == PERIODIC:
-        # class 0's profile DFA explores the monoid and the acceptance
-        # vectors that every class's finals come from
-        ts = periodic_lang_dfa(lq, 0).ts
-        labels, vectors = lq._accepts
-    else:
-        profiles, ts, states = lq._monoid
-        labels, masks = _limit_labels(profiles, *_by_entry(lq, states))
-        vectors = [tuple([not mask >> u & 1 for u in classes])
-                   for mask in masks]
-    # the monoid is numbered breadth-first with every profile reachable, so
-    # its own rows are refined without walking it again
-    blocks, quotient = _refine(ts.alphabet, ts.delta, labels)
-    finals = tuple(frozenset(b for b, i in enumerate(blocks)
-                             if vectors[labels[i]][u])
-                   for u in classes)
-    return quotient, finals
+    z is final for u unless it returns r into u's class and z^omega is
+    rejected from r.  A run that returns stays in the class, so the walk
+    reads only local entries: from r until the first repeated state, which
+    lies on the run's cycle, and then once around that cycle, or-ing its
+    entries' bits."""
+    profiles, _, states = monoid
+    position = {s: k for k, s in enumerate(members)}
+    # local[j] is the position of the j-th reachable state among the members
+    local = [position.get(s, -1) for s in states]
+    finals = []
+    # seen[k] == i iff the walk of profile i has visited member k
+    seen = [-1] * len(profiles[0])
+    for i, p in enumerate(profiles):
+        s = local[p[0] >> 1]
+        if s < 0:
+            finals.append(i)
+            continue
+        seen[0] = i
+        while seen[s] != i:
+            seen[s] = i
+            s = local[p[s] >> 1]
+        bits = p[s]
+        t = local[bits >> 1]
+        while t != s:
+            e = p[t]
+            bits |= e
+            t = local[e >> 1]
+        if bits & 1:
+            finals.append(i)
+    return frozenset(finals)
 
 
 def progress_dfa(lq: LeadingQuotient, u_class: int, flavor: str) -> Dfa:
@@ -316,11 +282,15 @@ def progress_dfa(lq: LeadingQuotient, u_class: int, flavor: str) -> Dfa:
         raise AutomatonError(f"unknown flavor {flavor!r}")
     if not 0 <= u_class < lq.leading.state_count:
         raise AutomatonError("invalid leading class")
-    # the quotient refines u's Nerode equivalence, so minimizing on it gives
-    # the same DFA as minimizing on the whole profile TS
-    ts, finals = (lq._periodic_quotient if flavor == PERIODIC
-                  else lq._limit_quotient)
-    return dfa_minimize(Dfa(ts, finals[u_class]))
+    if flavor == PERIODIC:
+        # the quotient refines u's Nerode equivalence, so minimizing on it
+        # gives the same DFA as minimizing on the whole profile TS
+        ts, finals = lq._periodic_quotient
+        return dfa_minimize(Dfa(ts, finals[u_class]))
+    # u's class-local monoid, whose profiles map onto u's limit classes
+    members = [s for s, c in enumerate(lq.class_of) if c == u_class]
+    monoid = _explore_profiles(lq.ref, PROFILE_CAP, members)
+    return dfa_minimize(Dfa(monoid[1], _limit_finals(monoid, members)))
 
 
 def build_canonical_fdfa(d: DetOmega, flavor: str) -> Fdfa:

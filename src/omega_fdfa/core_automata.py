@@ -270,24 +270,27 @@ def explore(roots: Iterable[S], successors: Callable[[S], Iterable[S]]
 # (state << 1 | bit) then fit in a byte
 BYTE_PROFILES = 128
 
-# (profiles, profile TS, reachable states in profile-entry order); see
-# transition_monoid
+# (profiles, profile TS, the reachable states that profile entries point
+# to); see transition_monoid
 Monoid = tuple[list[Sequence[int]], DetTS, list[int]]
 
 
 def transition_monoid(ts: DetTS, marks: Collection[tuple[int, int]],
-                      cap: int) -> Monoid:
+                      cap: int, domain: Sequence[int] | None = None) -> Monoid:
     """The transition-profile TS of ts with its ``marks`` (a set of (state,
     letter) pairs), explored from the identity (the profile of epsilon),
-    and ts's reachable states in the order that profile entries follow.  The
-    profile of a word z holds, for the i-th reachable state,
-    ``(j << 1) | bit``: z leads it to the j-th, and bit says whether that
-    run took a marked transition.  Profiles are bytes when at most
-    BYTE_PROFILES states are reachable, else tuples.  They are numbered as
-    ``explore`` numbers them; raises ResourceLimitError when more than
-    ``cap`` are reachable."""
+    and ts's reachable states in the order that profile entries point to.
+    The profile of a word z holds, for the i-th state of the ``domain``
+    (default: the reachable states in that order), ``(j << 1) | bit``: z
+    leads it to the j-th reachable state, and bit says whether that run took
+    a marked transition.  Profiles are bytes when at most BYTE_PROFILES
+    states are reachable, else tuples.  They are numbered as ``explore``
+    numbers them; raises ResourceLimitError when more than ``cap`` are
+    reachable."""
     states, moves = explore([ts.initial], ts.delta.__getitem__)
     entries = range(2 * len(states))
+    start = entries[::2] if domain is None \
+        else [2 * states.index(s) for s in domain]
     # steps[a][x] is the profile entry x extended by the letter a
     steps = [[(moves[x >> 1][a] << 1) | (x & 1)
               | ((states[x >> 1], a) in marks) for x in entries]
@@ -295,11 +298,10 @@ def transition_monoid(ts: DetTS, marks: Collection[tuple[int, int]],
     if len(states) <= BYTE_PROFILES:
         # bytes.translate maps every entry through a 256-byte table at once
         tables = [bytes(step).ljust(256, b"\0") for step in steps]
-        identity, extend = bytes(entries[::2]), bytes.translate
+        identity, extend = bytes(start), bytes.translate
     else:
         tables = [step.__getitem__ for step in steps]
-        identity, extend = (tuple(entries[::2]),
-                            lambda p, f: tuple(map(f, p)))
+        identity, extend = tuple(start), lambda p, f: tuple(map(f, p))
     index = {identity: 0}
     profiles = [identity]
     # cols[a][i] is the id of profile i extended by a; the rows are built

@@ -63,7 +63,8 @@ def one_pair_rabin_empty(a: Nba,
 
 
 def explored_monoid(ts: DetTS, marks: Collection[tuple[int, int]], cap: int,
-                    as_bytes: bool) -> Monoid:
+                    as_bytes: bool,
+                    domain: Sequence[int] | None = None) -> Monoid:
     """``core_automata.transition_monoid`` in the given profile encoding,
     explored by ``explore`` with one successor list per profile.  Raises
     ResourceLimitError once a profile beyond the first ``cap`` is walked,
@@ -74,7 +75,9 @@ def explored_monoid(ts: DetTS, marks: Collection[tuple[int, int]], cap: int,
               | ((states[x >> 1], a) in marks) for x in entries]
              for a in range(ts.alphabet.size)]
     tables = [bytes(step).ljust(256, b"\0") for step in steps]
-    identity = bytes(entries[::2]) if as_bytes else tuple(entries[::2])
+    start = [2 * states.index(s)
+             for s in (states if domain is None else domain)]
+    identity = bytes(start) if as_bytes else tuple(start)
     walked = 0
 
     def extend(p: Sequence[int]) -> list[Sequence[int]]:

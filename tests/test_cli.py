@@ -5,6 +5,7 @@ from math import isqrt
 
 import pytest
 
+import omega_fdfa.congruence as congruence
 from omega_fdfa import (
     Alphabet,
     AutomatonError,
@@ -14,6 +15,9 @@ from omega_fdfa import (
     LIMIT,
     Nba,
     RECURRENT,
+    SYNTACTIC,
+    UpWord,
+    accepts_upword,
     build_canonical_fdfa,
     fdfa_to_ldba,
     fdfa_to_nba,
@@ -22,6 +26,7 @@ from omega_fdfa import (
     gen_ln,
     gen_random_dba,
     gen_sigma_star_aa,
+    member_upword_nba,
 )
 from omega_fdfa.cli import (
     MAX_STATES,
@@ -36,6 +41,8 @@ from omega_fdfa.cli import (
 )
 from omega_fdfa.congruence import PAIR_CAP
 from omega_fdfa.core_automata import det_to_nba
+
+from oracles import naive_member, words_upto
 
 
 # --------------------------------------------------------------------------
@@ -262,12 +269,44 @@ def test_cmd_canon_rejects_bad_input(cli, tmp_path):
     assert cli("canon", str(tmp_path / "missing.aut"))[0] == 2
 
 
-def test_cmd_canon_profile_cap_exits_4(cli, tmp_path):
+def test_cmd_canon_profile_cap_exits_4(cli, tmp_path, monkeypatch):
     path = _write(tmp_path, "cap.aut",
                   format_automaton(gen_random_dba(2, 8, 2)))
-    for flavor in FLAVORS:
+    # periodic explores the whole monoid, which exceeds the real cap
+    assert cli("canon", path, "--flavor", "periodic") == (
+        4, "", "error: profile DFA exceeded cap of 200000 states\n")
+    # the other flavors explore class-local monoids of 8-13 profiles each:
+    # the first class fits a cap of 8, the second does not
+    monkeypatch.setattr(congruence, "PROFILE_CAP", 8)
+    for flavor in (LIMIT, SYNTACTIC, RECURRENT):
         assert cli("canon", path, "--flavor", flavor) == (
-            4, "", "error: profile DFA exceeded cap of 200000 states\n")
+            4, "", "error: profile DFA exceeded cap of 8 states\n")
+
+
+def test_formerly_capped_dba_builds_exact_limit_families(cli, tmp_path):
+    # gen_random_dba(2, 8, 2) has a whole monoid above the cap but
+    # class-local monoids of 8-13 profiles, so the flavors built on limit
+    # stay below the default cap
+    d = gen_random_dba(2, 8, 2)
+    words = [UpWord(w[:i], w[i:]) for w in words_upto(2, 8)
+             for i in range(len(w))]
+    member = [naive_member(d, w) for w in words]
+    assert 0 < sum(member) < len(words)
+    for flavor in (LIMIT, SYNTACTIC, RECURRENT):
+        f = build_canonical_fdfa(d, flavor)
+        assert [accepts_upword(f, w) for w in words] == member, flavor
+    path = _write(tmp_path, "was-capped.aut", format_automaton(d))
+    limit = str(tmp_path / "limit.fdfa")
+    assert cli("canon", path, "--flavor", "limit", "--out", limit)[::2] == \
+        (0, "")
+    # a DBA language is DBA-recognizable
+    assert cli("decide", limit)[:2] == (0, "recognizable: yes\n")
+    nba = tmp_path / "limit.nba"
+    assert cli("translate", limit, "--to", "nba", "--out", str(nba))[::2] == \
+        (0, "")
+    nba = parse_automaton(nba.read_text())
+    assert all(member_upword_nba(nba, w) == m for w, m in zip(words, member)
+               if len(w.prefix) + len(w.period) <= 6)
 
 
 def test_cmd_canon_many_declared_states_few_reachable(cli, tmp_path):

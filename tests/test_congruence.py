@@ -43,7 +43,13 @@ from omega_fdfa import (
 from omega_fdfa.core_automata import dba_equiv_table, dba_state_equiv
 from omega_fdfa.fdfa import sink_final_state
 
-from oracles import access_words, limit_finals, partitions_match, words_upto
+from oracles import (
+    access_words,
+    flavor_predicate,
+    limit_finals,
+    partitions_match,
+    words_upto,
+)
 
 
 def test_leading_fig1_has_five_classes(fig1):
@@ -119,21 +125,50 @@ def test_periodic_lang_dfa_cap(monkeypatch):
         periodic_lang_dfa(compute_leading(gen_ln(3)), 0)
 
 
+def _members(lq, c):
+    """The reference states of leading class c, in increasing order."""
+    return [s for s, k in enumerate(lq.class_of) if k == c]
+
+
 def test_periodic_lang_dfa_cap_on_an_explored_monoid(monkeypatch):
-    size = periodic_lang_dfa(compute_leading(gen_fig1()), 0).ts.state_count
+    d = gen_fig1()
+    size = periodic_lang_dfa(compute_leading(d), 0).ts.state_count
     assert size > 2
-    lq = compute_leading(gen_fig1())
+    lq = compute_leading(d)
+    classes = range(lq.leading.state_count)
+    ref = compute_leading(d)
+    want = {(c, flavor): progress_dfa(ref, c, flavor)
+            for c in classes for flavor in FLAVORS}
     monkeypatch.setattr(congruence, "PROFILE_CAP", size - 1)
-    for c in range(lq.leading.state_count):
+    for c in classes:
         with pytest.raises(ResourceLimitError,
                            match=f"^profile DFA exceeded cap of {size - 1} "
                                  "states$"):
             periodic_lang_dfa(lq, c)
-        for flavor in FLAVORS:
+        with pytest.raises(ResourceLimitError,
+                           match=f"^profile DFA exceeded cap of "
+                                 f"{size - 1} states$"):
+            progress_dfa(lq, c, PERIODIC)
+    # limit, and syntactic and recurrent through it, explore only the class's
+    # own monoid, which the cap bounds on its own, inclusively
+    capped = 0
+    for c in classes:
+        local = len(congruence._explore_profiles(d, size,
+                                                 _members(lq, c))[0])
+        assert local < size
+        monkeypatch.setattr(congruence, "PROFILE_CAP", local)
+        for flavor in (LIMIT, SYNTACTIC, RECURRENT):
+            assert progress_dfa(lq, c, flavor) == want[c, flavor]
+        if local == 1:  # the identity alone is never refused
+            continue
+        capped += 1
+        monkeypatch.setattr(congruence, "PROFILE_CAP", local - 1)
+        for flavor in (LIMIT, SYNTACTIC, RECURRENT):
             with pytest.raises(ResourceLimitError,
                                match=f"^profile DFA exceeded cap of "
-                                     f"{size - 1} states$"):
+                                     f"{local - 1} states$"):
                 progress_dfa(lq, c, flavor)
+    assert capped == 4
     # the cap is inclusive
     monkeypatch.setattr(congruence, "PROFILE_CAP", size)
     assert periodic_lang_dfa(lq, 1).ts.state_count == size
@@ -178,18 +213,23 @@ def test_profile_monoid_explored_once_per_construction(monkeypatch,
     calls = []
     explore_profiles = congruence._explore_profiles
 
-    def counting(d, cap):
-        calls.append(d)
-        return explore_profiles(d, cap)
+    def counting(d, cap, domain=None):
+        calls.append(domain)
+        return explore_profiles(d, cap, domain)
 
     monkeypatch.setattr(congruence, "_explore_profiles", counting)
     d = gen_fig1()
-    assert compute_leading(d).leading.state_count == 5
+    lq = compute_leading(d)
+    assert lq.leading.state_count == 5
     build_canonical_fdfa(d, flavor)
-    assert len(calls) == 1
+    # periodic explores the whole monoid once; limit, and syntactic and
+    # recurrent through it, explore one class-local monoid per leading class
+    once = [None] if flavor == PERIODIC else [_members(lq, c)
+                                              for c in range(5)]
+    assert calls == once
     # nothing is kept from one construction to the next
     build_canonical_fdfa(d, flavor)
-    assert len(calls) == 2
+    assert calls == once + once
 
 
 def _counter_with_resets(seed: int, n: int, density: float) -> DetOmega:
@@ -314,10 +354,29 @@ def _exactness_cases():
         replace(fig1.ts, state_count=8, delta=delta), acc, BUCHI)
 
 
+def _agrees_with_the_brute_force_oracle(d, lq, c, flavor, got):
+    """got partitions the periods of length <= 3 as the brute-force
+    congruence does, and accepts the nonempty periods of length <= 5 that
+    the flavor's predicate accepts (a syntactic period is accepted iff it is
+    an accepted return, as a recurrent one is)."""
+    if not partitions_match(d, lq, c, flavor, got, xbound=3,
+                            vbounds=(4, 5, 6)):
+        return False
+    xs = words_upto(d.ts.alphabet.size, 5)
+    accepts = flavor_predicate(d, lq, c,
+                               RECURRENT if flavor == SYNTACTIC else flavor,
+                               xs)
+    return all(got.accepts(x) == accepts(x) for x in xs if x)
+
+
 def test_shared_quotient_matches_minimizing_on_the_whole_monoid(
         monkeypatch):
-    # monoids above the cap must be refused by both constructions alike
+    # the whole monoid above the cap is refused for periodic; limit,
+    # syntactic and recurrent explore only class-local monoids, which stay
+    # below it here, so their DFAs are checked against the brute-force
+    # oracle instead
     monkeypatch.setattr(congruence, "PROFILE_CAP", 2500)
+    refused = set()
     for name, d in _exactness_cases():
         lq, ref = compute_leading(d), compute_leading(d)
         for flavor in FLAVORS:
@@ -325,11 +384,19 @@ def test_shared_quotient_matches_minimizing_on_the_whole_monoid(
                 try:
                     want = _minimized_on_the_whole_monoid(ref, c, flavor)
                 except ResourceLimitError:
-                    with pytest.raises(ResourceLimitError):
-                        progress_dfa(lq, c, flavor)
+                    refused.add(name)
+                    if flavor == PERIODIC:
+                        with pytest.raises(ResourceLimitError):
+                            progress_dfa(lq, c, flavor)
+                    else:
+                        assert _agrees_with_the_brute_force_oracle(
+                            d, lq, c, flavor, progress_dfa(lq, c, flavor)), \
+                            (name, flavor, c)
                     continue
                 assert progress_dfa(lq, c, flavor) == want, \
                     (name, flavor, c)
+    assert refused == {"rand-8x3-s5", "rand-8x2-s10", "rand-7x3-s12",
+                       "rand-8x3-s17"}
 
 
 def test_shared_quotient_built_once_per_construction_and_flavor(
@@ -354,18 +421,19 @@ def test_shared_quotient_built_once_per_construction_and_flavor(
     lq = compute_leading(gen_fig1())
     assert len(calls) == 1
     classes = range(lq.leading.state_count)
-    # syntactic and recurrent are products of cu_dfa with limit, so they
-    # share limit's
-    for flavor, built in ((PERIODIC, 2), (SYNTACTIC, 3), (LIMIT, 3),
-                          (RECURRENT, 3)):
+    # periodic refines the whole monoid once for every class; limit, and
+    # syntactic and recurrent (products of cu_dfa with limit), only
+    # minimize each class-local monoid
+    for flavor, built in ((PERIODIC, 2), (SYNTACTIC, 2), (LIMIT, 2),
+                          (RECURRENT, 2)):
         for c in classes:
             progress_dfa(lq, c, flavor)
         assert len(calls) == built, flavor
-    assert len(calls) == 3
-    # every construction builds its own leading DFA and quotient
+    # every construction builds its own leading DFA, and periodic its own
+    # quotient
     for flavor in FLAVORS:
         build_canonical_fdfa(gen_fig1(), flavor)
-    assert len(calls) == 11
+    assert len(calls) == 7
 
 
 def test_only_the_periodic_quotient_starts_from_a_profile_dfa(monkeypatch):
@@ -452,25 +520,23 @@ def test_profiles_cover_only_reachable_states(monkeypatch):
             build_canonical_fdfa(fig1, flavor), flavor
 
 
-def _assert_limit_finals_match_the_oracle(d):
+def _assert_limit_finals_match_the_oracle(d, profile_type):
     lq = compute_leading(d)
-    profiles, ts, states = lq._monoid
-    words = access_words(ts)
-    assert len(words) == len(profiles)
-    want = limit_finals(d, lq, words)
-    # the labels name, per profile, the classes it is not final for
-    labels, masks = congruence._limit_labels(
-        profiles, *congruence._by_entry(lq, states))
-    classes = range(len(lq.reps))
-    for i in range(len(profiles)):
-        assert {u for u in classes if masks[labels[i]] >> u & 1} == \
-            {u for u in classes if i not in want[u]}, (d, i)
-    # and the limit quotient's final blocks are exactly the oracle's finals
-    quotient, finals = lq._limit_quotient
-    blocks = [run_word(quotient, quotient.initial, z) for z in words]
-    for u in classes:
-        assert frozenset(i for i, b in enumerate(blocks)
-                         if b in finals[u]) == want[u], (d, u)
+    for u in range(len(lq.reps)):
+        members = _members(lq, u)
+        monoid = congruence._explore_profiles(d, congruence.PROFILE_CAP,
+                                              members)
+        profiles, ts, _ = monoid
+        assert {type(p) for p in profiles} == {profile_type}
+        words = access_words(ts)
+        assert len(words) == len(profiles)
+        # the oracle decides each class-local profile by one of its words
+        want = limit_finals(d, lq, words)[u]
+        assert congruence._limit_finals(monoid, members) == want, (d, u)
+        # and u's limit DFA accepts exactly those words
+        limit = progress_dfa(lq, u, LIMIT)
+        assert frozenset(i for i, z in enumerate(words)
+                         if limit.accepts(z)) == want, (d, u)
 
 
 def test_limit_finals_match_the_brute_force_oracle(monkeypatch):
@@ -478,12 +544,10 @@ def test_limit_finals_match_the_brute_force_oracle(monkeypatch):
         for n in range(4, 8):
             for k in (2, 3):
                 _assert_limit_finals_match_the_oracle(
-                    gen_random_dba(seed, n, k))
+                    gen_random_dba(seed, n, k), bytes)
     # the same walks over tuple profiles
     monkeypatch.setattr(core_automata, "BYTE_PROFILES", 0)
-    d = gen_random_dba(3, 7, 3)
-    assert {type(p) for p in compute_leading(d)._monoid[0]} == {tuple}
-    _assert_limit_finals_match_the_oracle(d)
+    _assert_limit_finals_match_the_oracle(gen_random_dba(3, 7, 3), tuple)
 
 
 def test_recurrent_from_limit_matches_recurrent_on_the_whole_monoid():

@@ -161,6 +161,50 @@ def test_transition_monoid_matches_the_generic_explorer(monkeypatch,
     assert 0 < refused < 10
 
 
+@pytest.mark.parametrize("as_bytes", [True, False])
+def test_transition_monoid_on_a_domain_restricts_the_whole_monoid(
+        monkeypatch, as_bytes):
+    # fig1, ln(1..4) and 60 seeded random DBAs with 1-8 states and 1-3
+    # letters, each over three domains: the even and the odd reachable
+    # states, the latter in reverse order, and one state
+    if not as_bytes:
+        monkeypatch.setattr(core_automata, "BYTE_PROFILES", 0)
+    dbas = [gen_fig1()] + [gen_ln(n) for n in range(1, 5)] \
+        + [gen_random_dba(seed, 1 + seed % 8, 1 + seed // 8 % 3)
+           for seed in range(60)]
+    for d in dbas:
+        try:
+            profiles, ts, states = transition_monoid(d.ts, d.acc, 5_000)
+        except ResourceLimitError:
+            continue
+        for domain in (states[::2], states[1::2][::-1], states[-1:]):
+            if not domain:
+                continue
+            got = transition_monoid(d.ts, d.acc, 5_000, domain)
+            assert got == explored_monoid(d.ts, d.acc, 5_000, as_bytes,
+                                          domain), (d, domain)
+            local, local_ts, local_states = got
+            assert local_states == states
+            assert {type(p) for p in local} == {bytes if as_bytes else tuple}
+            # restricting each whole profile to the domain's entries maps
+            # the whole monoid onto the class-local one, letter by letter
+            where = [states.index(s) for s in domain]
+            index = {p: i for i, p in enumerate(local)}
+            image = [index[type(p)(p[k] for k in where)] for p in profiles]
+            assert sorted(set(image)) == list(range(len(local)))
+            assert image[0] == 0
+            assert all(local_ts.delta[image[i]][a] == image[t]
+                       for i, row in enumerate(ts.delta)
+                       for a, t in enumerate(row))
+            # the cap is inclusive with a domain too
+            size = len(local)
+            assert transition_monoid(d.ts, d.acc, size, domain) == got
+            if size > 1:
+                with pytest.raises(ResourceLimitError,
+                                   match=f"^more than {size - 1} profiles$"):
+                    transition_monoid(d.ts, d.acc, size - 1, domain)
+
+
 def test_transition_monoid_cap_is_inclusive():
     for d in (gen_fig1(), gen_ln(3), gen_random_dba(0, 5, 2)):
         profiles, ts, states = transition_monoid(d.ts, d.acc, 10_000)
