@@ -10,14 +10,16 @@ Conventions used across the package:
   still resolve the membership of epsilon itself either way; see
   congruence.progress_dfa.)
 
-Every omega-emptiness question (NBA membership, emptiness, inclusion in a
-DBA, intersection) is one product explored by ``_product`` and one search
-by ``_least_lasso``.  Witnesses depend on the order of that search, so the
-contract is: product states are numbered in breadth-first discovery order
-from the distinct roots, each state's new successors in the order ``moves``
-lists them; each state's edges are sorted by (letter, target id);
-breadth-first words take the first state dequeued on ties; and the least
-lasso is the one with the least (total length, stem length, stem, loop).
+Every omega-emptiness question (emptiness, inclusion in a DBA,
+intersection) is one product explored by ``_product`` and one search by
+``_least_lasso``; NBA membership explores the same kind of product and only
+asks whether an accepting edge lies on a cycle.  Witnesses depend on the
+order of that search, so the contract is: product states are numbered in
+breadth-first discovery order from the distinct roots, each state's new
+successors in the order ``moves`` lists them; each state's edges are
+sorted by (letter, target id); breadth-first words take the first state
+dequeued on ties; and the least lasso is the one with the least (total
+length, stem length, stem, loop).
 A product state is keyed by an integer code (``qa * nb + qb`` for a pair,
 ``2 * pair + phase`` in the phase graph), which only names the state: the
 ids are those that (qa, qb) and (pair, phase) tuple keys gave.  The
@@ -136,8 +138,9 @@ class DetOmega:
     ``acc`` holds (state, letter) pairs.  Buchi polarity accepts runs taking
     marked transitions infinitely often; coBuchi accepts runs taking them
     only finitely often.  ``_nba``, the automaton viewed as an NBA (Buchi
-    polarity only), is built on first use, outside ``==``, ``hash`` and
-    ``repr``.
+    polarity only), and ``_marked``, whose ``_marked[s][a]`` tells whether
+    (s, a) is in ``acc``, are built on first use, outside ``==``, ``hash``
+    and ``repr``.
     """
 
     ts: DetTS
@@ -161,6 +164,12 @@ class DetOmega:
         acc = frozenset((s, a, ts.delta[s][a]) for s, a in self.acc)
         return Nba(ts.alphabet, ts.state_count, frozenset([ts.initial]),
                    trans, acc)
+
+    @cached_property
+    def _marked(self) -> tuple[tuple[bool, ...], ...]:
+        return tuple(tuple((s, a) in self.acc
+                           for a in range(self.ts.alphabet.size))
+                     for s in range(self.ts.state_count))
 
 
 @dataclass(frozen=True)
@@ -229,11 +238,11 @@ class Lasso:
 
 
 def run_word(ts: DetTS, state: int, w: Word) -> int:
-    n = ts.alphabet.size
+    delta, n = ts.delta, ts.alphabet.size
     for a in w:
         if not 0 <= a < n:
             raise AlphabetError(f"letter index {a} outside alphabet")
-        state = ts.delta[state][a]
+        state = delta[state][a]
     return state
 
 
@@ -342,15 +351,16 @@ def member_upword_det(a: DetOmega, w: UpWord) -> bool:
     s = run_word(a.ts, a.ts.initial, w.prefix)
     if min(w.period) < 0 or max(w.period) >= a.ts.alphabet.size:
         raise AlphabetError("word letter outside alphabet")
+    delta, marked = a.ts.delta, a._marked
     seen: dict[int, int] = {}
     flags: list[bool] = []
     while s not in seen:
         seen[s] = len(flags)
         hit = False
         for letter in w.period:
-            if (s, letter) in a.acc:
+            if marked[s][letter]:
                 hit = True
-            s = a.ts.delta[s][letter]
+            s = delta[s][letter]
         flags.append(hit)
     inf_hit = any(flags[seen[s]:])
     return inf_hit if a.polarity == BUCHI else not inf_hit
@@ -373,7 +383,9 @@ def member_upword_nba(a: Nba, w: UpWord) -> bool:
                 for t, marked in succ[q][letters[pos]]]
 
     graph, _ = _product([q * m for q in sorted(a.initials)], moves)
-    return bool(_loop_edges(graph)[1])
+    comp = _scc_ids([[t for _, t, _, _ in row] for row in graph])
+    return any(accepting and comp[s] == comp[t] for s, row in enumerate(graph)
+               for _, t, accepting, _ in row)
 
 
 def dfa_product(a: Dfa, b: Dfa, final_rule: Callable[[bool, bool], bool]) -> Dfa:
@@ -490,39 +502,40 @@ def _scc_ids(succ: Sequence[Iterable[int]]) -> list[int]:
     return ids
 
 
-def _bfs_words(graph: Sequence[Sequence[Edge]], sources: Iterable[int],
-               comp: Sequence[int] | None = None) -> dict[int, Word]:
+def _bfs_words(graph: Sequence[Sequence[Edge]],
+               sources: Iterable[int]) -> dict[int, Word]:
     """Breadth-first words from the sorted sources to each reachable state;
     ``graph[s]`` lists s's edges sorted by (letter, target).  Words are
-    shortest, and ties go to the state dequeued first.  With ``comp``, only
-    edges that are not second-marked and stay in the one source's SCC
-    ``comp[source]`` are taken."""
+    shortest, and ties go to the state dequeued first."""
     words: dict[int, Word] = {}
     queue: deque[int] = deque()
     for s in sorted(set(sources)):
         words[s] = ()
         queue.append(s)
-    scc = None if comp is None else comp[queue[0]]
     while queue:
         s = queue.popleft()
-        for letter, t, _, second in graph[s]:
-            if t not in words and (comp is None
-                                   or not second and comp[t] == scc):
+        for letter, t, _, _ in graph[s]:
+            if t not in words:
                 words[t] = words[s] + (letter,)
                 queue.append(t)
     return words
 
 
-def _loop_edges(graph: Sequence[Sequence[Edge]]
-                ) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """The SCC ids of the graph of unmarked edges, and the accepting,
-    unmarked edges s -l-> t inside an SCC of it, as (s, l, t) in row order.
-    ``graph[s]`` lists s's edges."""
-    comp = _scc_ids([[t for _, t, _, second in row if not second]
-                     for row in graph])
-    return comp, [(s, l, t) for s, row in enumerate(graph)
-                  for l, t, accepting, second in row
-                  if accepting and not second and comp[s] == comp[t]]
+def _loop_words(graph: Sequence[Sequence[Edge]], t: int,
+                targets: set[int]) -> dict[int, Word]:
+    """Breadth-first words from t over the edges that are not second-marked,
+    as in _bfs_words, searched until every state of ``targets`` has one."""
+    words: dict[int, Word] = {t: ()}
+    queue = deque([t])
+    missing = targets - {t}
+    while missing and queue:
+        s = queue.popleft()
+        for letter, u, _, second in graph[s]:
+            if not second and u not in words:
+                words[u] = words[s] + (letter,)
+                queue.append(u)
+                missing.discard(u)
+    return words
 
 
 def _least_lasso(graph: Sequence[Sequence[Edge]],
@@ -531,26 +544,44 @@ def _least_lasso(graph: Sequence[Sequence[Edge]],
     no second-marked edge (stems may take them); None when there is none.
     ``graph[s]`` lists s's edges sorted by (letter, target).
 
-    A candidate is an accepting, unmarked edge s -l-> t inside an SCC of the
-    unmarked edges: its stem is the breadth-first word from the roots to s,
-    its loop is l and then the breadth-first word from t back to s within
-    that SCC.  Candidates are compared by (total length, stem length, stem,
-    loop)."""
-    comp, loops = _loop_edges(graph)
-    if not loops:
+    A candidate is an accepting, unmarked edge s -l-> t with s reachable and
+    t reaching s over unmarked edges: its stem is the breadth-first word from
+    the roots to s, its loop is l and then the breadth-first word from t to
+    s over unmarked edges.  Candidates are compared by (total length, stem
+    length, stem, loop).  Grouped by t, they are searched in the order of a
+    lower bound on each group's totals, len(stem) + 1, plus 1 unless s is t,
+    until a bound exceeds the best total; each search from t stops once
+    every s of its group has its word.  It is not confined to the SCC of s
+    and t over unmarked edges, yet gives the words a confined search would:
+    t reaches s only within that SCC, and every state that t reaches and
+    that has an edge into the SCC lies in it, so no state outside it is the
+    breadth-first parent of one inside."""
+    entries: dict[int, list[tuple[int, int]]] = {}
+    for s, row in enumerate(graph):
+        for l, t, accepting, second in row:
+            if accepting and not second:
+                entries.setdefault(t, []).append((s, l))
+    if not entries:
         return None
     stems = _bfs_words(graph, roots)
-    backs: dict[int, dict[int, Word]] = {}
+    groups = []
+    for t, edges in entries.items():
+        edges = [(s, l) for s, l in edges if s in stems]
+        if edges:
+            bound = min(len(stems[s]) + (s != t) for s, _ in edges) + 1
+            groups.append((bound, t, edges))
+    groups.sort()  # loop entries t are distinct, so edges are never compared
     best: tuple[int, int, Word, Word] | None = None
-    for s, l, t in loops:
-        if s not in stems:
-            continue
-        if t not in backs:
-            backs[t] = _bfs_words(graph, [t], comp)
-        stem, loop = stems[s], (l,) + backs[t][s]
-        key = (len(stem) + len(loop), len(stem), stem, loop)
-        if best is None or key < best:
-            best = key
+    for bound, t, edges in groups:
+        if best is not None and bound > best[0]:
+            break
+        backs = _loop_words(graph, t, {s for s, _ in edges})
+        for s, l in edges:
+            if s in backs:
+                stem, loop = stems[s], (l,) + backs[s]
+                key = (len(stem) + len(loop), len(stem), stem, loop)
+                if best is None or key < best:
+                    best = key
     return None if best is None else Lasso(best[2], best[3])
 
 

@@ -59,6 +59,7 @@ from helpers import (
     explored_monoid,
     moore_quotient,
     one_pair_rabin_empty,
+    scc_least_lasso,
     sccs,
 )
 from oracles import naive_member, naive_nba_member, words_upto
@@ -343,13 +344,16 @@ def test_member_cobuchi_polarity():
 
 
 def test_member_matches_naive_oracle_on_random_dbas():
+    # member_upword_det reads the cached mark table; the oracle reads acc
     for seed in range(12):
-        d = gen_random_dba(seed, 4, 2)
-        for u in words_upto(2, 3):
-            for v in words_upto(2, 3):
-                if v:
-                    w = UpWord(u, v)
-                    assert member_upword_det(d, w) == naive_member(d, w)
+        for nletters, max_prefix in ((2, 3), (3, 2)):
+            d = gen_random_dba(seed, 4, nletters)
+            words = [UpWord(u, v) for u in words_upto(nletters, max_prefix)
+                     for v in words_upto(nletters, 3) if v]
+            for polarity in (BUCHI, COBUCHI):
+                dp = replace(d, polarity=polarity)
+                assert all(member_upword_det(dp, w) == naive_member(dp, w)
+                           for w in words)
 
 
 def test_nba_membership_rejects_letters_outside_the_alphabet():
@@ -365,6 +369,27 @@ def test_det_membership_rejects_period_letters_outside_the_alphabet():
     for letter in (-1, 2, 5):
         with pytest.raises(AlphabetError):
             member_upword_det(d, UpWord((0,), (letter,)))
+
+
+def test_det_membership_rejects_prefix_letters_outside_the_alphabet():
+    d = gen_fig1()
+    for letter in (-1, 2, 5):
+        with pytest.raises(AlphabetError):
+            member_upword_det(d, UpWord((0, letter), (0,)))
+
+
+def test_mark_table_is_built_once_outside_equality_hash_and_repr():
+    for polarity in (BUCHI, COBUCHI):
+        d = replace(gen_fig1(), polarity=polarity)
+        marked = d._marked
+        assert d._marked is marked
+        assert marked == tuple(tuple((s, a) in d.acc for a in range(2))
+                               for s in range(d.ts.state_count))
+        assert set(vars(d)) > {f.name for f in fields(d)}
+        fresh = replace(gen_fig1(), polarity=polarity)
+        assert d == fresh and hash(d) == hash(fresh) \
+            and repr(d) == repr(fresh)
+        assert fresh._marked == marked and fresh._marked is not marked
 
 
 def test_nba_membership_agrees_with_det_view():
@@ -632,6 +657,73 @@ def test_product_counts_a_duplicated_root_once():
     graph, roots = _product([0, 0], moves.__getitem__)
     assert list(roots) == [0]
     assert _least_lasso(graph, roots) == Lasso((0,), (1,))
+
+
+def _random_graph(rng, n):
+    """n states with random edges, accepting and second marks and
+    self-loops, rows sorted by (letter, target), then an accepting cycle
+    between two more states that nothing reaches."""
+    graph = [sorted((l, t, rng.random() < 0.4, rng.random() < 0.25)
+                    for l in range(rng.randint(1, 3)) for t in range(n)
+                    if rng.random() < 0.35)
+             for _ in range(n)]
+    return graph + [[(0, n + 1, True, False)], [(1, n, False, False)]]
+
+
+def test_least_lasso_matches_the_scc_search_on_random_graphs():
+    rng = random.Random(23)
+    found = empty = 0
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        graph = _random_graph(rng, n)
+        roots = rng.choices(range(n), k=rng.randint(1, 3))  # duplicates too
+        lasso = _least_lasso(graph, roots)
+        assert lasso == scc_least_lasso(graph, roots)
+        found += lasso is not None
+        empty += lasso is None
+    assert found > 100 and empty > 100
+
+
+def test_least_lasso_loop_search_leaves_the_scc_without_changing_words():
+    # the candidate 2 -a-> 1: from 1, state 3 lies outside the unmarked SCC
+    # {1, 2, 5} (it reaches 2 only by the second-marked 3 -b-> 2) and is
+    # dequeued before 5, yet the loop's word from 1 to 2 is ba, not ab
+    f = False
+    graph = [[(0, 1, f, f)],
+             [(0, 3, f, f), (1, 5, f, f)],
+             [(0, 1, True, f)],
+             [(0, 4, f, f), (1, 2, f, True)],
+             [(0, 4, f, f)],
+             [(0, 2, f, f)]]
+    lasso = _least_lasso(graph, [0])
+    assert lasso == scc_least_lasso(graph, [0]) == Lasso((0, 0, 1), (0, 1, 0))
+
+
+def test_least_lasso_searches_a_later_group_of_equal_bound():
+    # loop entry 2 (stem aa, self-loop a) and loop entry 4 (stem b, loop aa)
+    # both have bound and total 3; entry 4 comes later and wins on its
+    # shorter stem, so an equal bound must not end the search
+    f = False
+    graph = [[(0, 1, f, f), (1, 3, f, f)],
+             [(0, 2, f, f)],
+             [(0, 2, True, f)],
+             [(0, 4, True, f)],
+             [(0, 3, f, f)]]
+    lasso = _least_lasso(graph, [0])
+    assert lasso == scc_least_lasso(graph, [0]) == Lasso((1,), (0, 0))
+
+
+def test_least_lasso_matches_the_scc_search_on_engine_products():
+    nbas = _engine_nbas(random.Random(8))
+    for i, a in enumerate(nbas):
+        for b in (nbas[(i + 7) % len(nbas)], det_to_nba(gen_fig1()),
+                  det_to_nba(gen_random_dba(100 + i, 3, 2))):
+            if a.alphabet != b.alphabet:
+                continue
+            for graph, roots in (_pair_graph(a, b),
+                                 _phase_graph(*_pair_graph(a, b))):
+                assert _least_lasso(graph, roots) \
+                    == scc_least_lasso(graph, roots)
 
 
 def test_sorted_product_rows_pin_an_intersection_witness():
