@@ -346,18 +346,24 @@ def short_words(nletters: int, max_len: int) -> list[Word]:
 
 
 def member_upword_det(a: DetOmega, w: UpWord) -> bool:
-    """Decide u . v^omega in L(a) by iterating the period until the state
-    sequence at period boundaries cycles."""
+    """Decide u . v^omega in L(a): run u, then see member_det_from."""
     s = run_word(a.ts, a.ts.initial, w.prefix)
     if min(w.period) < 0 or max(w.period) >= a.ts.alphabet.size:
         raise AlphabetError("word letter outside alphabet")
+    return member_det_from(a, s, w.period)
+
+
+def member_det_from(a: DetOmega, s: int, v: Word) -> bool:
+    """Decide v^omega in L(a) from state s, in either polarity, by iterating
+    the period until the state sequence at period boundaries cycles.  The
+    letters of v are not checked."""
     delta, marked = a.ts.delta, a._marked
     seen: dict[int, int] = {}
     flags: list[bool] = []
     while s not in seen:
         seen[s] = len(flags)
         hit = False
-        for letter in w.period:
+        for letter in v:
             if marked[s][letter]:
                 hit = True
             s = delta[s][letter]

@@ -91,9 +91,25 @@ def _decompositions(w: UpWord, bound: int) -> list[UpWord]:
     return out
 
 
+def accepts_from(f: Fdfa, q: int, v: Word) -> bool:
+    """Acceptance of u . v^omega, v nonempty, for every u that leads the
+    leading DFA to q: walk q, q.v, q.v.v, ... to the first repeat q_i =
+    q_{i+p} and ask the progress DFA of q_i about v^p, which is what the
+    normalized decomposition (u . v^i, v^p) is accepted by."""
+    m = f.leading
+    states = [q]
+    while True:
+        q = run_word(m, q, v)
+        if q in states:
+            p = len(states) - states.index(q)
+            return f.progress[q].accepts(v * p)
+        states.append(q)
+
+
 def accepts_upword(f: Fdfa, w: UpWord) -> bool:
     """Decide acceptance from the single normalized decomposition of w."""
-    return accepts_decomposition(f, normalize(f, w))
+    m = f.leading
+    return accepts_from(f, run_word(m, m.initial, w.prefix), w.period)
 
 
 def _is_normalized(f: Fdfa, w: UpWord) -> bool:

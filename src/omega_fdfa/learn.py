@@ -11,6 +11,7 @@ from typing import Iterator
 from .core_automata import (
     Alphabet,
     AutomatonError,
+    BUCHI,
     DetOmega,
     DetTS,
     Dfa,
@@ -18,6 +19,7 @@ from .core_automata import (
     ResourceLimitError,
     UpWord,
     Word,
+    member_det_from,
     member_upword_det,
     nba_dba_included,
     nba_dba_intersection_witness,
@@ -29,6 +31,7 @@ from .fdfa import (
     Fdfa,
     LIMIT,
     accepts_decomposition,
+    accepts_from,
     accepts_upword,
     complement_finals,
     normalize,
@@ -99,7 +102,8 @@ class _Teacher:
     Whether u . v^omega is a counterexample depends on u only through the
     pair (hypothesis leading state, reference state) that u reaches, so the
     bounded enumeration scans each such pair once, at its first prefix in
-    length-lex order, and memoizes both verdicts per (state, period)."""
+    length-lex order.  Each verdict is asked of the state itself, without a
+    prefix or a normalized word, and memoized per (state, period)."""
 
     def __init__(self, ref_ts: DetTS, log: QueryLog | None):
         self.ref_ts = ref_ts
@@ -109,6 +113,11 @@ class _Teacher:
         self.eq_count = 0
 
     def _member(self, w: UpWord) -> bool:
+        raise NotImplementedError
+
+    def _member_from(self, s: int, v: Word) -> bool:
+        """Membership of u . v^omega for every u that leads the reference's
+        TS to s."""
         raise NotImplementedError
 
     def _exact_candidates(self, h: Fdfa) -> Iterator[Lasso]:
@@ -146,23 +155,26 @@ class _Teacher:
     def _bounded_search(self, h: Fdfa) -> UpWord | None:
         k = self.alphabet.size
         words = short_words(k, _fallback_len(k))
+        periods = words[1:]
         lead = h.leading
-        hyp: dict[tuple[int, Word], bool] = {}
-        ref: dict[tuple[int, Word], bool] = {}
+        # hyp[q][j] and ref[s][j] are the verdicts for periods[j], or None
+        hyp: dict[int, list[bool | None]] = {}
+        ref: dict[int, list[bool | None]] = {}
         scanned: set[tuple[int, int]] = set()
         for u in words:
             q, s = run_word(lead, lead.initial, u), self._ref_state(u)
             if (q, s) in scanned:
                 continue  # an earlier u with this pair found no counterexample
             scanned.add((q, s))
-            for v in words[1:]:
-                w = UpWord(u, v)
-                if (q, v) not in hyp:
-                    hyp[q, v] = accepts_decomposition(h, normalize(h, w))
-                if (s, v) not in ref:
-                    ref[s, v] = self._member(w)
-                if hyp[q, v] != ref[s, v]:
-                    return w
+            hq = hyp.setdefault(q, [None] * len(periods))
+            rs = ref.setdefault(s, [None] * len(periods))
+            for j, v in enumerate(periods):
+                if hq[j] is None:
+                    hq[j] = accepts_from(h, q, v)
+                if rs[j] is None:
+                    rs[j] = self._member_from(s, v)
+                if hq[j] != rs[j]:
+                    return UpWord(u, v)
         return None
 
 
@@ -170,11 +182,16 @@ class DbaTeacher(_Teacher):
     """Oracle backed by a reference DBA."""
 
     def __init__(self, ref: DetOmega, log: QueryLog | None = None):
+        if ref.polarity != BUCHI:
+            raise AutomatonError("DbaTeacher expects a Buchi reference")
         super().__init__(ref.ts, log)
         self.ref = ref
 
     def _member(self, w: UpWord) -> bool:
         return member_upword_det(self.ref, w)
+
+    def _member_from(self, s: int, v: Word) -> bool:
+        return member_det_from(self.ref, s, v)
 
     def _exact_candidates(self, h: Fdfa) -> Iterator[Lasso]:
         # everything the hypothesis NBA accepts must be in L(ref)
@@ -200,6 +217,9 @@ class FdfaTeacher(_Teacher):
 
     def _member(self, w: UpWord) -> bool:
         return accepts_upword(self.ref, w)
+
+    def _member_from(self, s: int, v: Word) -> bool:
+        return accepts_from(self.ref, s, v)
 
     def _exact_candidates(self, h: Fdfa) -> Iterator[Lasso]:
         # hypothesis-not-included direction, then target-not-included

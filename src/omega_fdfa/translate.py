@@ -4,7 +4,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import count
 
 from .core_automata import (
     AutomatonError,
@@ -22,20 +22,27 @@ def _assemble(f: Fdfa, duplicate: bool) -> Nba:
     """Shared NBA/LDBA assembly: the leading copy, then one component per
     leading state q and progress final f, in (q, sorted finals) order.  A
     component is the period recognizer (leading q->q) x (progress init->f) x
-    (progress f->f), walked breadth-first over such triples from
-    (q, init, f); its only final state is (q, f, f).  Transitions entering
-    it are redirected to the component's initial state and marked accepting,
-    which realizes the recognizer's omega-power.  With ``duplicate`` the
-    original transition is kept as well, which makes the component accept
-    the exact omega-power at the price of nondeterminism.
+    (progress f->f) over the triples reachable from (q, init, f); its only
+    final state is (q, f, f).  Transitions entering it are redirected to the
+    component's initial state and marked accepting, which realizes the
+    recognizer's omega-power.  With ``duplicate`` the original transition is
+    kept as well, which makes the component accept the exact omega-power at
+    the price of nondeterminism.
 
     Components are trimmed to their useful triples, those from which an
     edge into (q, f, f) is reachable; the rest could never take an accepting
     edge.  Without ``duplicate`` no transition enters (q, f, f) unless it is
     the initial triple, so there a component keeps only the useful triples
-    that its initial triple reaches.  The kept triples keep their
-    breadth-first order, and a component whose initial triple is not kept
-    is left out with the leading copy's jumps into it."""
+    that its initial triple reaches without entering it.  A component whose
+    initial triple is not kept is left out with the leading copy's jumps
+    into it.
+
+    All components of one q come from a single breadth-first walk from every
+    (q, init, f) at once, f in sorted order, so the k-th root has id k.  The
+    useful triples of (q, f, f) are a backward closure over that walk.  A
+    predecessor of a useful triple is useful, so a breadth-first search from
+    the root over the useful triples alone numbers them in the order of the
+    component's own breadth-first walk."""
     m = f.leading
     lead = m.delta
     trans: set[tuple[int, int, int]] = set()
@@ -44,43 +51,53 @@ def _assemble(f: Fdfa, duplicate: bool) -> Nba:
     comp_inits: list[list[int]] = [[] for _ in range(m.state_count)]
     for q, p in enumerate(f.progress):
         prog = p.ts.delta
-        for fstate in sorted(p.finals):
-            triples, rows = explore(
-                [(q, p.ts.initial, fstate)],
-                lambda x: zip(lead[x[0]], prog[x[1]], prog[x[2]]))
-            final = (q, fstate, fstate)
-            preds: list[list[int]] = [[] for _ in rows]
-            for s, row in enumerate(rows):
-                for t in row:
-                    preds[t].append(s)
-            useful = [False] * len(rows)
-            stack = [s for t, x in enumerate(triples) if x == final
-                     for s in preds[t]]
+        finals = sorted(p.finals)
+        triples, rows = explore(
+            [(q, p.ts.initial, fstate) for fstate in finals],
+            lambda x: zip(lead[x[0]], prog[x[1]], prog[x[2]]))
+        index = {x: i for i, x in enumerate(triples)}
+        preds: list[list[int]] = [[] for _ in rows]
+        for s, row in enumerate(rows):
+            for t in row:
+                preds[t].append(s)
+        for root, fstate in enumerate(finals):
+            final = index.get((q, fstate, fstate))
+            if final is None:
+                continue  # no walk reaches it, so no component takes it
+            useful = bytearray(len(rows))
+            stack = preds[final][:]
             while stack:
                 s = stack.pop()
                 if not useful[s]:
-                    useful[s] = True
+                    useful[s] = 1
                     stack += preds[s]
-            if not useful[0]:
+            if not useful[root]:
                 continue  # the component could never take an accepting edge
+            # breadth-first over the useful triples; 2 marks a numbered one
+            order = [root]
+            useful[root] = 2
+            for s in order:  # order grows while it is walked
+                for t in rows[s]:
+                    if useful[t] == 1:
+                        useful[t] = 2
+                        order.append(t)
             if not duplicate:
                 # no edge enters (q, f, f) unless it is the start, so only
                 # the useful triples the start reaches without it are kept
-                kept, stack = [False] * len(rows), [0]
-                kept[0] = True
+                kept, stack = {root}, [root]
                 while stack:
                     for t in rows[stack.pop()]:
-                        if useful[t] and not kept[t] and triples[t] != final:
-                            kept[t] = True
+                        if useful[t] and t not in kept and t != final:
+                            kept.add(t)
                             stack.append(t)
-                useful = kept
-            base = offset  # the component's initial state, triple 0
-            ids = dict(zip(compress(range(len(rows)), useful), count(base)))
+                order = [s for s in order if s in kept]
+            base = offset  # the component's initial state, its root
+            ids = dict(zip(order, count(base)))
             offset += len(ids)
             comp_inits[q].append(base)
             for s, i in ids.items():
                 for a, t in enumerate(rows[s]):
-                    if triples[t] == final:
+                    if t == final:
                         trans.add((i, a, base))
                         acc.add((i, a, base))
                         if not duplicate:

@@ -2,9 +2,10 @@
 renumbering and isomorphism, a one-pair Rabin emptiness check, a
 transition monoid explored by the generic ``explore``, the learner's
 former restart-scan table closing, the former nested-product assembly of
-the Buchi translations and a trim of its useless component states, and
-the former round-by-round partition refinement, and the former SCC-based
-least-lasso search.  Unlike ``oracles.py`` most of these reuse the
+the Buchi translations and a trim of its useless component states,
+the former round-by-round partition refinement, the former SCC-based
+least-lasso search, and the hypotheses that a learner's equivalence queries
+receive.  Unlike ``oracles.py`` most of these reuse the
 package's own search (``explore``, ``_scc_ids``, ``_least_lasso``), so
 they pin its results rather than check them independently."""
 
@@ -14,7 +15,15 @@ from collections import deque
 from dataclasses import replace
 from typing import Callable, Collection, Hashable, Iterable, Sequence
 
-from omega_fdfa import DetTS, Dfa, Fdfa, Lasso, Nba, ResourceLimitError
+from omega_fdfa import (
+    DetTS,
+    Dfa,
+    Fdfa,
+    Lasso,
+    Nba,
+    ResourceLimitError,
+    learn_limit_fdfa,
+)
 from omega_fdfa.core_automata import (
     Edge,
     Monoid,
@@ -293,3 +302,18 @@ def moore_quotient(ts: DetTS, label: Callable[[int], Hashable]
                   for b in range(nblocks))
     return ([order[i] for i in rep],
             DetTS(ts.alphabet, nblocks, block[0], delta))
+
+
+def eq_hypotheses(teacher) -> list[Fdfa]:
+    """Every hypothesis the teacher's equivalence query receives while the
+    learner runs against it."""
+    seen = []
+    eq = teacher.eq
+
+    def recording(h):
+        seen.append(h)
+        return eq(h)
+
+    teacher.eq = recording
+    learn_limit_fdfa(teacher)
+    return seen

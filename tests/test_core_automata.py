@@ -47,6 +47,7 @@ from omega_fdfa.core_automata import (
     dba_state_equiv,
     det_to_nba,
     explore,
+    member_det_from,
     short_words,
     shortest_state_words,
     transition_monoid,
@@ -354,6 +355,25 @@ def test_member_matches_naive_oracle_on_random_dbas():
                 dp = replace(d, polarity=polarity)
                 assert all(member_upword_det(dp, w) == naive_member(dp, w)
                            for w in words)
+
+
+def test_member_det_from_matches_naive_oracle_from_every_state():
+    # the verdict from a state s is the oracle's on the DBA started at s
+    dbas = [gen_fig1(), gen_ln(2)] + [gen_random_dba(seed, 2 + seed % 4,
+                                                     2 + seed % 2)
+                                      for seed in range(12)]
+    checked = 0
+    for d in dbas:
+        periods = words_upto(d.ts.alphabet.size, 4)[1:]
+        for polarity in (BUCHI, COBUCHI):
+            dp = replace(d, polarity=polarity)
+            for s in range(d.ts.state_count):
+                rooted = replace(dp, ts=replace(dp.ts, initial=s))
+                for v in periods:
+                    assert member_det_from(dp, s, v) \
+                        == naive_member(rooted, UpWord((), v)), (d, s, v)
+                    checked += 1
+    assert checked > 8_000
 
 
 def test_nba_membership_rejects_letters_outside_the_alphabet():

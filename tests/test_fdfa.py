@@ -8,8 +8,10 @@ import pytest
 from omega_fdfa import (
     Alphabet,
     AutomatonError,
+    DbaTeacher,
     DetTS,
     Dfa,
+    FLAVORS,
     Fdfa,
     LIMIT,
     SinkFinalMissing,
@@ -20,14 +22,18 @@ from omega_fdfa import (
     complement_finals,
     extract_fb,
     gen_fig1,
+    gen_random_dba,
     gen_sigma_star_aa,
     is_saturated_bounded,
     member_upword_det,
     normalize,
+    run_word,
     sink_final_state,
     size_report,
 )
+from omega_fdfa.fdfa import accepts_from
 
+from helpers import eq_hypotheses
 from oracles import words_upto
 
 AB = Alphabet(("a", "b"))
@@ -95,6 +101,48 @@ def test_accepts_upword_matches_reference(fig1, fig1_limit):
                 w = UpWord(u, v)
                 assert accepts_upword(fig1_limit, w) \
                     == member_upword_det(fig1, w)
+
+
+def _parity_family(k: int) -> Fdfa:
+    """The limit FDFA of "the maximal letter occurring infinitely often is
+    even" over the letters 1..k, as gen_fig5_fdfa builds it for k = 4: one
+    leading state, and a progress DFA that tracks the maximal letter seen."""
+    alphabet = Alphabet(tuple(str(a) for a in range(1, k + 1)))
+    delta = tuple(tuple(max(m, a) for a in range(k)) for m in range(k))
+    progress = Dfa(DetTS(alphabet, k, 0, delta),
+                   frozenset(range(1, k, 2)))
+    return Fdfa(DetTS(alphabet, 1, 0, (tuple([0] * k),)), (progress,),
+                flavor=LIMIT)
+
+
+def _verdict_families():
+    """The four flavors of three DBAs, the learner's hypotheses for fig1 and
+    for a target it learns wrongly, and parity families, each with its
+    complement."""
+    families = [_parity_family(k) for k in (2, 3, 4)]
+    for d in (gen_fig1(), gen_sigma_star_aa(), gen_random_dba(4, 4, 3)):
+        families += [build_canonical_fdfa(d, flavor) for flavor in FLAVORS]
+    for d in (gen_fig1(), gen_random_dba(6, 5, 3)):
+        families += eq_hypotheses(DbaTeacher(d))
+    for f in families:
+        yield f
+        yield complement_finals(f)
+
+
+def test_accepts_from_is_the_normalized_decomposition():
+    # the verdict from the leading state that u reaches is the verdict of
+    # u . v^omega's normalized decomposition
+    checked = 0
+    for f in _verdict_families():
+        m = f.leading
+        words = words_upto(m.alphabet.size, 4)
+        for u in words_upto(m.alphabet.size, 3):
+            q = run_word(m, m.initial, u)
+            for v in words[1:]:
+                assert accepts_from(f, q, v) == accepts_decomposition(
+                    f, normalize(f, UpWord(u, v))), (f, u, v)
+                checked += 1
+    assert checked > 100_000
 
 
 def test_is_saturated_bounded_canonical(fig1_limit):

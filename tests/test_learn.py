@@ -2,12 +2,14 @@
 
 import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 import omega_fdfa.learn as learn
 from omega_fdfa import (
     AutomatonError,
+    COBUCHI,
     DbaTeacher,
     FdfaTeacher,
     LIMIT,
@@ -31,7 +33,7 @@ from omega_fdfa.core_automata import short_words
 from omega_fdfa.fdfa import accepts_decomposition, normalize
 from omega_fdfa.learn import FALLBACK_WORDS, _fallback_len
 
-from helpers import restart_scan_close
+from helpers import eq_hypotheses, restart_scan_close
 from oracles import naive_member, words_upto
 
 
@@ -111,6 +113,19 @@ def test_iteration_cap(fig1):
         learn_limit_fdfa(DbaTeacher(fig1), max_iterations=1)
 
 
+def test_dba_teacher_refuses_a_cobuchi_reference_before_any_query(
+        fig1, monkeypatch):
+    # the refusal used to come from the first EQ's inclusion check, after
+    # 22 MQs on fig1
+    queried = []
+    monkeypatch.setattr(learn, "member_upword_det",
+                        lambda d, w: queried.append(w))
+    log = QueryLog(fig1.ts.alphabet)
+    with pytest.raises(AutomatonError, match="expects a Buchi reference"):
+        learn_limit_fdfa(DbaTeacher(replace(fig1, polarity=COBUCHI), log=log))
+    assert queried == [] and log.lines == []
+
+
 def test_learned_hypothesis_passes_fresh_equivalence(fig1):
     h, _ = learn_limit_fdfa(DbaTeacher(fig1))
     assert DbaTeacher(fig1).eq(h) is None
@@ -121,21 +136,6 @@ def test_fallback_takes_whole_length_layers_within_budget(nletters):
     max_len = _fallback_len(nletters)
     assert len(short_words(nletters, max_len)) <= FALLBACK_WORDS
     assert len(short_words(nletters, max_len + 1)) > FALLBACK_WORDS
-
-
-def _eq_hypotheses(teacher) -> list:
-    """Every hypothesis the teacher's equivalence query receives while the
-    learner runs against it."""
-    seen = []
-    eq = teacher.eq
-
-    def recording(h):
-        seen.append(h)
-        return eq(h)
-
-    teacher.eq = recording
-    learn_limit_fdfa(teacher)
-    return seen
 
 
 def _naive_bounded_search(h, member, nletters):
@@ -167,7 +167,7 @@ def _search_cases():
 def test_bounded_search_matches_plain_double_loop():
     scanned = 0
     for teacher, member in _search_cases():
-        for h in _eq_hypotheses(teacher):
+        for h in eq_hypotheses(teacher):
             expected = _naive_bounded_search(h, member, teacher.alphabet.size)
             assert teacher._bounded_search(h) == expected
             scanned += 1

@@ -5,6 +5,7 @@ import pytest
 
 from omega_fdfa import (
     AutomatonError,
+    DbaTeacher,
     DetTS,
     Dfa,
     FLAVORS,
@@ -30,9 +31,14 @@ from omega_fdfa import (
     nba_dba_intersection_witness,
     size_report,
 )
-from omega_fdfa.core_automata import det_to_nba
+from omega_fdfa.core_automata import det_to_nba, explore
 
-from helpers import nested_product_nba, one_pair_rabin_empty, trim_useless
+from helpers import (
+    eq_hypotheses,
+    nested_product_nba,
+    one_pair_rabin_empty,
+    trim_useless,
+)
 from oracles import naive_nba_member, words_upto
 
 ZOO = [gen_fig1(), gen_sigma_star_aa(), gen_ln(1), gen_ln(2)]
@@ -154,28 +160,69 @@ def _parity_families():
             yield build_canonical_fdfa(d, flavor)
 
 
+def _learned_hypotheses():
+    """The hypotheses the learner's equivalence queries receive for fig1 and
+    for the five targets it learns wrongly, with their complements."""
+    targets = [gen_fig1()] + [gen_random_dba(s, 5, 3) for s in (6, 16, 21)] \
+        + [gen_random_dba(s, 6, 2) for s in (19, 22)]
+    for d in targets:
+        for h in eq_hypotheses(DbaTeacher(d)):
+            yield h
+            yield complement_finals(h)
+
+
+def _assembly_cases():
+    """The parity families with their complements and F_b restrictions, then
+    the learner's hypotheses with their complements."""
+    for f in _parity_families():
+        yield f
+        yield complement_finals(f)
+        try:
+            yield extract_fb(f)
+        except AutomatonError:
+            pass  # not limit, or a progress DFA without a sink final
+    yield from _learned_hypotheses()
+
+
+def _walk_shapes(g):
+    """(components left out, leading states whose components' walks share a
+    triple), each component walked on its own from (q, init, f)."""
+    skipped = shared = 0
+    lead = g.leading.delta
+    for q, p in enumerate(g.progress):
+        prog = p.ts.delta
+        walks = []
+        for fstate in sorted(p.finals):
+            triples, rows = explore(
+                [(q, p.ts.initial, fstate)],
+                lambda x: zip(lead[x[0]], prog[x[1]], prog[x[2]]))
+            final = (q, fstate, fstate)
+            skipped += not any(triples[t] == final for row in rows for t in row)
+            walks.append(set(triples))
+        shared += any(a & b for i, a in enumerate(walks) for b in walks[:i])
+    return skipped, shared
+
+
 def test_one_walk_components_equal_nested_products():
     # the one-walk period recognizers, trimmed to useful states, number
     # every state as the former nested DFA products do once their useless
     # component states are removed: those that take no accepting edge, and
     # in the LDBA those that no initial state reaches
-    checked = 0
-    for f in _parity_families():
-        family = [f, complement_finals(f)]
-        try:
-            family.append(extract_fb(f))
-        except AutomatonError:
-            pass  # not limit, or a progress DFA without a sink final
-        for g in family:
-            lead = g.leading.state_count
-            assert fdfa_to_nba(g) == trim_useless(
-                nested_product_nba(g, True), lead)
-            ldba = fdfa_to_ldba(g)
-            assert ldba.nba == trim_useless(nested_product_nba(g, False), lead)
-            assert ldba.jump_sources == frozenset(
-                range(g.leading.state_count))
-            checked += 1
-    assert checked > 400
+    checked = skipped = shared = 0
+    for g in _assembly_cases():
+        lead = g.leading.state_count
+        assert fdfa_to_nba(g) == trim_useless(nested_product_nba(g, True), lead)
+        ldba = fdfa_to_ldba(g)
+        assert ldba.nba == trim_useless(nested_product_nba(g, False), lead)
+        assert ldba.jump_sources == frozenset(range(lead))
+        checked += 1
+        skips, shares = _walk_shapes(g)
+        skipped += skips
+        shared += shares
+    assert checked > 800
+    # the cases leave components out and share triples between the walks of
+    # one leading state's components
+    assert skipped > 0 and shared > 0
 
 
 def _omega_words(nletters, bound):
