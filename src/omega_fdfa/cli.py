@@ -164,6 +164,8 @@ def _read_block(lines: list[str], pos: int, alphabet: Alphabet | None,
 
 def parse_automaton(text: str) -> Dfa | DetOmega | Nba:
     lines = _clean_lines(text)
+    if lines[:1] == ["fdfa"]:
+        raise ParseError("expected an automaton, got an FDFA file")
     obj, pos = _read_block(lines, 0, None)
     if pos != len(lines):
         raise ParseError(f"trailing content: {lines[pos]!r}")

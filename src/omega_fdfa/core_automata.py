@@ -68,8 +68,10 @@ class Alphabet:
         if len(set(self.letters)) != len(self.letters):
             raise AlphabetError("duplicate letters in alphabet")
 
-    @property
+    @cached_property
     def size(self) -> int:
+        # read once per run_word call; cached_property writes the instance
+        # dict directly, so it works on this frozen dataclass
         return len(self.letters)
 
     def index(self, letter: str) -> int:

@@ -6,10 +6,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 from .core_automata import (
     Alphabet,
+    AlphabetError,
     AutomatonError,
     BUCHI,
     DetOmega,
@@ -20,7 +22,7 @@ from .core_automata import (
     UpWord,
     Word,
     member_det_from,
-    member_upword_det,
+    member_upword_det,  # noqa: F401  (fdfabench/spans.py counts it here)
     nba_dba_included,
     nba_dba_intersection_witness,
     nba_nba_intersection_witness,
@@ -30,7 +32,7 @@ from .core_automata import (
 from .fdfa import (
     Fdfa,
     LIMIT,
-    accepts_decomposition,
+    accepts_decomposition,  # noqa: F401  (fdfabench/spans.py counts it here)
     accepts_from,
     accepts_upword,
     complement_finals,
@@ -93,44 +95,40 @@ def _fallback_len(nletters: int) -> int:
 
 
 class _Teacher:
-    """Query plumbing shared by the teachers: counters, the optional log, and
-    equivalence queries that try the subclass' exact candidates and then a
-    bounded enumeration.  Every candidate is validated against the
-    hypothesis' normalized acceptance before being returned, so unsound
-    intermediate constructions only cost time.
+    """Query plumbing shared by the teachers: counters, the optional log,
+    membership, and equivalence queries that try the subclass' exact
+    candidates and then a bounded enumeration.
 
-    Whether u . v^omega is a counterexample depends on u only through the
-    pair (hypothesis leading state, reference state) that u reaches, so the
-    bounded enumeration scans each such pair once, at its first prefix in
-    length-lex order.  Each verdict is asked of the state itself, without a
-    prefix or a normalized word, and memoized per (state, period)."""
+    A verdict on u . v^omega depends on u only through the state s that u
+    reaches in the reference's TS, so every query runs u there and asks
+    ``member_from(s, v)``.  Exact candidates are validated against the
+    hypothesis before being returned, so unsound intermediate constructions
+    only cost time.  The bounded enumeration scans each pair (hypothesis
+    leading state, reference state) once, at its first prefix in length-lex
+    order, and memoizes each side's verdict per (state, period)."""
 
-    def __init__(self, ref_ts: DetTS, log: QueryLog | None):
+    def __init__(self, ref_ts: DetTS, member_from: Callable[[int, Word], bool],
+                 log: QueryLog | None):
         self.ref_ts = ref_ts
         self.alphabet = ref_ts.alphabet
+        self.member_from = member_from
         self.log = log
         self.mq_count = 0
         self.eq_count = 0
 
-    def _member(self, w: UpWord) -> bool:
-        raise NotImplementedError
-
-    def _member_from(self, s: int, v: Word) -> bool:
-        """Membership of u . v^omega for every u that leads the reference's
-        TS to s."""
-        raise NotImplementedError
-
     def _exact_candidates(self, h: Fdfa) -> Iterator[Lasso]:
         raise NotImplementedError
 
-    def _ref_state(self, u: Word) -> int:
-        """The state of the reference's TS that u reaches; membership of
-        u . v^omega depends on u only through it."""
-        return run_word(self.ref_ts, self.ref_ts.initial, u)
-
     def mq(self, prefix: Word, period: Word) -> bool:
+        """Membership of prefix . period^omega; a refused query is neither
+        counted nor logged."""
+        if not period:
+            raise AutomatonError("period must be nonempty")
+        s = run_word(self.ref_ts, self.ref_ts.initial, prefix)
+        if min(period) < 0 or max(period) >= self.alphabet.size:
+            raise AlphabetError("word letter outside alphabet")
+        result = self.member_from(s, period)
         self.mq_count += 1
-        result = self._member(UpWord(prefix, period))
         if self.log:
             self.log.mq(prefix, period, result)
         return result
@@ -146,9 +144,11 @@ class _Teacher:
         return ce
 
     def _find_counterexample(self, h: Fdfa) -> UpWord | None:
+        ts = self.ref_ts
         for lasso in self._exact_candidates(h):
             w = lasso.upword()
-            if accepts_decomposition(h, normalize(h, w)) != self._member(w):
+            s = run_word(ts, ts.initial, w.prefix)
+            if accepts_upword(h, w) != self.member_from(s, w.period):
                 return w
         return self._bounded_search(h)
 
@@ -156,13 +156,13 @@ class _Teacher:
         k = self.alphabet.size
         words = short_words(k, _fallback_len(k))
         periods = words[1:]
-        lead = h.leading
+        lead, ts = h.leading, self.ref_ts
         # hyp[q][j] and ref[s][j] are the verdicts for periods[j], or None
         hyp: dict[int, list[bool | None]] = {}
         ref: dict[int, list[bool | None]] = {}
         scanned: set[tuple[int, int]] = set()
         for u in words:
-            q, s = run_word(lead, lead.initial, u), self._ref_state(u)
+            q, s = run_word(lead, lead.initial, u), run_word(ts, ts.initial, u)
             if (q, s) in scanned:
                 continue  # an earlier u with this pair found no counterexample
             scanned.add((q, s))
@@ -172,7 +172,7 @@ class _Teacher:
                 if hq[j] is None:
                     hq[j] = accepts_from(h, q, v)
                 if rs[j] is None:
-                    rs[j] = self._member_from(s, v)
+                    rs[j] = self.member_from(s, v)
                 if hq[j] != rs[j]:
                     return UpWord(u, v)
         return None
@@ -184,14 +184,8 @@ class DbaTeacher(_Teacher):
     def __init__(self, ref: DetOmega, log: QueryLog | None = None):
         if ref.polarity != BUCHI:
             raise AutomatonError("DbaTeacher expects a Buchi reference")
-        super().__init__(ref.ts, log)
+        super().__init__(ref.ts, partial(member_det_from, ref), log)
         self.ref = ref
-
-    def _member(self, w: UpWord) -> bool:
-        return member_upword_det(self.ref, w)
-
-    def _member_from(self, s: int, v: Word) -> bool:
-        return member_det_from(self.ref, s, v)
 
     def _exact_candidates(self, h: Fdfa) -> Iterator[Lasso]:
         # everything the hypothesis NBA accepts must be in L(ref)
@@ -209,17 +203,11 @@ class FdfaTeacher(_Teacher):
     """Oracle backed by a saturated FDFA (for targets no DBA recognizes)."""
 
     def __init__(self, ref: Fdfa, log: QueryLog | None = None):
-        super().__init__(ref.leading, log)
+        super().__init__(ref.leading, partial(accepts_from, ref), log)
         self.ref = ref
         # the reference's NBA and its complement's, shared by every EQ
         self._ref_nba = fdfa_to_nba(ref)
         self._ref_complement_nba = fdfa_to_nba(complement_finals(ref))
-
-    def _member(self, w: UpWord) -> bool:
-        return accepts_upword(self.ref, w)
-
-    def _member_from(self, s: int, v: Word) -> bool:
-        return accepts_from(self.ref, s, v)
 
     def _exact_candidates(self, h: Fdfa) -> Iterator[Lasso]:
         # hypothesis-not-included direction, then target-not-included
@@ -310,7 +298,12 @@ def _shape(h: Fdfa) -> tuple:
 
 class _Session:
     """One learning run: the membership-query cache, the leading table, and
-    one progress table per leading representative."""
+    one progress table per leading state.
+
+    Leading entries are plain membership queries, so leading rows never
+    collapse: representative ``lead.reps[q]`` keeps index q through every
+    close, q is the leading state it reaches, and ``progress[q]`` is its
+    table."""
 
     def __init__(self, teacher):
         self.teacher = teacher
@@ -319,7 +312,7 @@ class _Session:
         k = self.alphabet.size
         self.lead = _Table(k, [((), (a,)) for a in range(k)],
                            lambda row, exp: self.mq(row + exp[0], exp[1]))
-        self.progress: dict[Word, _Table] = {}
+        self.progress: list[_Table] = []
         self.close_leading()
 
     def mq(self, prefix: Word, period: Word) -> bool:
@@ -336,11 +329,10 @@ class _Session:
     def leading_state(self, w: Word) -> int:
         return run_word(self.leading, 0, w)
 
-    def _progress_entry(self, u: Word, x: Word, v: Word) -> bool:
-        q = self.leading_state(u)
+    def _progress_entry(self, q: int, x: Word, v: Word) -> bool:
         if run_word(self.leading, q, x + v) != q:
             return True
-        return self.mq(u, x + v)
+        return self.mq(self.lead.reps[q], x + v)
 
     def close_leading(self) -> None:
         """Close the leading table and rebuild the leading DFA; progress
@@ -348,17 +340,16 @@ class _Session:
         self.lead.close()
         self.leading = DetTS(self.alphabet, len(self.lead.reps), 0,
                              self.lead.delta)
-        for u in self.lead.reps:
-            if u not in self.progress:
-                self.progress[u] = _Table(
-                    self.alphabet.size, [()],
-                    lambda x, v, u=u: self._progress_entry(u, x, v))
-            self.progress[u].close()
+        for q in range(len(self.progress), len(self.lead.reps)):
+            self.progress.append(_Table(
+                self.alphabet.size, [()],
+                lambda x, v, q=q: self._progress_entry(q, x, v)))
+        for table in self.progress:
+            table.close()
 
     def hypothesis(self) -> Fdfa:
         progress = []
-        for u in self.lead.reps:
-            t = self.progress[u]
+        for t in self.progress:
             ts = DetTS(self.alphabet, len(t.reps), 0, t.delta)
             progress.append(Dfa(ts, frozenset(
                 i for i, rep in enumerate(t.reps) if t.entry(rep, ()))))
@@ -370,11 +361,10 @@ class _Session:
         w = normalize(h, ce)
         x, y = w.prefix, w.period
         q = self.leading_state(x)
-        x_rep = self.lead.reps[q]
-        if self.mq(x, y) != self.mq(x_rep, y):
+        if self.mq(x, y) != self.mq(self.lead.reps[q], y):
             self._refine_leading(x, y)
         else:
-            self._refine_progress(x_rep, h.progress[q], y)
+            self._refine_progress(q, h.progress[q], y)
 
     def _refine_leading(self, x: Word, y: Word) -> None:
         s = [self.lead.reps[self.leading_state(x[:i])]
@@ -385,12 +375,12 @@ class _Session:
         self.lead.add_exp((x[j:], y))
         self.close_leading()
 
-    def _refine_progress(self, u: Word, progress: Dfa, y: Word) -> None:
-        table = self.progress[u]
+    def _refine_progress(self, q: int, progress: Dfa, y: Word) -> None:
+        table = self.progress[q]
 
         def value(i: int) -> bool:
             s_i = table.reps[run_word(progress.ts, 0, y[:i])]
-            return self._progress_entry(u, s_i, y[i:])
+            return self._progress_entry(q, s_i, y[i:])
 
         j = _breakpoint(value, len(y))
         if j is None:

@@ -269,6 +269,17 @@ def test_cmd_canon_rejects_bad_input(cli, tmp_path):
     assert cli("canon", str(tmp_path / "missing.aut"))[0] == 2
 
 
+def test_fdfa_file_read_as_an_automaton_exits_2(cli, fig1_fdfa_file):
+    # it used to fail on its first block with "missing alphabet"
+    with open(fig1_fdfa_file, encoding="utf-8") as fh:
+        text = fh.read()
+    with pytest.raises(ParseError, match="got an FDFA file"):
+        parse_automaton(text)
+    refusal = (2, "", "error: expected an automaton, got an FDFA file\n")
+    assert cli("canon", fig1_fdfa_file) == refusal
+    assert cli("learn", "--teacher", f"dba:{fig1_fdfa_file}") == refusal
+
+
 def test_cmd_canon_profile_cap_exits_4(cli, tmp_path, monkeypatch):
     path = _write(tmp_path, "cap.aut",
                   format_automaton(gen_random_dba(2, 8, 2)))

@@ -2,6 +2,7 @@
 membership, and the emptiness/inclusion engines."""
 
 import functools
+import pickle
 import random
 from dataclasses import fields, replace
 
@@ -93,6 +94,20 @@ def test_alphabet_rejects_duplicates_and_unknown_letters():
         Alphabet(("a", "a"))
     with pytest.raises(AlphabetError):
         AB.parse_word("ac")
+
+
+def test_alphabet_size_is_cached_outside_eq_hash_pickle_and_replace():
+    alpha = Alphabet(("req", "ack", "nak"))
+    assert alpha.size == 3 and "size" in vars(alpha)
+    fresh = Alphabet(("req", "ack", "nak"))
+    assert "size" not in vars(fresh)
+    assert alpha == fresh and hash(alpha) == hash(fresh)
+    assert repr(alpha) == repr(fresh)
+    again = pickle.loads(pickle.dumps(alpha))
+    assert again == alpha and hash(again) == hash(alpha) and again.size == 3
+    shorter = replace(alpha, letters=("req", "ack"))
+    assert shorter.size == 2 and shorter != alpha
+    assert replace(alpha) == alpha and replace(alpha).size == 3
 
 
 def test_upword_requires_nonempty_period():

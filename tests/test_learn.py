@@ -118,12 +118,69 @@ def test_dba_teacher_refuses_a_cobuchi_reference_before_any_query(
     # the refusal used to come from the first EQ's inclusion check, after
     # 22 MQs on fig1
     queried = []
-    monkeypatch.setattr(learn, "member_upword_det",
-                        lambda d, w: queried.append(w))
+    monkeypatch.setattr(learn, "member_det_from",
+                        lambda d, s, v: queried.append(v))
     log = QueryLog(fig1.ts.alphabet)
     with pytest.raises(AutomatonError, match="expects a Buchi reference"):
         learn_limit_fdfa(DbaTeacher(replace(fig1, polarity=COBUCHI), log=log))
     assert queried == [] and log.lines == []
+
+
+def _mq_cases():
+    """Teachers, each with an independent verdict on u . v^omega: DBAs by
+    the brute-force oracle, among them the five known-wrong targets, and
+    FDFAs by their normalized decomposition."""
+    dbas = [gen_fig1(), gen_ln(2)]
+    dbas += [gen_random_dba(s, 5, 3) for s in (6, 16, 21)]
+    dbas += [gen_random_dba(s, 6, 2) for s in (19, 22)]
+    for d in dbas:
+        yield DbaTeacher(d), lambda w, d=d: naive_member(d, w)
+    for f in (gen_fig5_fdfa(), build_canonical_fdfa(gen_ln(2), LIMIT)):
+        yield FdfaTeacher(f), \
+            lambda w, f=f: accepts_decomposition(f, normalize(f, w))
+
+
+def test_mq_answers_from_the_state_its_prefix_reaches():
+    checked = 0
+    for teacher, member in _mq_cases():
+        k = teacher.alphabet.size
+        periods = [v for v in words_upto(k, 4) if v]
+        for u in words_upto(k, 3):
+            for v in periods:
+                assert teacher.mq(u, v) == member(UpWord(u, v)), (u, v)
+                checked += 1
+    assert checked > 50_000
+
+
+@pytest.mark.parametrize("make_teacher, ref", [
+    (DbaTeacher, gen_fig1()), (FdfaTeacher, gen_fig5_fdfa())])
+def test_refused_mq_is_neither_counted_nor_logged(make_teacher, ref):
+    teacher = make_teacher(ref)
+    teacher.log = QueryLog(teacher.alphabet)
+    for prefix, period in (((0,), ()), ((0, 5), (0,)), ((0,), (1, 7)),
+                           ((), (-1,))):
+        with pytest.raises(AutomatonError):
+            teacher.mq(prefix, period)
+    assert teacher.mq_count == 0 and teacher.log.lines == []
+    teacher.mq((0,), (1,))
+    assert teacher.mq_count == 1 and len(teacher.log.lines) == 1
+
+
+def test_leading_representatives_reach_their_own_state(monkeypatch):
+    closes = []
+    close_leading = learn._Session.close_leading
+
+    def checked_close(session):
+        close_leading(session)
+        reps = session.lead.reps
+        assert len(session.progress) == len(reps)
+        assert all(session.leading_state(u) == q for q, u in enumerate(reps))
+        closes.append(len(reps))
+
+    monkeypatch.setattr(learn._Session, "close_leading", checked_close)
+    for teacher, _ in _mq_cases():
+        learn_limit_fdfa(teacher)
+    assert len(closes) >= 20 and max(closes) >= 6
 
 
 def test_learned_hypothesis_passes_fresh_equivalence(fig1):
