@@ -6,7 +6,6 @@ from .congruence import (
     LeadingQuotient,
     build_canonical_fdfa,
     compute_leading,
-    cosafety_vu_dfa,
     cu_dfa,
     periodic_lang_dfa,
     progress_dfa,

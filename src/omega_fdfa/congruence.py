@@ -1,40 +1,47 @@
 """Leading right congruence and the four canonical progress DFAs computed
-from a reference deterministic Buchi automaton, plus the co-safety
-cross-check construction.
+from a reference deterministic Buchi automaton.
 
 One construction does its per-DBA work once.  The leading congruence comes
 from one pass over the pair graph of the reference's reachable states
 (``core_automata.dba_equiv_table``), and ``coarsest_quotient``, the
-refinement that also minimizes DFAs, builds the leading DFA from it.
+refinement that also minimizes DFAs, builds the leading DFA from it; each
+class's members are grouped once, on the ``LeadingQuotient``.
 
-Profile DFAs are transition monoids of the reference, explored by
-``core_automata.transition_monoid``; profiles are bytes when at most 128
-states are reachable.  Periodic reads the whole orbit of each class's
-representative, so it explores the whole monoid once per construction and
-labels each profile with the classes from whose representative its
-omega-power is accepted.  One partition refinement of the monoid's own rows
-(``core_automata._refine``; ``transition_monoid`` numbers them breadth-first
-with every profile reachable) quotients it by those labels, and each class's
-progress DFA is minimized on this shared quotient with its own finals.
+Profile DFAs are transition monoids of the reference.  Their per-reference
+part, the reachable-state numbering and each letter's step list over
+profile entries (``core_automata.profile_steps``), is built once per
+reference and kept on it; every monoid is a walk over those lists
+(``core_automata.profile_walk``), with bytes profiles when at most 128
+states are reachable.  A monoid is numbered breadth-first with every
+profile reachable, and so is each quotient of it, so a progress DFA born
+on one is minimized on its own rows (``_minimized_on_rows``, one partition
+refinement by ``core_automata._refine``) without walking it again.
+Periodic reads the whole orbit of each class's representative, so it
+explores the whole monoid once per construction and labels each profile
+with the classes from whose representative its omega-power is accepted.
+One refinement of the monoid's own rows quotients it by those labels, and
+each class's progress DFA is minimized on this shared quotient with its
+own finals.
 Limit reads less.  A period z is limit-final for u unless z takes u's
 representative r back into u's class and z^omega is rejected from r, and a
 run that returns stays in u's class, since the leading congruence is a right
 congruence.  So each class's limit DFA is its class-local monoid, whose
 profiles hold entries for the class members only (still pointing to any
-reachable state), labelled by ``_limit_finals`` and minimized.
+reachable state), labelled by ``_limit_finals`` and minimized on its rows.
 Syntactic and recurrent need no monoid of their own: on nonempty periods
 both are limit_u intersected with C_u = {v : u . v ~ u}, the product of the
 leading TS rooted at u with the limit DFA, and recurrent is that product
-minimized.
+minimized by ``dfa_minimize``.
 
 The periodic work is cached on the ``LeadingQuotient`` and lives as long as
-it; nothing is kept for limit.  The module constants PAIR_CAP and
-PROFILE_CAP, read at call time, cap the leading pair graph and each monoid.
+it; nothing is kept for limit beyond the reference's step lists.  The
+module constants PAIR_CAP and PROFILE_CAP, read at call time, cap the
+leading pair graph and each monoid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -48,15 +55,14 @@ from .core_automata import (
     ResourceLimitError,
     Word,
     _refine,
-    _scc_ids,
     coarsest_quotient,
     dba_equiv_table,
     dba_state_equiv,  # noqa: F401  (fdfabench/spans.py wraps it here)
     dfa_minimize,
     dfa_product,
     explore,
+    profile_walk,
     shortest_state_words,
-    transition_monoid,
 )
 from .fdfa import Fdfa, LIMIT, PERIODIC, RECURRENT, SYNTACTIC
 
@@ -74,7 +80,10 @@ class LeadingQuotient:
 
     ``class_of[s]`` is the class id of reference state s (-1 if unreachable);
     ``reps[c]`` is the least reference state id in class c; ``rep_words[c]``
-    is the shortest, lexicographically least access word of class c.
+    is the shortest, lexicographically least access word of class c;
+    ``members[c]`` lists class c's reference states in increasing order.
+    ``members`` is derived from ``class_of`` and stays outside ``==``,
+    ``hash`` and ``repr``.
 
     The periodic flavor's work, which every class shares (the whole
     profile monoid, its acceptance vectors and its quotient), is computed
@@ -87,6 +96,7 @@ class LeadingQuotient:
     leading: DetTS
     reps: tuple[int, ...]
     rep_words: tuple[Word, ...]
+    members: tuple[list[int], ...] = field(compare=False, repr=False)
 
     @cached_property
     def _monoid(self) -> Monoid:
@@ -120,6 +130,8 @@ class LeadingQuotient:
         # the monoid is numbered breadth-first with every profile reachable,
         # so its own rows are refined without walking it again
         blocks, quotient = _refine(ts.alphabet, ts.delta, labels)
+        # the quotient's blocks are numbered by their least profile, so it is
+        # numbered breadth-first too, with every block reachable
         return quotient, tuple(
             frozenset(b for b, i in enumerate(blocks) if vectors[labels[i]][u])
             for u in range(len(self.reps)))
@@ -149,7 +161,10 @@ def compute_leading(d: DetOmega) -> LeadingQuotient:
     words = shortest_state_words(leading)
     reps = tuple(block)
     rep_words = tuple(words[c] for c in range(len(reps)))
-    return LeadingQuotient(d, class_of, leading, reps, rep_words)
+    members: tuple[list[int], ...] = tuple([] for _ in reps)
+    for s in reachable:
+        members[class_of[s]].append(s)
+    return LeadingQuotient(d, class_of, leading, reps, rep_words, members)
 
 
 def _explore_profiles(d: DetOmega, cap: int,
@@ -157,9 +172,10 @@ def _explore_profiles(d: DetOmega, cap: int,
     """The transition-profile TS of d over the ``domain`` states (default:
     every reachable state), whose profile bits mark d's accepting
     transitions (see core_automata.transition_monoid); raises
-    ResourceLimitError above ``cap`` profiles."""
+    ResourceLimitError above ``cap`` profiles.  Every monoid of d walks
+    the same ``d._steps``."""
     try:
-        return transition_monoid(d.ts, d.acc, cap, domain)
+        return profile_walk(d.ts.alphabet, d._steps, cap, domain)
     except ResourceLimitError:
         raise ResourceLimitError(
             f"profile DFA exceeded cap of {cap} states") from None
@@ -267,6 +283,17 @@ def _limit_finals(monoid: Monoid, members: Sequence[int]) -> frozenset[int]:
     return frozenset(finals)
 
 
+def _minimized_on_rows(ts: DetTS, finals: frozenset[int]) -> Dfa:
+    """``dfa_minimize(Dfa(ts, finals))`` for a ts numbered breadth-first
+    from state 0 with every state reachable, as transition monoids and
+    their quotients are: its own rows are refined without walking it
+    again."""
+    reps, quotient = _refine(ts.alphabet, ts.delta,
+                             [s in finals for s in range(ts.state_count)])
+    return Dfa(quotient, frozenset(b for b, s in enumerate(reps)
+                                   if s in finals))
+
+
 def progress_dfa(lq: LeadingQuotient, u_class: int, flavor: str) -> Dfa:
     if flavor in (SYNTACTIC, RECURRENT):
         # on nonempty periods both are limit_u restricted to
@@ -286,11 +313,11 @@ def progress_dfa(lq: LeadingQuotient, u_class: int, flavor: str) -> Dfa:
         # the quotient refines u's Nerode equivalence, so minimizing on it
         # gives the same DFA as minimizing on the whole profile TS
         ts, finals = lq._periodic_quotient
-        return dfa_minimize(Dfa(ts, finals[u_class]))
+        return _minimized_on_rows(ts, finals[u_class])
     # u's class-local monoid, whose profiles map onto u's limit classes
-    members = [s for s, c in enumerate(lq.class_of) if c == u_class]
+    members = lq.members[u_class]
     monoid = _explore_profiles(lq.ref, PROFILE_CAP, members)
-    return dfa_minimize(Dfa(monoid[1], _limit_finals(monoid, members)))
+    return _minimized_on_rows(monoid[1], _limit_finals(monoid, members))
 
 
 def build_canonical_fdfa(d: DetOmega, flavor: str) -> Fdfa:
@@ -298,33 +325,3 @@ def build_canonical_fdfa(d: DetOmega, flavor: str) -> Fdfa:
     progress = tuple(progress_dfa(lq, c, flavor)
                      for c in range(lq.leading.state_count))
     return Fdfa(lq.leading, progress, labels=lq.rep_words, flavor=flavor)
-
-
-def cosafety_vu_dfa(lq: LeadingQuotient, u_class: int) -> Dfa:
-    """DFA for V_u = {x in Sigma+ : forall v, u.x.v ~ u implies
-    u.(xv)^omega in L}, built per reference state and intersected over the
-    class members."""
-    d = lq.ref
-    if d.polarity != BUCHI:
-        raise AutomatonError("co-safety construction needs a Buchi reference")
-    if not 0 <= u_class < lq.leading.state_count:
-        raise AutomatonError("invalid leading class")
-    ts = d.ts
-    n = ts.state_count
-    comp = _scc_ids([[t for a, t in enumerate(row) if (s, a) not in d.acc]
-                     for s, row in enumerate(ts.delta)])
-    # an accepting edge or one that leaves its quiet SCC falls into top = n
-    top_row = (n,) * ts.alphabet.size
-    delta = tuple(tuple(n if (p, a) in d.acc or comp[p] != comp[t] else t
-                        for a, t in enumerate(row))
-                  for p, row in enumerate(ts.delta)) + (top_row,)
-
-    def d_q(q: int) -> Dfa:
-        return Dfa(DetTS(ts.alphabet, n + 1, q, delta), frozenset([n]))
-
-    members = [s for s in range(n) if lq.class_of[s] == u_class]
-    result = d_q(members[0])
-    for q in members[1:]:
-        result = dfa_product(result, d_q(q), lambda x, y: x and y)
-    return dfa_minimize(result)
-

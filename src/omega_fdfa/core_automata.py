@@ -140,9 +140,10 @@ class DetOmega:
     ``acc`` holds (state, letter) pairs.  Buchi polarity accepts runs taking
     marked transitions infinitely often; coBuchi accepts runs taking them
     only finitely often.  ``_nba``, the automaton viewed as an NBA (Buchi
-    polarity only), and ``_marked``, whose ``_marked[s][a]`` tells whether
-    (s, a) is in ``acc``, are built on first use, outside ``==``, ``hash``
-    and ``repr``.
+    polarity only), ``_marked``, whose ``_marked[s][a]`` tells whether
+    (s, a) is in ``acc``, and ``_steps``, the ``profile_steps`` that every
+    transition monoid of the automaton shares, are built on first use,
+    outside ``==``, ``hash`` and ``repr``.
     """
 
     ts: DetTS
@@ -172,6 +173,10 @@ class DetOmega:
         return tuple(tuple((s, a) in self.acc
                            for a in range(self.ts.alphabet.size))
                      for s in range(self.ts.state_count))
+
+    @cached_property
+    def _steps(self) -> Steps:
+        return profile_steps(self.ts, self.acc)
 
 
 @dataclass(frozen=True)
@@ -281,9 +286,25 @@ def explore(roots: Iterable[S], successors: Callable[[S], Iterable[S]]
 # (state << 1 | bit) then fit in a byte
 BYTE_PROFILES = 128
 
+# (reachable states, each letter's step list over profile entries); see
+# profile_steps
+Steps = tuple[list[int], list[list[int]]]
+
 # (profiles, profile TS, the reachable states that profile entries point
 # to); see transition_monoid
 Monoid = tuple[list[Sequence[int]], DetTS, list[int]]
+
+
+def profile_steps(ts: DetTS, marks: Collection[tuple[int, int]]) -> Steps:
+    """The per-automaton part of every transition monoid of ts with its
+    ``marks``: ts's reachable states in the order that profile entries
+    point to, and each letter's step list over the entries
+    ``(j << 1) | bit`` (see transition_monoid)."""
+    states, moves = explore([ts.initial], ts.delta.__getitem__)
+    steps = [[(moves[x >> 1][a] << 1) | (x & 1)
+              | ((states[x >> 1], a) in marks) for x in range(2 * len(states))]
+             for a in range(ts.alphabet.size)]
+    return states, steps
 
 
 def transition_monoid(ts: DetTS, marks: Collection[tuple[int, int]],
@@ -298,20 +319,22 @@ def transition_monoid(ts: DetTS, marks: Collection[tuple[int, int]],
     states are reachable, else tuples.  They are numbered as ``explore``
     numbers them; raises ResourceLimitError when more than ``cap`` are
     reachable."""
-    states, moves = explore([ts.initial], ts.delta.__getitem__)
-    entries = range(2 * len(states))
-    start = entries[::2] if domain is None \
+    return profile_walk(ts.alphabet, profile_steps(ts, marks), cap, domain)
+
+
+def profile_walk(alphabet: Alphabet, steps: Steps, cap: int,
+                 domain: Sequence[int] | None = None) -> Monoid:
+    """transition_monoid from its ``profile_steps``, which several monoids
+    of one automaton share; the encoding is chosen here."""
+    states, step_lists = steps
+    start = range(0, 2 * len(states), 2) if domain is None \
         else [2 * states.index(s) for s in domain]
-    # steps[a][x] is the profile entry x extended by the letter a
-    steps = [[(moves[x >> 1][a] << 1) | (x & 1)
-              | ((states[x >> 1], a) in marks) for x in entries]
-             for a in range(ts.alphabet.size)]
     if len(states) <= BYTE_PROFILES:
         # bytes.translate maps every entry through a 256-byte table at once
-        tables = [bytes(step).ljust(256, b"\0") for step in steps]
+        tables = [bytes(step).ljust(256, b"\0") for step in step_lists]
         identity, extend = bytes(start), bytes.translate
     else:
-        tables = [step.__getitem__ for step in steps]
+        tables = [step.__getitem__ for step in step_lists]
         identity, extend = tuple(start), lambda p, f: tuple(map(f, p))
     index = {identity: 0}
     profiles = [identity]
@@ -334,7 +357,7 @@ def transition_monoid(ts: DetTS, marks: Collection[tuple[int, int]],
     # the index is no longer needed; freeing it first lowers the peak
     del index, get
     delta = tuple(zip(*cols))
-    return profiles, DetTS(ts.alphabet, len(profiles), 0, delta), states
+    return profiles, DetTS(alphabet, len(profiles), 0, delta), states
 
 
 def short_words(nletters: int, max_len: int) -> list[Word]:

@@ -1,25 +1,32 @@
 """Test-only helpers over the package's graph algorithms: SCC listing, DFA
-renumbering and isomorphism, a one-pair Rabin emptiness check, a
-transition monoid explored by the generic ``explore``, the learner's
-former restart-scan table closing, the former nested-product assembly of
-the Buchi translations and a trim of its useless component states,
-the former round-by-round partition refinement, the former SCC-based
-least-lasso search, and the hypotheses that a learner's equivalence queries
-receive.  Unlike ``oracles.py`` most of these reuse the
-package's own search (``explore``, ``_scc_ids``, ``_least_lasso``), so
+renumbering and isomorphism, counters with resets, a one-pair Rabin
+emptiness check, a transition monoid explored by the generic ``explore``,
+the learner's former restart-scan table closing, the former nested-product
+assembly of the Buchi translations and a trim of its useless component
+states, the former round-by-round partition refinement, the former
+SCC-based least-lasso search, the co-safety language V_u of criterion 8,
+and the hypotheses that a learner's equivalence queries receive.  Unlike
+``oracles.py`` most of these reuse the package's own search (``explore``,
+``_scc_ids``, ``_least_lasso``, ``dfa_product``, ``dfa_minimize``), so
 they pin its results rather than check them independently."""
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import replace
 from typing import Callable, Collection, Hashable, Iterable, Sequence
 
 from omega_fdfa import (
+    Alphabet,
+    AutomatonError,
+    BUCHI,
+    DetOmega,
     DetTS,
     Dfa,
     Fdfa,
     Lasso,
+    LeadingQuotient,
     Nba,
     ResourceLimitError,
     learn_limit_fdfa,
@@ -30,6 +37,7 @@ from omega_fdfa.core_automata import (
     Word,
     _least_lasso,
     _scc_ids,
+    dfa_minimize,
     dfa_product,
     explore,
 )
@@ -44,6 +52,18 @@ def sccs(succ: Sequence[Iterable[int]]) -> list[list[int]]:
         groups[c].append(v)
     # Tarjan emits components in reverse topological order
     return [sorted(g) for g in reversed(groups)]
+
+
+def counter_with_resets(seed: int, n: int, density: float) -> DetOmega:
+    """Letter a cycles through all n states; letter b sends every state into
+    a 2-state image; each transition accepts with the given probability.
+    Such a counter usually has one leading class per state."""
+    rng = random.Random(seed)
+    image = rng.sample(range(n), 2)
+    delta = tuple(((s + 1) % n, rng.choice(image)) for s in range(n))
+    acc = frozenset((s, a) for s in range(n) for a in range(2)
+                    if rng.random() < density)
+    return DetOmega(DetTS(Alphabet(("a", "b")), n, 0, delta), acc, BUCHI)
 
 
 def canonical_dfa(a: Dfa) -> Dfa:
@@ -302,6 +322,37 @@ def moore_quotient(ts: DetTS, label: Callable[[int], Hashable]
                   for b in range(nblocks))
     return ([order[i] for i in rep],
             DetTS(ts.alphabet, nblocks, block[0], delta))
+
+
+def cosafety_vu_dfa(lq: LeadingQuotient, u_class: int) -> Dfa:
+    """DFA for V_u = {x in Sigma+ : forall v, u.x.v ~ u implies
+    u.(xv)^omega in L}, built per reference state and intersected over the
+    class members.  It is not the limit progress DFA (they differ in
+    language on some classes); criterion 8 compares it with the limit
+    DFA's sink-final class."""
+    d = lq.ref
+    if d.polarity != BUCHI:
+        raise AutomatonError("co-safety construction needs a Buchi reference")
+    if not 0 <= u_class < lq.leading.state_count:
+        raise AutomatonError("invalid leading class")
+    ts = d.ts
+    n = ts.state_count
+    comp = _scc_ids([[t for a, t in enumerate(row) if (s, a) not in d.acc]
+                     for s, row in enumerate(ts.delta)])
+    # an accepting edge or one that leaves its quiet SCC falls into top = n
+    top_row = (n,) * ts.alphabet.size
+    delta = tuple(tuple(n if (p, a) in d.acc or comp[p] != comp[t] else t
+                        for a, t in enumerate(row))
+                  for p, row in enumerate(ts.delta)) + (top_row,)
+
+    def d_q(q: int) -> Dfa:
+        return Dfa(DetTS(ts.alphabet, n + 1, q, delta), frozenset([n]))
+
+    members = lq.members[u_class]
+    result = d_q(members[0])
+    for q in members[1:]:
+        result = dfa_product(result, d_q(q), lambda x, y: x and y)
+    return dfa_minimize(result)
 
 
 def eq_hypotheses(teacher) -> list[Fdfa]:

@@ -15,7 +15,6 @@ from omega_fdfa import (
     build_canonical_fdfa,
     complement_finals,
     compute_leading,
-    cosafety_vu_dfa,
     decide_dba_recognizable,
     dfa_lang_equal,
     extract_fb,
@@ -38,6 +37,7 @@ from omega_fdfa.cli import format_automaton, main
 from omega_fdfa.core_automata import Dfa
 from omega_fdfa.fdfa import accepts_decomposition, sink_final_state
 
+from helpers import cosafety_vu_dfa
 from oracles import partitions_match, words_upto
 
 ZOO_DBAS = [gen_fig1(), gen_sigma_star_aa(), gen_ln(1), gen_ln(2), gen_ln(3)]

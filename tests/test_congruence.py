@@ -9,7 +9,6 @@ import pytest
 import omega_fdfa.congruence as congruence
 import omega_fdfa.core_automata as core_automata
 from omega_fdfa import (
-    Alphabet,
     AutomatonError,
     BUCHI,
     COBUCHI,
@@ -25,7 +24,6 @@ from omega_fdfa import (
     UpWord,
     build_canonical_fdfa,
     compute_leading,
-    cosafety_vu_dfa,
     cu_dfa,
     dfa_lang_equal,
     dfa_minimize,
@@ -43,6 +41,7 @@ from omega_fdfa import (
 from omega_fdfa.core_automata import dba_equiv_table, dba_state_equiv
 from omega_fdfa.fdfa import sink_final_state
 
+from helpers import cosafety_vu_dfa, counter_with_resets, moore_quotient
 from oracles import (
     access_words,
     flavor_predicate,
@@ -232,17 +231,6 @@ def test_profile_monoid_explored_once_per_construction(monkeypatch,
     assert calls == once + once
 
 
-def _counter_with_resets(seed: int, n: int, density: float) -> DetOmega:
-    """Letter a cycles through all n states; letter b sends every state into
-    a 2-state image; each transition accepts with the given probability."""
-    rng = random.Random(seed)
-    image = rng.sample(range(n), 2)
-    delta = tuple(((s + 1) % n, rng.choice(image)) for s in range(n))
-    acc = frozenset((s, a) for s in range(n) for a in range(2)
-                    if rng.random() < density)
-    return DetOmega(DetTS(Alphabet(("a", "b")), n, 0, delta), acc, BUCHI)
-
-
 def _leading_oracle_cases():
     yield "fig1", gen_fig1()
     yield "saa", gen_sigma_star_aa()
@@ -258,7 +246,7 @@ def _leading_oracle_cases():
         for n in (6, 10, 14):
             for density in (0.3, 0.5):
                 yield (f"counter-{n}-s{seed}-{density}",
-                       _counter_with_resets(seed, n, density))
+                       counter_with_resets(seed, n, density))
 
 
 def test_leading_matches_pairwise_inclusion_oracle():
@@ -344,7 +332,7 @@ def _exactness_cases():
         for n in (6, 10, 14):
             for density in (0.3, 0.5):
                 yield (f"counter-{n}-s{seed}-{density}",
-                       _counter_with_resets(seed, n, density))
+                       counter_with_resets(seed, n, density))
     # fig1 with three unreachable states whose own transitions accept, so
     # they enlarge the profile monoid but belong to no leading class
     fig1 = gen_fig1()
@@ -401,8 +389,9 @@ def test_shared_quotient_matches_minimizing_on_the_whole_monoid(
 
 def test_shared_quotient_built_once_per_construction_and_flavor(
         monkeypatch):
-    # the leading DFA comes from coarsest_quotient, and each shared quotient
-    # refines the monoid's own rows with _refine
+    # the leading DFA comes from coarsest_quotient; the shared quotient and
+    # every periodic and limit progress DFA refine a monoid's own rows, or
+    # its quotient's, with _refine
     calls = []
     coarsest_quotient = congruence.coarsest_quotient
     refine = congruence._refine
@@ -421,19 +410,23 @@ def test_shared_quotient_built_once_per_construction_and_flavor(
     lq = compute_leading(gen_fig1())
     assert len(calls) == 1
     classes = range(lq.leading.state_count)
-    # periodic refines the whole monoid once for every class; limit, and
-    # syntactic and recurrent (products of cu_dfa with limit), only
-    # minimize each class-local monoid
-    for flavor, built in ((PERIODIC, 2), (SYNTACTIC, 2), (LIMIT, 2),
-                          (RECURRENT, 2)):
+    # periodic refines the whole monoid once for every class, then each
+    # class's DFA on the rows of that quotient; limit, and syntactic and
+    # recurrent (products of cu_dfa with limit), refine each class-local
+    # monoid once
+    for flavor, built in ((PERIODIC, 7), (SYNTACTIC, 12), (LIMIT, 17),
+                          (RECURRENT, 22)):
         for c in classes:
             progress_dfa(lq, c, flavor)
         assert len(calls) == built, flavor
-    # every construction builds its own leading DFA, and periodic its own
-    # quotient
+    quotient = lq._periodic_quotient[0]
+    assert calls[1] == len(lq._monoid[0])
+    assert calls[2:7] == [quotient.state_count] * 5
+    # every construction builds its own leading DFA, periodic its own
+    # quotient, and each flavor refines once per class
     for flavor in FLAVORS:
         build_canonical_fdfa(gen_fig1(), flavor)
-    assert len(calls) == 7
+    assert len(calls) == 22 + 4 + 1 + 4 * 5
 
 
 def test_only_the_periodic_quotient_starts_from_a_profile_dfa(monkeypatch):
@@ -484,6 +477,81 @@ def test_profiles_are_tuples_above_128_reachable_states():
     for flavor in FLAVORS:
         assert build_canonical_fdfa(big, flavor) == \
             build_canonical_fdfa(fig1, flavor), flavor
+
+
+def _assert_minimized_on_rows_as_dfa_minimize(ts, finals, case):
+    """Minimizing on ts's own rows gives dfa_minimize's DFA, numbering
+    included, and the quotient of the former round-by-round refinement."""
+    got = congruence._minimized_on_rows(ts, finals)
+    assert got == dfa_minimize(Dfa(ts, finals)), case
+    reps, quotient = moore_quotient(ts, finals.__contains__)
+    assert got.ts == quotient, case
+    assert got.finals == {b for b, s in enumerate(reps) if s in finals}, case
+
+
+@pytest.mark.parametrize("byte_profiles", [128, 0])
+def test_minimized_on_rows_equals_dfa_minimize(monkeypatch, byte_profiles):
+    # every class-local limit monoid of the exactness cases, and every
+    # class's finals on the periodic quotient where the whole monoid stays
+    # below the cap, in both profile encodings
+    monkeypatch.setattr(core_automata, "BYTE_PROFILES", byte_profiles)
+    monkeypatch.setattr(congruence, "PROFILE_CAP", 2500)
+    quotients = 0
+    for name, d in _exactness_cases():
+        lq = compute_leading(d)
+        for c, members in enumerate(lq.members):
+            monoid = congruence._explore_profiles(d, congruence.PROFILE_CAP,
+                                                  members)
+            _assert_minimized_on_rows_as_dfa_minimize(
+                monoid[1], congruence._limit_finals(monoid, members),
+                (name, LIMIT, c))
+        try:
+            ts, finals = lq._periodic_quotient
+        except ResourceLimitError:
+            continue
+        quotients += 1
+        for c, class_finals in enumerate(finals):
+            _assert_minimized_on_rows_as_dfa_minimize(
+                ts, class_finals, (name, PERIODIC, c))
+    assert quotients == len(list(_exactness_cases())) - 4
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_profile_steps_built_once_per_reference(monkeypatch, flavor):
+    calls = []
+    profile_steps = core_automata.profile_steps
+
+    def counting(ts, marks):
+        calls.append(ts)
+        return profile_steps(ts, marks)
+
+    monkeypatch.setattr(core_automata, "profile_steps", counting)
+    d = gen_fig1()
+    # periodic walks the whole monoid and limit one class-local monoid per
+    # class (syntactic and recurrent through limit), all over d's one set of
+    # step lists, which outlive the construction
+    build_canonical_fdfa(d, flavor)
+    build_canonical_fdfa(d, flavor)
+    assert calls == [d.ts]
+    # an equal but distinct reference builds its own
+    build_canonical_fdfa(gen_fig1(), flavor)
+    assert calls == [d.ts, d.ts]
+
+
+def test_shared_steps_give_the_monoids_of_a_fresh_walk(monkeypatch):
+    # the step lists are integers, so one reference's lists serve both
+    # encodings, which are chosen when each monoid is walked
+    cap = congruence.PROFILE_CAP
+    for d in (gen_fig1(), gen_ln(3), gen_random_dba(0, 7, 3),
+              gen_random_dba(5, 8, 3), counter_with_resets(0, 12, 0.3)):
+        lq = compute_leading(d)
+        for byte_profiles, kind in ((128, bytes), (0, tuple)):
+            monkeypatch.setattr(core_automata, "BYTE_PROFILES", byte_profiles)
+            for domain in (None, *lq.members):
+                got = congruence._explore_profiles(d, cap, domain)
+                assert {type(p) for p in got[0]} == {kind}
+                assert got == core_automata.transition_monoid(
+                    d.ts, d.acc, cap, domain), (d, domain)
 
 
 def test_bytes_and_tuple_profiles_number_the_monoid_alike(monkeypatch):

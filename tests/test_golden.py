@@ -1,8 +1,10 @@
 """Golden outputs: the exact bytes the CLI prints and writes on the zoo's
-Figure 1 DBA and parity FDFA and on one random DBA.  State numbering reaches
-these outputs through unminimized products (syntactic progress DFAs), the DBA
-translation and the decision witness, so any change to exploration order
-shows up here.  The learner's logs pin every membership query in order; the
+Figure 1 DBA and parity FDFA, on one random DBA, and on a 12-state counter
+with resets whose every state is its own leading class, so that each
+class-local monoid of its limit FDFA has one-entry profiles.  State
+numbering reaches these outputs through unminimized products (syntactic
+progress DFAs), the DBA translation and the decision witness, so any change
+to exploration order shows up here.  The learner's logs pin every membership query in order; the
 random DBA's run is one where progress representatives collapse after a
 leading refinement.  ``lassos.txt`` pins the witnesses of the emptiness,
 inclusion and intersection engines, which the CLI outputs reach only in
@@ -28,11 +30,12 @@ from omega_fdfa import (
 )
 from omega_fdfa.cli import format_automaton, format_fdfa, main
 
-from helpers import one_pair_rabin_empty
+from helpers import counter_with_resets, one_pair_rabin_empty
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 CASES = ["canon-periodic", "canon-syntactic", "canon-recurrent", "canon-limit",
+         "canon-counter12",
          "translate-nba", "translate-ldba", "translate-dba", "decide-fig5",
          "learn-fig1", "learn-fig5", "learn-rand-5x3-s1"]
 
@@ -47,9 +50,14 @@ def run_case(case: str, tmp: pathlib.Path, capsys) -> str:
     fig5.write_text(format_fdfa(gen_fig5_fdfa()), encoding="utf-8")
     rand = tmp / "rand.aut"
     rand.write_text(format_automaton(gen_random_dba(1, 5, 3)), encoding="utf-8")
+    counter = tmp / "counter.aut"
+    counter.write_text(format_automaton(counter_with_resets(0, 12, 0.3)),
+                       encoding="utf-8")
     out, log = tmp / "out", tmp / "log"
     kind, _, arg = case.partition("-")
-    if kind == "canon":
+    if case == "canon-counter12":
+        argv = ["canon", str(counter), "--flavor", "limit", "--out", str(out)]
+    elif kind == "canon":
         argv = ["canon", str(fig1), "--flavor", arg, "--out", str(out)]
     elif kind == "translate":
         assert main(["canon", str(fig1), "--out", str(limit)]) == 0
