@@ -101,7 +101,7 @@ def _read_block(lines: list[str], pos: int, alphabet: Alphabet | None,
                 raise ParseError(f"unknown acceptance {rest!r}")
             fields[key] = rest
         elif key == "finals":
-            fields[key] = tuple(int(t) for t in rest.split())
+            fields[key] = tuple([int(t) for t in rest.split()])
         else:
             raise ParseError(f"unknown field {key!r}")
         pos += 1
@@ -150,8 +150,8 @@ def _read_block(lines: list[str], pos: int, alphabet: Alphabet | None,
                    frozenset(e[:3] for e in edges),
                    frozenset(e[:3] for e in edges if e[3])), pos
 
-    delta = [tuple(table[s, a][0][0] if (s, a) in table else n
-                   for a in range(alphabet.size)) for s in range(n)]
+    delta = [tuple([table[s, a][0][0] if (s, a) in table else n
+                    for a in range(alphabet.size)]) for s in range(n)]
     if len(table) < n * alphabet.size:  # partial: add the sink, state n
         delta.append((n,) * alphabet.size)
     ts = DetTS(alphabet, len(delta), initial, tuple(delta))
@@ -200,7 +200,8 @@ def parse_fdfa(text: str) -> Fdfa:
                                            "progress")
     if sorted(progress) != list(range(leading.state_count)):
         raise ParseError("need exactly one progress block per leading state")
-    return Fdfa(leading, tuple(progress[i] for i in range(leading.state_count)),
+    return Fdfa(leading,
+                tuple([progress[i] for i in range(leading.state_count)]),
                 flavor=flavor)
 
 

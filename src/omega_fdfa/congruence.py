@@ -132,9 +132,9 @@ class LeadingQuotient:
         blocks, quotient = _refine(ts.alphabet, ts.delta, labels)
         # the quotient's blocks are numbered by their least profile, so it is
         # numbered breadth-first too, with every block reachable
-        return quotient, tuple(
+        return quotient, tuple([
             frozenset(b for b, i in enumerate(blocks) if vectors[labels[i]][u])
-            for u in range(len(self.reps)))
+            for u in range(len(self.reps))])
 
 
 def compute_leading(d: DetOmega) -> LeadingQuotient:
@@ -156,12 +156,12 @@ def compute_leading(d: DetOmega) -> LeadingQuotient:
     if len(firsts) != len(set(least.values())):
         raise AutomatonError("leading quotient is not well-defined")
     block = {least[s]: c for c, s in enumerate(firsts)}
-    class_of = tuple(block[least[s]] if s in least else -1
-                     for s in range(ts.state_count))
+    class_of = tuple([block[least[s]] if s in least else -1
+                      for s in range(ts.state_count)])
     words = shortest_state_words(leading)
     reps = tuple(block)
-    rep_words = tuple(words[c] for c in range(len(reps)))
-    members: tuple[list[int], ...] = tuple([] for _ in reps)
+    rep_words = tuple([words[c] for c in range(len(reps))])
+    members: tuple[list[int], ...] = tuple([[] for _ in reps])
     for s in reachable:
         members[class_of[s]].append(s)
     return LeadingQuotient(d, class_of, leading, reps, rep_words, members)
@@ -322,6 +322,6 @@ def progress_dfa(lq: LeadingQuotient, u_class: int, flavor: str) -> Dfa:
 
 def build_canonical_fdfa(d: DetOmega, flavor: str) -> Fdfa:
     lq = compute_leading(d)
-    progress = tuple(progress_dfa(lq, c, flavor)
-                     for c in range(lq.leading.state_count))
+    progress = tuple([progress_dfa(lq, c, flavor)
+                      for c in range(lq.leading.state_count)])
     return Fdfa(lq.leading, progress, labels=lq.rep_words, flavor=flavor)

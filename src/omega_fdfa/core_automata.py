@@ -9,6 +9,12 @@ Conventions used across the package:
   (FDFA acceptance never evaluates an empty period, so progress DFAs may
   still resolve the membership of epsilon itself either way; see
   congruence.progress_dfa.)
+- Tuples are built from lists (``tuple([...])``), not from generators or
+  ``map``/``zip`` iterators.  ``tuple()`` gives an iterator of unknown
+  length ten slots and shrinks the result, so each such tuple, once freed,
+  joins the interpreter's free list of its final size instead of the one
+  it came from.  A process that runs many commands, and rarely a full
+  collection, then holds up to 2,000 idle tuples of every small size.
 
 Every omega-emptiness question (emptiness, inclusion in a DBA,
 intersection) is one product explored by ``_product`` and one search by
@@ -86,8 +92,8 @@ class Alphabet:
         if text == "":
             return ()
         if all(len(t) == 1 for t in self.letters):
-            return tuple(self.index(c) for c in text)
-        return tuple(self.index(t) for t in text.split("."))
+            return tuple([self.index(c) for c in text])
+        return tuple([self.index(t) for t in text.split(".")])
 
     def format_word(self, w: Word) -> str:
         if all(len(t) == 1 for t in self.letters):
@@ -170,9 +176,9 @@ class DetOmega:
 
     @cached_property
     def _marked(self) -> tuple[tuple[bool, ...], ...]:
-        return tuple(tuple((s, a) in self.acc
-                           for a in range(self.ts.alphabet.size))
-                     for s in range(self.ts.state_count))
+        return tuple([tuple([(s, a) in self.acc
+                             for a in range(self.ts.alphabet.size)])
+                      for s in range(self.ts.state_count)])
 
     @cached_property
     def _steps(self) -> Steps:
@@ -335,7 +341,7 @@ def profile_walk(alphabet: Alphabet, steps: Steps, cap: int,
         identity, extend = bytes(start), bytes.translate
     else:
         tables = [step.__getitem__ for step in step_lists]
-        identity, extend = tuple(start), lambda p, f: tuple(map(f, p))
+        identity, extend = tuple(start), lambda p, f: tuple(list(map(f, p)))
     index = {identity: 0}
     profiles = [identity]
     # cols[a][i] is the id of profile i extended by a; the rows are built
@@ -356,7 +362,7 @@ def profile_walk(alphabet: Alphabet, steps: Steps, cap: int,
             put(i)
     # the index is no longer needed; freeing it first lowers the peak
     del index, get
-    delta = tuple(zip(*cols))
+    delta = tuple(list(zip(*cols)))
     return profiles, DetTS(alphabet, len(profiles), 0, delta), states
 
 
@@ -473,7 +479,7 @@ def _refine(alphabet: Alphabet, rows: Sequence[Sequence[int]],
     # the least state of each block, in block order
     reps = sorted(dict(zip(reversed(block), reversed(range(len(block)))))
                   .values())
-    delta = tuple(tuple(map(block.__getitem__, rows[r])) for r in reps)
+    delta = tuple([tuple([block[t] for t in rows[r]]) for r in reps])
     return reps, DetTS(alphabet, nblocks, 0, delta)
 
 
@@ -748,8 +754,8 @@ def dba_equiv_table(d: DetOmega,
         return [p * n + q for a in range(k)
                 for p in pre[j // n][a] for q in pre[j % n][a]]
 
-    comp = _scc_ids([tuple(t for t, m in zip(succ(i), marked[i % n])
-                           if not m) for i in pairs])
+    comp = _scc_ids([[t for t, m in zip(succ(i), marked[i % n]) if not m]
+                     for i in pairs])
     bad: list[int] = []
     for i in pairs:
         p, q = divmod(i, n)

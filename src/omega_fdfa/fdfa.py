@@ -1,5 +1,6 @@
 """Families of DFAs: acceptance semantics, normalization, saturation checks,
-sink-final analysis, and final-set surgery."""
+sink-final analysis, final-set surgery, the canonical limit form of a
+family, and isomorphism."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ from .core_automata import (
     Dfa,
     UpWord,
     Word,
+    dfa_minimize,
+    dfa_product,
     run_word,
     short_words,
 )
@@ -167,10 +170,58 @@ def extract_fb(f: Fdfa) -> Fdfa:
 def complement_finals(f: Fdfa) -> Fdfa:
     """Complement every progress DFA's final set.  For saturated FDFAs this
     complements the accepted UP-words."""
-    new_progress = tuple(
+    new_progress = tuple([
         replace(p, finals=frozenset(range(p.ts.state_count)) - p.finals)
-        for p in f.progress)
+        for p in f.progress])
     return replace(f, progress=new_progress)
+
+
+def limit_canonical_form(f: Fdfa) -> Fdfa:
+    """The limit family that keeps f's verdict on every period returning to
+    its leading state: per leading state q, the leading TS rooted at q times
+    q's progress DFA, final where the leading component is not back at q or
+    where the progress DFA is final, minimized.  Acceptance runs a progress
+    DFA only on returning periods, so f and the result accept the same
+    UP-words; when f's leading DFA is the residual quotient of a language
+    that f recognizes exactly, the result is its canonical limit FDFA."""
+    m = f.leading
+    progress = tuple([
+        dfa_minimize(dfa_product(Dfa(replace(m, initial=q), frozenset([q])), p,
+                                 lambda back, final: final or not back))
+        for q, p in enumerate(f.progress)])
+    return replace(f, progress=progress, flavor=LIMIT)
+
+
+def _isomorphism(a: Dfa, b: Dfa) -> dict[int, int] | None:
+    """The map from a's reachable states onto b's that follows both
+    transition tables in step from the initial states, if it is a bijection
+    onto b's reachable states that keeps final states final."""
+    if a.ts.alphabet != b.ts.alphabet:
+        return None
+    to = {a.ts.initial: b.ts.initial}
+    order = [a.ts.initial]
+    for s in order:  # order grows while it is walked
+        t = to[s]
+        if (s in a.finals) != (t in b.finals):
+            return None
+        for sa, tb in zip(a.ts.delta[s], b.ts.delta[t]):
+            if sa not in to:
+                to[sa] = tb
+                order.append(sa)
+            elif to[sa] != tb:
+                return None
+    return to if len(set(to.values())) == len(to) else None
+
+
+def fdfa_isomorphic(a: Fdfa, b: Fdfa) -> bool:
+    """Whether the reachable parts of a and b are equal up to renaming:
+    one bijection of the leading states, and under it one of each pair of
+    progress DFAs."""
+    lead = _isomorphism(Dfa(a.leading, frozenset()),
+                        Dfa(b.leading, frozenset()))
+    return lead is not None and all(
+        _isomorphism(a.progress[q], b.progress[c]) is not None
+        for q, c in lead.items())
 
 
 @dataclass(frozen=True)
@@ -185,4 +236,4 @@ class SizeReport:
 
 def size_report(f: Fdfa) -> SizeReport:
     return SizeReport(f.leading.state_count,
-                      tuple(p.ts.state_count for p in f.progress))
+                      tuple([p.ts.state_count for p in f.progress]))

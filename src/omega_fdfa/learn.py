@@ -1,14 +1,18 @@
 """Active learning of limit FDFAs from membership and equivalence oracles:
 observation tables, table closing, hypothesis construction, counterexample
-analysis, and two teacher realizations."""
+analysis, two teacher realizations, and exact equivalence queries by a
+search over the hypothesis paired with a saturated reference FDFA.  A
+learning run returns the canonical limit form of the hypothesis it
+accepts."""
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable
 
+from . import congruence
 from .core_automata import (
     Alphabet,
     AlphabetError,
@@ -17,17 +21,16 @@ from .core_automata import (
     DetOmega,
     DetTS,
     Dfa,
-    Lasso,
     ResourceLimitError,
     UpWord,
     Word,
     member_det_from,
     member_upword_det,  # noqa: F401  (fdfabench/spans.py counts it here)
-    nba_dba_included,
-    nba_dba_intersection_witness,
-    nba_nba_intersection_witness,
+    nba_dba_included,  # noqa: F401  (fdfabench/spans.py wraps it here)
+    nba_dba_intersection_witness,  # noqa: F401  (likewise)
+    nba_nba_intersection_witness,  # noqa: F401  (likewise)
     run_word,
-    short_words,
+    shortest_state_words,
 )
 from .fdfa import (
     Fdfa,
@@ -35,14 +38,13 @@ from .fdfa import (
     accepts_decomposition,  # noqa: F401  (fdfabench/spans.py counts it here)
     accepts_from,
     accepts_upword,
-    complement_finals,
+    complement_finals,  # noqa: F401  (fdfabench/spans.py wraps it here)
+    fdfa_isomorphic,
+    limit_canonical_form,
     normalize,
 )
-from .translate import fdfa_to_nba
+from .translate import fdfa_to_nba  # noqa: F401  (fdfabench/spans.py wraps it)
 
-# Word budget of the bounded counterexample search: prefixes and periods are
-# the words of the longest lengths whose whole length layers fit in it.
-FALLBACK_WORDS = 360
 # Membership queries one learning run may ask; read at call time.
 MAX_MQ = 200_000
 
@@ -83,41 +85,150 @@ class QueryLog:
         self.lines.append(f"EQ -> ce {u} {v}")
 
 
-def _fallback_len(nletters: int) -> int:
-    """Longest max_len for which short_words(nletters, max_len) holds at most
-    FALLBACK_WORDS words."""
-    max_len, total, layer = 0, 1, 1
-    while total + layer * nletters <= FALLBACK_WORDS:
-        layer *= nletters
-        total += layer
-        max_len += 1
-    return max_len
+def _least_period(h: Fdfa, r: Fdfa, q: int, c: int,
+                  bound: int | None) -> Word | None:
+    """The least nonempty v, in length-lex order and of length at most
+    ``bound`` (None: any), that leads h's leading state q back to q and r's
+    leading state c back to c while q's and c's progress DFAs disagree on
+    it; breadth-first over (h leading, r leading, h progress, r progress)."""
+    n, m = h.progress[q], r.progress[c]
+    hd, rd, nd, md = h.leading.delta, r.leading.delta, n.ts.delta, m.ts.delta
+    nf, mf = n.finals, m.finals
+    letters = range(h.leading.alphabet.size)
+    # the start is reached by epsilon only until a nonempty v returns to it
+    seen: set[tuple[int, int, int, int]] = set()
+    layer = [((q, c, n.ts.initial, m.ts.initial), ())]
+    depth = 0
+    while layer and (bound is None or depth < bound):
+        depth += 1
+        after = []
+        for (x, y, s, t), v in layer:
+            for a in letters:
+                state = (hd[x][a], rd[y][a], nd[s][a], md[t][a])
+                if state in seen:
+                    continue
+                seen.add(state)
+                w = v + (a,)
+                x1, y1, s1, t1 = state
+                if x1 == q and y1 == c and (s1 in nf) != (t1 in mf):
+                    return w
+                after.append((state, w))
+        layer = after
+    return None
+
+
+def _pair_search(h: Fdfa, r: Fdfa) -> UpWord | None:
+    """The least (|u| + |v|, u, v) such that u leads h and r to leading
+    states q and c, v leads q back to q and c back to c, and the progress
+    DFAs of q and c disagree on v; None if there is none.
+
+    Only the length-lex least u of each pair (q, c) can be least, so the
+    pairs are searched breadth-first, each once, and the search stops once
+    |u| + 1 exceeds the best total."""
+    hd, rd = h.leading.delta, r.leading.delta
+    root = (h.leading.initial, r.leading.initial)
+    access = {root: ()}
+    pairs = [root]
+    best: tuple[int, Word, Word] | None = None
+    for q, c in pairs:  # pairs grows while it is walked
+        u = access[q, c]
+        if best is not None and len(u) + 1 > best[0]:
+            break
+        v = _least_period(h, r, q, c,
+                          None if best is None else best[0] - len(u))
+        if v is not None:
+            key = (len(u) + len(v), u, v)
+            if best is None or key < best:
+                best = key
+        for a, pair in enumerate(zip(hd[q], rd[c])):
+            if pair not in access:
+                access[pair] = u + (a,)
+                pairs.append(pair)
+    return None if best is None else UpWord(best[1], best[2])
+
+
+def _power_flip(g: tuple[int, ...], start: int,
+                finals: frozenset[int]) -> int | None:
+    """The least k > 1 at which start . y^k differs in finality from
+    start . y, where g is y's transformation of the states; None if
+    every power agrees."""
+    s = g[start]
+    verdict, seen, k = s in finals, {s}, 1
+    while True:
+        s, k = g[s], k + 1
+        if s in seen:
+            return None
+        if (s in finals) != verdict:
+            return k
+        seen.add(s)
+
+
+def _power_violation(h: Fdfa, cap: int) -> tuple[Word, Word, int] | None:
+    """A leading state q, by its length-lex least access word u, a period y
+    that leads q back to q, and the least k with y^k judged unlike y by
+    q's progress DFA; None if no such y exists.  For each q this walks
+    (q . y, y's transformation of q's progress DFA) breadth-first, and
+    raises ResourceLimitError above ``cap`` such pairs."""
+    m = h.leading
+    words = shortest_state_words(m)
+    for q in sorted(words):
+        u, n = words[q], h.progress[q]
+        cols = list(zip(*n.ts.delta))
+        start = (q, tuple(range(n.ts.state_count)))
+        seen = {start}
+        queue: list[tuple[tuple[int, tuple[int, ...]], Word]] = [(start, ())]
+        for (x, f), y in queue:  # queue grows while it is walked
+            for a, col in enumerate(cols):
+                state = (m.delta[x][a], tuple([col[s] for s in f]))
+                if state in seen:
+                    continue
+                if len(seen) >= cap:
+                    raise ResourceLimitError(
+                        f"power check exceeded cap of {cap} states")
+                seen.add(state)
+                ya = y + (a,)
+                if state[0] == q:
+                    k = _power_flip(state[1], n.ts.initial, n.finals)
+                    if k is not None:
+                        return u, ya, k
+                queue.append((state, ya))
+    return None
 
 
 class _Teacher:
     """Query plumbing shared by the teachers: counters, the optional log,
-    membership, and equivalence queries that try the subclass' exact
-    candidates and then a bounded enumeration.
+    membership, and exact equivalence queries against a saturated reference
+    FDFA R of the target.
 
     A verdict on u . v^omega depends on u only through the state s that u
-    reaches in the reference's TS, so every query runs u there and asks
-    ``member_from(s, v)``.  Exact candidates are validated against the
-    hypothesis before being returned, so unsound intermediate constructions
-    only cost time.  The bounded enumeration scans each pair (hypothesis
-    leading state, reference state) once, at its first prefix in length-lex
-    order, and memoizes each side's verdict per (state, period)."""
+    reaches in the reference's TS, so every membership query runs u there
+    and asks ``member_from(s, v)``.
+
+    An equivalence query on a hypothesis H checks in three steps:
+
+    1. The pair search (``_pair_search``) returns the least (|u| + |v|, u,
+       v) with u . v^omega normalized in both H and R and judged unlike by
+       their progress DFAs, which is a counterexample since R is saturated.
+    2. If there is none, H is accepted when its canonical limit form is
+       isomorphic to R: that form keeps H's verdict on every UP-word.
+    3. Otherwise the power check (``_power_violation``) looks for a leading
+       state q and a period y returning to q on whose powers q's progress
+       DFA is not constant.  If there is none, H is exact: a wrong
+       normalized (u, v) would make some (u . v^i, v^p), normalized in both
+       families, a mismatch of step 1.  A violation (u, y, k) gives two
+       decompositions of one word that H judges unlike, and the one that
+       the target judges unlike H is returned.  Step 3 walks a transition
+       monoid, so it shares ``congruence.PROFILE_CAP``."""
 
     def __init__(self, ref_ts: DetTS, member_from: Callable[[int, Word], bool],
-                 log: QueryLog | None):
+                 reference: Fdfa, log: QueryLog | None):
         self.ref_ts = ref_ts
         self.alphabet = ref_ts.alphabet
         self.member_from = member_from
+        self.reference = reference
         self.log = log
         self.mq_count = 0
         self.eq_count = 0
-
-    def _exact_candidates(self, h: Fdfa) -> Iterator[Lasso]:
-        raise NotImplementedError
 
     def mq(self, prefix: Word, period: Word) -> bool:
         """Membership of prefix . period^omega; a refused query is neither
@@ -144,87 +255,54 @@ class _Teacher:
         return ce
 
     def _find_counterexample(self, h: Fdfa) -> UpWord | None:
-        ts = self.ref_ts
-        for lasso in self._exact_candidates(h):
-            w = lasso.upword()
-            s = run_word(ts, ts.initial, w.prefix)
-            if accepts_upword(h, w) != self.member_from(s, w.period):
-                return w
-        return self._bounded_search(h)
+        ce = _pair_search(h, self.reference)
+        if ce is not None \
+                or fdfa_isomorphic(limit_canonical_form(h), self.reference):
+            return ce
+        return self._power_counterexample(h)
 
-    def _bounded_search(self, h: Fdfa) -> UpWord | None:
-        k = self.alphabet.size
-        words = short_words(k, _fallback_len(k))
-        periods = words[1:]
-        lead, ts = h.leading, self.ref_ts
-        # hyp[q][j] and ref[s][j] are the verdicts for periods[j], or None
-        hyp: dict[int, list[bool | None]] = {}
-        ref: dict[int, list[bool | None]] = {}
-        scanned: set[tuple[int, int]] = set()
-        for u in words:
-            q, s = run_word(lead, lead.initial, u), run_word(ts, ts.initial, u)
-            if (q, s) in scanned:
-                continue  # an earlier u with this pair found no counterexample
-            scanned.add((q, s))
-            hq = hyp.setdefault(q, [None] * len(periods))
-            rs = ref.setdefault(s, [None] * len(periods))
-            for j, v in enumerate(periods):
-                if hq[j] is None:
-                    hq[j] = accepts_from(h, q, v)
-                if rs[j] is None:
-                    rs[j] = self.member_from(s, v)
-                if hq[j] != rs[j]:
-                    return UpWord(u, v)
-        return None
+    def _power_counterexample(self, h: Fdfa) -> UpWord | None:
+        """Step 3: of the two decompositions of a power check violation,
+        the one whose verdict in h is not the target's."""
+        found = _power_violation(h, congruence.PROFILE_CAP)
+        if found is None:
+            return None
+        u, y, k = found
+        ts = self.ref_ts
+        if accepts_upword(h, UpWord(u, y)) \
+                != self.member_from(run_word(ts, ts.initial, u), y):
+            return UpWord(u, y)
+        return UpWord(u, y * k)
 
 
 class DbaTeacher(_Teacher):
-    """Oracle backed by a reference DBA."""
+    """Oracle backed by a reference DBA; its canonical limit FDFA, built
+    once under the caps of ``congruence``, is the reference of the
+    equivalence queries."""
 
     def __init__(self, ref: DetOmega, log: QueryLog | None = None):
         if ref.polarity != BUCHI:
             raise AutomatonError("DbaTeacher expects a Buchi reference")
-        super().__init__(ref.ts, partial(member_det_from, ref), log)
+        super().__init__(ref.ts, partial(member_det_from, ref),
+                         congruence.build_canonical_fdfa(ref, LIMIT), log)
         self.ref = ref
-
-    def _exact_candidates(self, h: Fdfa) -> Iterator[Lasso]:
-        # everything the hypothesis NBA accepts must be in L(ref)
-        verdict = nba_dba_included(fdfa_to_nba(h), self.ref)
-        if verdict is not True:
-            yield verdict
-        # nothing in L(ref) may be accepted by the complement
-        witness = nba_dba_intersection_witness(
-            fdfa_to_nba(complement_finals(h)), self.ref)
-        if witness is not None:
-            yield witness
 
 
 class FdfaTeacher(_Teacher):
-    """Oracle backed by a saturated FDFA (for targets no DBA recognizes)."""
+    """Oracle backed by a saturated FDFA (for targets no DBA recognizes),
+    which is also the reference of the equivalence queries."""
 
     def __init__(self, ref: Fdfa, log: QueryLog | None = None):
-        super().__init__(ref.leading, partial(accepts_from, ref), log)
+        super().__init__(ref.leading, partial(accepts_from, ref), ref, log)
         self.ref = ref
-        # the reference's NBA and its complement's, shared by every EQ
-        self._ref_nba = fdfa_to_nba(ref)
-        self._ref_complement_nba = fdfa_to_nba(complement_finals(ref))
-
-    def _exact_candidates(self, h: Fdfa) -> Iterator[Lasso]:
-        # hypothesis-not-included direction, then target-not-included
-        witness = nba_nba_intersection_witness(
-            fdfa_to_nba(h), self._ref_complement_nba)
-        if witness is not None:
-            yield witness
-        witness = nba_nba_intersection_witness(
-            self._ref_nba, fdfa_to_nba(complement_finals(h)))
-        if witness is not None:
-            yield witness
 
 
 class _Table:
     """An observation table: rows, the representatives among them, and the
-    experiments, with cells given by entry(row, exp).  The leading table and
-    every progress table are instances.
+    experiments.  The leading table and every progress table are instances.
+    Cells are given by the ``entry(row, exp)`` that ``close`` is passed: a
+    table keeps no function of its session, so a finished session holds no
+    reference cycle and is freed as soon as it is dropped.
 
     ``close`` visits the rows once each in length-lex order and evaluates
     each row's vector once: a row whose vector is new is promoted, and its
@@ -232,12 +310,11 @@ class _Table:
     representative's successor representatives by letter, is read off the
     same vectors."""
 
-    def __init__(self, nletters: int, exps: list, entry):
+    def __init__(self, nletters: int, exps: list):
         self.nletters = nletters
         self.rows: set[Word] = {()}
         self.reps: list[Word] = [()]
         self.exps = exps
-        self.entry = entry
         self.delta: tuple[tuple[int, ...], ...] = ()
 
     def add_exp(self, exp) -> None:
@@ -245,19 +322,24 @@ class _Table:
             raise CounterexampleError("experiment already present")
         self.exps.append(exp)
 
-    def close(self) -> None:
-        vecs: dict[Word, tuple[bool, ...]] = {}
+    def close(self, entry: Callable[[Word, object], bool]) -> None:
+        vecs: dict[Word, int] = {}
 
-        def vector(row: Word) -> tuple[bool, ...]:
+        def vector(row: Word) -> int:
+            # bit i is the entry of the i-th experiment
             if row not in vecs:
-                vecs[row] = tuple(self.entry(row, exp) for exp in self.exps)
+                bits = 0
+                for i, exp in enumerate(self.exps):
+                    if entry(row, exp):
+                        bits |= 1 << i
+                vecs[row] = bits
             return vecs[row]
 
         # progress entries depend on the leading DFA, so representatives
         # promoted before a leading refinement may have collapsed; drop the
         # later duplicates (their rows stay, and closing re-promotes freely).
         # Leading entries are plain membership queries and never collapse.
-        reps: dict[tuple[bool, ...], Word] = {}
+        reps: dict[int, Word] = {}
         for rep in self.reps:
             reps.setdefault(vector(rep), rep)
         heap = [(len(w), w) for w in self.rows]
@@ -272,9 +354,9 @@ class _Table:
                     heapq.heappush(heap, (len(row) + 1, row + (a,)))
         self.reps = list(reps.values())
         index = {vec: i for i, vec in enumerate(reps)}
-        self.delta = tuple(tuple(index[vecs[rep + (a,)]]
-                                 for a in range(self.nletters))
-                           for rep in self.reps)
+        self.delta = tuple([tuple([index[vecs[rep + (a,)]]
+                                   for a in range(self.nletters)])
+                            for rep in self.reps])
 
 
 def _breakpoint(value, n: int) -> int | None:
@@ -293,7 +375,7 @@ def _breakpoint(value, n: int) -> int | None:
 def _shape(h: Fdfa) -> tuple:
     """Transitions and finals of a hypothesis, and with them its size."""
     return (h.leading.delta,
-            tuple((p.ts.delta, tuple(sorted(p.finals))) for p in h.progress))
+            tuple([(p.ts.delta, tuple(sorted(p.finals))) for p in h.progress]))
 
 
 class _Session:
@@ -310,8 +392,7 @@ class _Session:
         self.alphabet: Alphabet = teacher.alphabet
         self.cache: dict[tuple[Word, Word], bool] = {}
         k = self.alphabet.size
-        self.lead = _Table(k, [((), (a,)) for a in range(k)],
-                           lambda row, exp: self.mq(row + exp[0], exp[1]))
+        self.lead = _Table(k, [((), (a,)) for a in range(k)])
         self.progress: list[_Table] = []
         self.close_leading()
 
@@ -329,6 +410,9 @@ class _Session:
     def leading_state(self, w: Word) -> int:
         return run_word(self.leading, 0, w)
 
+    def _lead_entry(self, row: Word, exp: tuple[Word, Word]) -> bool:
+        return self.mq(row + exp[0], exp[1])
+
     def _progress_entry(self, q: int, x: Word, v: Word) -> bool:
         if run_word(self.leading, q, x + v) != q:
             return True
@@ -337,22 +421,21 @@ class _Session:
     def close_leading(self) -> None:
         """Close the leading table and rebuild the leading DFA; progress
         entries depend on it, so every progress table is re-closed."""
-        self.lead.close()
+        self.lead.close(self._lead_entry)
         self.leading = DetTS(self.alphabet, len(self.lead.reps), 0,
                              self.lead.delta)
-        for q in range(len(self.progress), len(self.lead.reps)):
-            self.progress.append(_Table(
-                self.alphabet.size, [()],
-                lambda x, v, q=q: self._progress_entry(q, x, v)))
-        for table in self.progress:
-            table.close()
+        for _ in range(len(self.progress), len(self.lead.reps)):
+            self.progress.append(_Table(self.alphabet.size, [()]))
+        for q, table in enumerate(self.progress):
+            table.close(partial(self._progress_entry, q))
 
     def hypothesis(self) -> Fdfa:
         progress = []
-        for t in self.progress:
+        for q, t in enumerate(self.progress):
             ts = DetTS(self.alphabet, len(t.reps), 0, t.delta)
             progress.append(Dfa(ts, frozenset(
-                i for i, rep in enumerate(t.reps) if t.entry(rep, ()))))
+                i for i, rep in enumerate(t.reps)
+                if self._progress_entry(q, rep, ()))))
         return Fdfa(self.leading, tuple(progress),
                     labels=tuple(self.lead.reps), flavor=LIMIT)
 
@@ -386,12 +469,13 @@ class _Session:
         if j is None:
             raise CounterexampleError("no flip found in the progress scan")
         table.add_exp(y[j:])
-        table.close()
+        table.close(partial(self._progress_entry, q))
 
 
 def learn_limit_fdfa(teacher, *, max_iterations: int = 500
                      ) -> tuple[Fdfa, LearnStats]:
-    """Run the limit-FDFA learner to convergence against the teacher."""
+    """Run the limit-FDFA learner to convergence against the teacher, and
+    return the canonical limit form of the hypothesis it accepts."""
     session = _Session(teacher)
     h = session.hypothesis()
     stats = LearnStats()
@@ -401,7 +485,7 @@ def learn_limit_fdfa(teacher, *, max_iterations: int = 500
         if ce is None:
             stats.mq = teacher.mq_count
             stats.eq = teacher.eq_count
-            return h, stats
+            return limit_canonical_form(h), stats
         before = _shape(h)
         session.analyze(h, ce)
         h = session.hypothesis()

@@ -25,7 +25,7 @@ def gen_ln(n: int) -> DetOmega:
     accepting, so the language is "the run never leaves the live states"."""
     if n < 1:
         raise AutomatonError("n must be >= 1")
-    alphabet = Alphabet(tuple(str(i) for i in range(n + 1)))
+    alphabet = Alphabet(tuple([str(i) for i in range(n + 1)]))
     sink = n + 1
     delta = []
     acc = set()
@@ -38,7 +38,7 @@ def gen_ln(n: int) -> DetOmega:
         row[nxt] = nxt
         acc.add((i, nxt))
         delta.append(tuple(row))
-    delta.append(tuple(sink for _ in range(n + 1)))
+    delta.append((sink,) * (n + 1))
     ts = DetTS(alphabet, n + 2, 0, tuple(delta))
     return DetOmega(ts, frozenset(acc), BUCHI)
 
@@ -81,9 +81,7 @@ def gen_fig5_fdfa() -> Fdfa:
     alphabet = Alphabet(("1", "2", "3", "4"))
     leading = DetTS(alphabet, 1, 0, ((0, 0, 0, 0),))
     # progress states: 0 = {epsilon, max 1}, 1 = max 2, 2 = max 3, 3 = max 4
-    delta = tuple(
-        tuple(max(m, a) for a in range(4))
-        for m in range(4))
+    delta = tuple([tuple([max(m, a) for a in range(4)]) for m in range(4)])
     progress = Dfa(DetTS(alphabet, 4, 0, delta), frozenset({1, 3}))
     return Fdfa(leading, (progress,), labels=((),), flavor=LIMIT)
 
@@ -94,9 +92,10 @@ def gen_random_dba(seed: int, states: int, alphabet_size: int,
     if states < 1 or alphabet_size < 1:
         raise AutomatonError("states and alphabet_size must be >= 1")
     rng = random.Random(seed)
-    alphabet = Alphabet(tuple(chr(ord("a") + i) for i in range(alphabet_size)))
-    delta = tuple(tuple(rng.randrange(states) for _ in range(alphabet_size))
-                  for _ in range(states))
+    alphabet = Alphabet(tuple([chr(ord("a") + i)
+                               for i in range(alphabet_size)]))
+    delta = tuple([tuple([rng.randrange(states) for _ in range(alphabet_size)])
+                   for _ in range(states)])
     acc = frozenset((s, a)
                     for s in range(states) for a in range(alphabet_size)
                     if rng.random() < acc_density)

@@ -1,5 +1,5 @@
 """Test-only helpers over the package's graph algorithms: SCC listing, DFA
-renumbering and isomorphism, counters with resets, a one-pair Rabin
+and FDFA renumbering and isomorphism, counters with resets, a one-pair Rabin
 emptiness check, a transition monoid explored by the generic ``explore``,
 the learner's former restart-scan table closing, the former nested-product
 assembly of the Buchi translations and a trim of its useless component
@@ -77,6 +77,16 @@ def dfa_isomorphic(a: Dfa, b: Dfa) -> bool:
     ca, cb = canonical_dfa(a), canonical_dfa(b)
     return ca.ts.delta == cb.ts.delta and ca.finals == cb.finals \
         and ca.ts.alphabet == cb.ts.alphabet
+
+
+def fdfas_isomorphic(a: Fdfa, b: Fdfa) -> bool:
+    """Leading TSs equal once renumbered in BFS order, and the progress DFAs
+    of the states that the renumbering pairs up isomorphic."""
+    order_a, rows_a = explore([a.leading.initial], a.leading.delta.__getitem__)
+    order_b, rows_b = explore([b.leading.initial], b.leading.delta.__getitem__)
+    return rows_a == rows_b and all(
+        dfa_isomorphic(a.progress[q], b.progress[c])
+        for q, c in zip(order_a, order_b))
 
 
 def one_pair_rabin_empty(a: Nba,
@@ -174,13 +184,13 @@ def explored_monoid(ts: DetTS, marks: Collection[tuple[int, int]], cap: int,
     return profiles, DetTS(ts.alphabet, len(profiles), 0, tuple(delta)), states
 
 
-def restart_scan_close(table) -> None:
+def restart_scan_close(table, entry) -> None:
     """``learn._Table.close`` as it was before the one-pass close: after each
     promotion, rescan every row in length-lex order from the start,
     evaluating each row's vector afresh; then recompute every
     representative's and successor's vector to read off ``delta``."""
     def vector(row):
-        return tuple(table.entry(row, exp) for exp in table.exps)
+        return tuple(entry(row, exp) for exp in table.exps)
 
     rep_vecs: list[tuple[bool, ...]] = []
     kept = []

@@ -444,6 +444,33 @@ def test_cmd_learn_iteration_cap(cli, fig1_file):
     assert code == 4
 
 
+@pytest.mark.parametrize("seed", [2061, 2115])
+def test_learned_family_is_decided_recognizable(cli, tmp_path, seed):
+    # learn once wrote these DBAs' learned progress DFAs, which differ from
+    # the canonical ones on periods that leave their leading state, under
+    # flavor: limit, and decide answered no
+    src = tmp_path / "ref.aut"
+    src.write_text(format_automaton(gen_random_dba(seed, 3, 2)))
+    out = tmp_path / "learned.fdfa"
+    assert cli("learn", "--teacher", f"dba:{src}", "--out", str(out))[0] == 0
+    code, stdout, _ = cli("decide", str(out))
+    assert code == 0 and "recognizable: yes" in stdout
+
+
+def test_cmd_learn_power_check_exits_4_at_the_profile_cap(
+        cli, fig1_file, tmp_path, monkeypatch):
+    # fig1's periodic family is saturated but not limit-canonical, so its
+    # last equivalence query runs the power check
+    periodic = tmp_path / "periodic.fdfa"
+    assert cli("canon", str(fig1_file), "--flavor", "periodic",
+               "--out", str(periodic))[0] == 0
+    assert cli("learn", "--teacher", f"fdfa:{periodic}")[0] == 0
+    monkeypatch.setattr(congruence, "PROFILE_CAP", 3)
+    code, _, err = cli("learn", "--teacher", f"fdfa:{periodic}")
+    assert code == 4
+    assert err == "error: power check exceeded cap of 3 states\n"
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_cmd_learn_max_iterations_below_1_exits_2(capsys, fig1_file, value):
     with pytest.raises(SystemExit) as exc:

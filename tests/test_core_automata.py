@@ -31,7 +31,6 @@ from omega_fdfa import (
     gen_fig1,
     gen_ln,
     gen_random_dba,
-    learn_limit_fdfa,
     member_upword_det,
     member_upword_nba,
     nba_dba_included,
@@ -53,7 +52,6 @@ from omega_fdfa.core_automata import (
     shortest_state_words,
     transition_monoid,
 )
-from omega_fdfa.learn import DbaTeacher, QueryLog
 
 from helpers import (
     canonical_dfa,
@@ -452,25 +450,6 @@ def test_det_to_nba_is_built_once_per_dba():
     with pytest.raises(AutomatonError):
         det_to_nba(cobuchi)
     assert set(vars(cobuchi)) == {f.name for f in fields(cobuchi)}
-
-
-def test_learning_is_unchanged_by_the_cached_nba_view(monkeypatch):
-    def learned(d):
-        log = QueryLog(d.ts.alphabet)
-        return learn_limit_fdfa(DbaTeacher(d, log))[0], log.lines
-
-    targets = [gen_fig1()] + [gen_random_dba(seed, 4, 2) for seed in range(4)]
-    cached = [learned(d) for d in targets]
-    built = []
-
-    def rebuilt(d):
-        # a fresh NBA, with no successor table yet, on every call
-        built.append(d)
-        return replace(d._nba)
-
-    monkeypatch.setattr(core_automata, "det_to_nba", rebuilt)
-    assert [learned(d) for d in targets] == cached
-    assert built
 
 
 # --------------------------------------------------------------------------

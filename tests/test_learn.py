@@ -1,5 +1,6 @@
 """Tests for the limit-FDFA learner and its teachers."""
 
+import gc
 import re
 from collections import Counter
 from dataclasses import replace
@@ -14,7 +15,9 @@ from omega_fdfa import (
     FdfaTeacher,
     LIMIT,
     LearnLimitExceeded,
+    PERIODIC,
     QueryLog,
+    ResourceLimitError,
     UpWord,
     accepts_upword,
     build_canonical_fdfa,
@@ -28,12 +31,12 @@ from omega_fdfa import (
     size_report,
 )
 
+import omega_fdfa.congruence as congruence
 from omega_fdfa.cli import format_fdfa
-from omega_fdfa.core_automata import short_words
+from omega_fdfa.core_automata import run_word
 from omega_fdfa.fdfa import accepts_decomposition, normalize
-from omega_fdfa.learn import FALLBACK_WORDS, _fallback_len
 
-from helpers import eq_hypotheses, restart_scan_close
+from helpers import eq_hypotheses, fdfas_isomorphic, restart_scan_close
 from oracles import naive_member, words_upto
 
 
@@ -188,51 +191,7 @@ def test_learned_hypothesis_passes_fresh_equivalence(fig1):
     assert DbaTeacher(fig1).eq(h) is None
 
 
-@pytest.mark.parametrize("nletters", [1, 2, 3, 4])
-def test_fallback_takes_whole_length_layers_within_budget(nletters):
-    max_len = _fallback_len(nletters)
-    assert len(short_words(nletters, max_len)) <= FALLBACK_WORDS
-    assert len(short_words(nletters, max_len + 1)) > FALLBACK_WORDS
-
-
-def _naive_bounded_search(h, member, nletters):
-    """The bounded counterexample search as a plain double loop over every
-    (prefix, period) pair of the fallback's words."""
-    words = short_words(nletters, _fallback_len(nletters))
-    for u in words:
-        for v in words[1:]:
-            w = UpWord(u, v)
-            if accepts_decomposition(h, normalize(h, w)) != member(w):
-                return w
-    return None
-
-
-def _search_cases():
-    dbas = [gen_fig1(), gen_sigma_star_aa(), gen_ln(2)]
-    # learned wrongly: the bounded search accepts a wrong hypothesis
-    dbas += [gen_random_dba(s, 5, 3) for s in (6, 16, 21)]
-    dbas += [gen_random_dba(s, 6, 2) for s in (19, 22)]
-    dbas += [gen_random_dba(s, 5, 3) for s in range(30, 46)]
-    # a two-letter scan has 65k pairs, so keep seeds with several EQs
-    dbas += [gen_random_dba(s, 5, 2) for s in (0, 7, 10, 17)]
-    for d in dbas:
-        yield DbaTeacher(d), lambda w, d=d: naive_member(d, w)
-    fig5 = gen_fig5_fdfa()
-    yield FdfaTeacher(fig5), lambda w: accepts_upword(fig5, w)
-
-
-def test_bounded_search_matches_plain_double_loop():
-    scanned = 0
-    for teacher, member in _search_cases():
-        for h in eq_hypotheses(teacher):
-            expected = _naive_bounded_search(h, member, teacher.alphabet.size)
-            assert teacher._bounded_search(h) == expected
-            scanned += 1
-    assert scanned > 100
-
-
 def test_learn_one_letter_alphabet():
-    # _fallback_len(1) is 359, so a scan of every (u, v) has 129k pairs
     d = gen_random_dba(0, 5, 1)
     assert member_upword_det(d, UpWord((), (0,)))
     h, _ = learn_limit_fdfa(DbaTeacher(d))
@@ -244,18 +203,14 @@ def test_close_evaluates_each_cell_at_most_once(monkeypatch):
     most = []
     close = learn._Table.close
 
-    def counting_close(table):
-        entry, seen = table.entry, Counter()
+    def counting_close(table, entry):
+        seen = Counter()
 
         def counted(row, exp):
             seen[row, exp] += 1
             return entry(row, exp)
 
-        table.entry = counted
-        try:
-            close(table)
-        finally:
-            table.entry = entry
+        close(table, counted)
         most.append(max(seen.values()))
 
     monkeypatch.setattr(learn._Table, "close", counting_close)
@@ -297,3 +252,174 @@ def test_one_pass_close_learns_as_the_restart_scan(monkeypatch):
     assert len(cases) > 100
     for case, got, expected in zip(cases, one_pass, restart_scan):
         assert got == expected, case
+
+
+# --------------------------------------------------------------------------
+# exact equivalence queries
+
+# the targets the bounded counterexample search once accepted wrongly, as
+# gen_random_dba(seed, states, letters)
+FORMERLY_WRONG = [(6, 5, 3), (16, 5, 3), (21, 5, 3), (19, 6, 2), (22, 6, 2)]
+# the learn benchmark's DBA targets, likewise
+BENCHMARK_DBAS = [(0, 5, 2), (1, 5, 2), (0, 5, 3), (1, 5, 3), (3, 5, 3),
+                  (6, 5, 3), (16, 5, 3), (21, 5, 3), (19, 6, 2), (22, 6, 2)]
+
+
+def _first_disagreement(h, member, nletters: int, bound: int):
+    """The first UP-word u . v^omega with |u| + |v| <= bound on which h and
+    the member oracle disagree, or None."""
+    for u in words_upto(nletters, bound - 1):
+        for v in words_upto(nletters, bound - len(u))[1:]:
+            w = UpWord(u, v)
+            if accepts_upword(h, w) != member(w):
+                return w
+    return None
+
+
+def _oracle_bound(nletters: int) -> int:
+    return {1: 12, 2: 8}.get(nletters, 6)
+
+
+@pytest.mark.parametrize("seed, n, k", FORMERLY_WRONG)
+def test_formerly_wrong_targets_are_learned_exactly(seed, n, k):
+    d = gen_random_dba(seed, n, k)
+    h, _ = learn_limit_fdfa(DbaTeacher(d))
+    assert _first_disagreement(h, lambda w: naive_member(d, w), k,
+                               _oracle_bound(k)) is None
+
+
+def _max_even(w: UpWord) -> bool:
+    """fig5's language over 1..4 (letter i is i + 1): the greatest letter
+    of the period is even."""
+    return max(w.period) % 2 == 1
+
+
+def test_learned_implies_exact():
+    checked = 0
+    for seed in range(40):
+        n, k = 2 + seed % 5, 1 + seed % 3
+        d = gen_random_dba(500 + seed, n, k)
+        member = lambda w, d=d: naive_member(d, w)  # noqa: E731
+        h, _ = learn_limit_fdfa(DbaTeacher(d))
+        assert _first_disagreement(h, member, k, _oracle_bound(k)) is None, \
+            ("dba", seed)
+        if seed % 4 == 0:
+            f = build_canonical_fdfa(d, LIMIT)
+            h, _ = learn_limit_fdfa(FdfaTeacher(f))
+            assert _first_disagreement(h, member, k, _oracle_bound(k)) \
+                is None, ("fdfa", seed)
+        checked += 1
+    h, _ = learn_limit_fdfa(FdfaTeacher(gen_fig5_fdfa()))
+    assert _first_disagreement(h, _max_even, 4, 4) is None
+    assert checked == 40
+
+
+@pytest.mark.parametrize("seed, n, k", BENCHMARK_DBAS)
+def test_learned_family_is_the_canonical_limit_fdfa(seed, n, k):
+    d = gen_random_dba(seed, n, k)
+    h, _ = learn_limit_fdfa(DbaTeacher(d))
+    assert h.flavor == LIMIT
+    assert fdfas_isomorphic(h, build_canonical_fdfa(d, LIMIT))
+
+
+def test_learning_leaves_no_cyclic_garbage():
+    d, fig5 = gen_random_dba(21, 5, 3), gen_fig5_fdfa()
+    gc.collect()
+    gc.disable()
+    try:
+        learn_limit_fdfa(DbaTeacher(d))
+        from_dba = gc.collect()
+        learn_limit_fdfa(FdfaTeacher(fig5))
+        from_fdfa = gc.collect()
+    finally:
+        gc.enable()
+    assert (from_dba, from_fdfa) == (0, 0)
+
+
+def _brute_force_counterexample(h, teacher, member, bound: int):
+    """The least (|u| + |v|, u, v), |u| + |v| <= bound, with u . v^omega
+    normalized in both h and the teacher's reference and judged unlike by h
+    and the member oracle."""
+    m, r = h.leading, teacher.reference.leading
+    k = teacher.alphabet.size
+    best = None
+    for u in words_upto(k, bound - 1):
+        q, c = run_word(m, m.initial, u), run_word(r, r.initial, u)
+        for v in words_upto(k, bound - len(u))[1:]:
+            if run_word(m, q, v) != q or run_word(r, c, v) != c:
+                continue
+            w = UpWord(u, v)
+            if accepts_upword(h, w) != member(w):
+                key = (len(u) + len(v), u, v)
+                best = key if best is None else min(best, key)
+    return best
+
+
+def _pair_search_cases():
+    dbas = [gen_fig1(), gen_sigma_star_aa(), gen_ln(2)]
+    dbas += [gen_random_dba(s, n, k) for s, n, k in FORMERLY_WRONG]
+    dbas += [gen_random_dba(s, 4, 2) for s in range(8)]
+    for d in dbas:
+        yield DbaTeacher(d), lambda w, d=d: naive_member(d, w)
+    yield FdfaTeacher(gen_fig5_fdfa()), _max_even
+
+
+def test_pair_search_returns_the_least_short_counterexample():
+    compared = found = 0
+    for teacher, member in _pair_search_cases():
+        k = teacher.alphabet.size
+        bound = _oracle_bound(k) if k < 4 else 4
+        for h in eq_hypotheses(teacher):
+            ce = learn._pair_search(h, teacher.reference)
+            got = None if ce is None \
+                else (len(ce.prefix) + len(ce.period), ce.prefix, ce.period)
+            if got is not None and got[0] > bound:
+                got = None
+            assert got == _brute_force_counterexample(h, teacher, member,
+                                                      bound)
+            compared += 1
+            found += got is not None
+    assert compared > 100 and found > 80
+
+
+def _flipped_hypotheses(f):
+    """f with the finality of one progress state flipped, for each
+    progress state of f."""
+    for q, p in enumerate(f.progress):
+        for s in range(p.ts.state_count):
+            flipped = replace(p, finals=p.finals ^ {s})
+            yield replace(f, progress=f.progress[:q] + (flipped,)
+                          + f.progress[q + 1:])
+
+
+def test_power_check_returns_a_counterexample():
+    violations = 0
+    for seed in range(40):
+        d = gen_random_dba(seed, 2 + seed % 5, 1 + seed % 3)
+        teacher = DbaTeacher(d)
+        assert learn._power_violation(teacher.reference,
+                                      congruence.PROFILE_CAP) is None
+        for h in _flipped_hypotheses(teacher.reference):
+            found = learn._power_violation(h, congruence.PROFILE_CAP)
+            if found is None:
+                continue
+            u, y, k = found
+            assert accepts_upword(h, UpWord(u, y)) \
+                != accepts_upword(h, UpWord(u, y * k))
+            ce = teacher._power_counterexample(h)
+            assert ce in (UpWord(u, y), UpWord(u, y * k))
+            assert accepts_upword(h, ce) != naive_member(d, ce)
+            violations += 1
+    assert violations > 25
+
+
+def test_power_check_shares_the_profile_cap(fig1, monkeypatch):
+    # the periodic family of fig1 is saturated but not limit-canonical, so
+    # the last equivalence query falls through to the power check
+    teacher = FdfaTeacher(build_canonical_fdfa(fig1, PERIODIC))
+    h, _ = learn_limit_fdfa(teacher)
+    assert _first_disagreement(h, lambda w: naive_member(fig1, w), 2, 8) \
+        is None
+    monkeypatch.setattr(congruence, "PROFILE_CAP", 3)
+    with pytest.raises(ResourceLimitError, match="exceeded cap of 3"):
+        learn_limit_fdfa(FdfaTeacher(teacher.reference))
