@@ -300,13 +300,18 @@ class FdfaTeacher(_Teacher):
 class _Table:
     """An observation table: rows, the representatives among them, and the
     experiments.  The leading table and every progress table are instances.
-    Cells are given by the ``entry(row, exp)`` that ``close`` is passed: a
-    table keeps no function of its session, so a finished session holds no
-    reference cycle and is freed as soon as it is dropped.
+    Cells are given by the ``cells(row)`` that ``close`` is passed, a
+    function of the experiment: a table keeps no function of its session,
+    so a finished session holds no reference cycle and is freed as soon as
+    it is dropped.
 
-    ``close`` visits the rows once each in length-lex order and evaluates
-    each row's vector once: a row whose vector is new is promoted, and its
-    successors, which sort after it, join the pass.  ``delta``, each
+    Each row's vector is kept across closes in ``vecs``, bit i the entry of
+    the i-th experiment, over the first ``width`` experiments; a refinement
+    only appends experiments, so ``close`` evaluates only the columns a row
+    lacks, and a row without a vector in full.  Dropping ``vecs`` makes the
+    next close evaluate every cell again.  ``close`` visits the rows once
+    each in length-lex order: a row whose vector is new is promoted, and
+    its successors, which sort after it, join the pass.  ``delta``, each
     representative's successor representatives by letter, is read off the
     same vectors."""
 
@@ -316,22 +321,27 @@ class _Table:
         self.reps: list[Word] = [()]
         self.exps = exps
         self.delta: tuple[tuple[int, ...], ...] = ()
+        self.vecs: dict[Word, int] = {}
+        self.width = 0
 
     def add_exp(self, exp) -> None:
         if exp in self.exps:
             raise CounterexampleError("experiment already present")
         self.exps.append(exp)
 
-    def close(self, entry: Callable[[Word, object], bool]) -> None:
+    def close(self, cells: Callable[[Word], Callable[[object], bool]]
+              ) -> None:
+        kept, width, exps = self.vecs, self.width, self.exps
         vecs: dict[Word, int] = {}
 
         def vector(row: Word) -> int:
-            # bit i is the entry of the i-th experiment
             if row not in vecs:
-                bits = 0
-                for i, exp in enumerate(self.exps):
-                    if entry(row, exp):
-                        bits |= 1 << i
+                bits, start = (kept[row], width) if row in kept else (0, 0)
+                if start < len(exps):
+                    cell = cells(row)
+                    for i in range(start, len(exps)):
+                        if cell(exps[i]):
+                            bits |= 1 << i
                 vecs[row] = bits
             return vecs[row]
 
@@ -352,6 +362,7 @@ class _Table:
                 if row + (a,) not in self.rows:
                     self.rows.add(row + (a,))
                     heapq.heappush(heap, (len(row) + 1, row + (a,)))
+        self.vecs, self.width = vecs, len(exps)
         self.reps = list(reps.values())
         index = {vec: i for i, vec in enumerate(reps)}
         self.delta = tuple([tuple([index[vecs[rep + (a,)]]
@@ -370,6 +381,15 @@ def _breakpoint(value, n: int) -> int | None:
             return j
         prev = cur
     return None
+
+
+def _states_along(ts: DetTS, w: Word) -> list[int]:
+    """The states ts passes through reading w from state 0, one per prefix
+    of w in order of length."""
+    states = [0]
+    for a in w:
+        states.append(ts.delta[states[-1]][a])
+    return states
 
 
 def _shape(h: Fdfa) -> tuple:
@@ -410,32 +430,39 @@ class _Session:
     def leading_state(self, w: Word) -> int:
         return run_word(self.leading, 0, w)
 
-    def _lead_entry(self, row: Word, exp: tuple[Word, Word]) -> bool:
-        return self.mq(row + exp[0], exp[1])
+    def _lead_cells(self, row: Word) -> Callable[[tuple[Word, Word]], bool]:
+        return lambda exp: self.mq(row + exp[0], exp[1])
 
-    def _progress_entry(self, q: int, x: Word, v: Word) -> bool:
-        if run_word(self.leading, q, x + v) != q:
-            return True
-        return self.mq(self.lead.reps[q], x + v)
+    def _progress_cells(self, q: int, x: Word) -> Callable[[Word], bool]:
+        """Row x of q's progress table as a function of the experiment v:
+        true where x + v leads q elsewhere, else the verdict on
+        rep_q (x + v)^omega.  q . x is run once, each cell runs only v."""
+        p = run_word(self.leading, q, x)
+        rep = self.lead.reps[q]
+        return lambda v: run_word(self.leading, p, v) != q \
+            or self.mq(rep, x + v)
 
     def close_leading(self) -> None:
         """Close the leading table and rebuild the leading DFA; progress
-        entries depend on it, so every progress table is re-closed."""
-        self.lead.close(self._lead_entry)
+        entries depend on it, so every progress table drops its vectors and
+        is re-closed.  Leading vectors are plain membership queries and
+        are kept."""
+        self.lead.close(self._lead_cells)
         self.leading = DetTS(self.alphabet, len(self.lead.reps), 0,
                              self.lead.delta)
         for _ in range(len(self.progress), len(self.lead.reps)):
             self.progress.append(_Table(self.alphabet.size, [()]))
         for q, table in enumerate(self.progress):
-            table.close(partial(self._progress_entry, q))
+            table.vecs = {}
+            table.close(partial(self._progress_cells, q))
 
     def hypothesis(self) -> Fdfa:
+        # the experiment () is column 0 of every progress table
         progress = []
-        for q, t in enumerate(self.progress):
+        for t in self.progress:
             ts = DetTS(self.alphabet, len(t.reps), 0, t.delta)
             progress.append(Dfa(ts, frozenset(
-                i for i, rep in enumerate(t.reps)
-                if self._progress_entry(q, rep, ()))))
+                i for i, rep in enumerate(t.reps) if t.vecs[rep] & 1)))
         return Fdfa(self.leading, tuple(progress),
                     labels=tuple(self.lead.reps), flavor=LIMIT)
 
@@ -450,8 +477,7 @@ class _Session:
             self._refine_progress(q, h.progress[q], y)
 
     def _refine_leading(self, x: Word, y: Word) -> None:
-        s = [self.lead.reps[self.leading_state(x[:i])]
-             for i in range(len(x) + 1)]
+        s = [self.lead.reps[p] for p in _states_along(self.leading, x)]
         j = _breakpoint(lambda i: self.mq(s[i] + x[i:], y), len(x))
         if j is None:
             raise CounterexampleError("no breakpoint found in the leading scan")
@@ -460,16 +486,13 @@ class _Session:
 
     def _refine_progress(self, q: int, progress: Dfa, y: Word) -> None:
         table = self.progress[q]
-
-        def value(i: int) -> bool:
-            s_i = table.reps[run_word(progress.ts, 0, y[:i])]
-            return self._progress_entry(q, s_i, y[i:])
-
-        j = _breakpoint(value, len(y))
+        s = [table.reps[p] for p in _states_along(progress.ts, y)]
+        j = _breakpoint(lambda i: self._progress_cells(q, s[i])(y[i:]),
+                        len(y))
         if j is None:
             raise CounterexampleError("no flip found in the progress scan")
         table.add_exp(y[j:])
-        table.close(partial(self._progress_entry, q))
+        table.close(partial(self._progress_cells, q))
 
 
 def learn_limit_fdfa(teacher, *, max_iterations: int = 500

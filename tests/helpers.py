@@ -184,13 +184,17 @@ def explored_monoid(ts: DetTS, marks: Collection[tuple[int, int]], cap: int,
     return profiles, DetTS(ts.alphabet, len(profiles), 0, tuple(delta)), states
 
 
-def restart_scan_close(table, entry) -> None:
+def restart_scan_close(table, cells) -> None:
     """``learn._Table.close`` as it was before the one-pass close: after each
     promotion, rescan every row in length-lex order from the start,
-    evaluating each row's vector afresh; then recompute every
-    representative's and successor's vector to read off ``delta``."""
+    evaluating each row's vector afresh from ``cells(row)``, whatever the
+    table kept from an earlier close; then recompute every representative's
+    and successor's vector to read off ``delta``.  It leaves the
+    representatives' vectors in the table as bit masks over every
+    experiment, since the learner reads progress finality from bit 0."""
     def vector(row):
-        return tuple(entry(row, exp) for exp in table.exps)
+        cell = cells(row)
+        return tuple(cell(exp) for exp in table.exps)
 
     rep_vecs: list[tuple[bool, ...]] = []
     kept = []
@@ -218,6 +222,9 @@ def restart_scan_close(table, entry) -> None:
     if any(vec not in index for row in succ for vec in row):
         raise AssertionError("observation table is not closed")
     table.delta = tuple(tuple(index[vec] for vec in row) for row in succ)
+    table.vecs = {rep: sum(bit << i for i, bit in enumerate(vec))
+                  for vec, rep in zip(index, table.reps)}
+    table.width = len(table.exps)
 
 
 def nested_product_nba(f: Fdfa, duplicate: bool) -> Nba:

@@ -5,8 +5,9 @@ class-local monoid of its limit FDFA has one-entry profiles.  State
 numbering reaches these outputs through unminimized products (syntactic
 progress DFAs), the DBA translation and the decision witness, so any change
 to exploration order shows up here.  The learner's logs pin every membership query in order; the
-random DBA's run is one where progress representatives collapse after a
-leading refinement.  ``lassos.txt`` pins the witnesses of the emptiness,
+5-state random DBA's run is one where progress representatives collapse
+after a leading refinement, and the 6-state one's re-closes progress
+tables after leading refinements between many progress refinements.  ``lassos.txt`` pins the witnesses of the emptiness,
 inclusion and intersection engines, which the CLI outputs reach only in
 part."""
 
@@ -37,7 +38,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 CASES = ["canon-periodic", "canon-syntactic", "canon-recurrent", "canon-limit",
          "canon-counter12",
          "translate-nba", "translate-ldba", "translate-dba", "decide-fig5",
-         "learn-fig1", "learn-fig5", "learn-rand-5x3-s1"]
+         "learn-fig1", "learn-fig5", "learn-rand-5x3-s1", "learn-rand-6x2-s22"]
 
 
 def run_case(case: str, tmp: pathlib.Path, capsys) -> str:
@@ -50,6 +51,9 @@ def run_case(case: str, tmp: pathlib.Path, capsys) -> str:
     fig5.write_text(format_fdfa(gen_fig5_fdfa()), encoding="utf-8")
     rand = tmp / "rand.aut"
     rand.write_text(format_automaton(gen_random_dba(1, 5, 3)), encoding="utf-8")
+    rand22 = tmp / "rand22.aut"
+    rand22.write_text(format_automaton(gen_random_dba(22, 6, 2)),
+                      encoding="utf-8")
     counter = tmp / "counter.aut"
     counter.write_text(format_automaton(counter_with_resets(0, 12, 0.3)),
                        encoding="utf-8")
@@ -66,7 +70,8 @@ def run_case(case: str, tmp: pathlib.Path, capsys) -> str:
         argv = ["decide", str(fig5)]
     else:
         teacher = {"fig1": f"dba:{fig1}", "fig5": f"fdfa:{fig5}",
-                   "rand-5x3-s1": f"dba:{rand}"}[arg]
+                   "rand-5x3-s1": f"dba:{rand}",
+                   "rand-6x2-s22": f"dba:{rand22}"}[arg]
         argv = ["learn", "--teacher", teacher, "--out", str(out),
                 "--log", str(log)]
     capsys.readouterr()

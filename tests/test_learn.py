@@ -199,25 +199,60 @@ def test_learn_one_letter_alphabet():
     _assert_language_matches(h, d)
 
 
-def test_close_evaluates_each_cell_at_most_once(monkeypatch):
-    most = []
+def test_cells_are_evaluated_once_between_leading_closes(monkeypatch):
+    """Row vectors are kept across closes: between two leading closes no
+    (table, row, experiment) cell is evaluated twice, a leading cell never
+    is, and a progress refinement evaluates exactly the new experiment's
+    cell of each row its table had before."""
+    seen = Counter()  # cells since the last leading close
+    lead_seen = Counter()  # leading cells over the whole run
+    leads = set()
+    refined = []
     close = learn._Table.close
+    close_leading = learn._Session.close_leading
+    refine_progress = learn._Session._refine_progress
 
-    def counting_close(table, entry):
-        seen = Counter()
+    def counting_close(table, cells):
+        def counted(row):
+            cell = cells(row)
 
-        def counted(row, exp):
-            seen[row, exp] += 1
-            return entry(row, exp)
+            def count(exp):
+                seen[table, row, exp] += 1
+                if table in leads:
+                    lead_seen[table, row, exp] += 1
+                return cell(exp)
+            return count
 
         close(table, counted)
-        most.append(max(seen.values()))
+
+    def counted_close_leading(session):
+        assert max(seen.values(), default=1) == 1
+        seen.clear()
+        leads.add(session.lead)
+        close_leading(session)
+
+    def checked_refine_progress(session, q, progress, y):
+        table = session.progress[q]
+        rows = set(table.rows)
+        before = seen.copy()
+        refine_progress(session, q, progress, y)
+        new = seen - before
+        assert all(t is table for t, _, _ in new)
+        assert Counter({(row, exp): n for (_, row, exp), n in new.items()
+                        if row in rows}) \
+            == Counter({(row, table.exps[-1]): 1 for row in rows})
+        refined.append(len(rows))
 
     monkeypatch.setattr(learn._Table, "close", counting_close)
-    for d in (gen_fig1(), gen_ln(2), gen_random_dba(1, 5, 3)):
+    monkeypatch.setattr(learn._Session, "close_leading", counted_close_leading)
+    monkeypatch.setattr(learn._Session, "_refine_progress",
+                        checked_refine_progress)
+    for d in (gen_fig1(), gen_ln(2), gen_random_dba(1, 5, 3),
+              gen_random_dba(22, 6, 2)):
         learn_limit_fdfa(DbaTeacher(d))
     learn_limit_fdfa(FdfaTeacher(gen_fig5_fdfa()))
-    assert len(most) > 20 and max(most) == 1
+    assert max(seen.values()) == max(lead_seen.values()) == 1
+    assert len(leads) == 5 and len(refined) > 40 and max(refined) > 10
 
 
 def _logged_run(teacher_class, ref, alphabet) -> tuple:
