@@ -1,6 +1,6 @@
 """Families of DFAs: acceptance semantics, normalization, saturation checks,
 sink-final analysis, final-set surgery, the canonical limit form of a
-family, and isomorphism."""
+family, and isomorphism of leading DFAs."""
 
 from __future__ import annotations
 
@@ -57,19 +57,24 @@ class Fdfa:
             raise AutomatonError(f"unknown flavor {self.flavor!r}")
 
 
+def _first_repeat(m: DetTS, q: int, v: Word) -> tuple[int, int, int]:
+    """Walk q, q.v, q.v.v, ... to the first repeat q_i = q_{i+p}, p >= 1;
+    return q_i, i and p."""
+    states = [q]
+    while True:
+        q = run_word(m, q, v)
+        if q in states:
+            i = states.index(q)
+            return q, i, len(states) - i
+        states.append(q)
+
+
 def normalize(f: Fdfa, w: UpWord) -> UpWord:
     """Return (u . v^i, v^p) with minimal i >= 0, then minimal p >= 1, such
     that the leading state repeats; denotes the same omega-word."""
     m = f.leading
-    state = run_word(m, m.initial, w.prefix)
-    states = [state]
-    while True:
-        state = run_word(m, state, w.period)
-        if state in states:
-            i = states.index(state)
-            p = len(states) - i
-            return UpWord(w.prefix + w.period * i, w.period * p)
-        states.append(state)
+    _, i, p = _first_repeat(m, run_word(m, m.initial, w.prefix), w.period)
+    return UpWord(w.prefix + w.period * i, w.period * p)
 
 
 def accepts_decomposition(f: Fdfa, w: UpWord) -> bool:
@@ -99,14 +104,8 @@ def accepts_from(f: Fdfa, q: int, v: Word) -> bool:
     leading DFA to q: walk q, q.v, q.v.v, ... to the first repeat q_i =
     q_{i+p} and ask the progress DFA of q_i about v^p, which is what the
     normalized decomposition (u . v^i, v^p) is accepted by."""
-    m = f.leading
-    states = [q]
-    while True:
-        q = run_word(m, q, v)
-        if q in states:
-            p = len(states) - states.index(q)
-            return f.progress[q].accepts(v * p)
-        states.append(q)
+    q, _, p = _first_repeat(f.leading, q, v)
+    return f.progress[q].accepts(v * p)
 
 
 def accepts_upword(f: Fdfa, w: UpWord) -> bool:
@@ -192,36 +191,22 @@ def limit_canonical_form(f: Fdfa) -> Fdfa:
     return replace(f, progress=progress, flavor=LIMIT)
 
 
-def _isomorphism(a: Dfa, b: Dfa) -> dict[int, int] | None:
-    """The map from a's reachable states onto b's that follows both
-    transition tables in step from the initial states, if it is a bijection
-    onto b's reachable states that keeps final states final."""
-    if a.ts.alphabet != b.ts.alphabet:
-        return None
-    to = {a.ts.initial: b.ts.initial}
-    order = [a.ts.initial]
+def leading_isomorphic(a: Fdfa, b: Fdfa) -> bool:
+    """Whether the reachable parts of a's and b's leading DFAs are equal up
+    to renaming: the map that follows both transition tables in step from
+    the initial states is a bijection."""
+    if a.leading.alphabet != b.leading.alphabet:
+        return False
+    to = {a.leading.initial: b.leading.initial}
+    order = [a.leading.initial]
     for s in order:  # order grows while it is walked
-        t = to[s]
-        if (s in a.finals) != (t in b.finals):
-            return None
-        for sa, tb in zip(a.ts.delta[s], b.ts.delta[t]):
+        for sa, tb in zip(a.leading.delta[s], b.leading.delta[to[s]]):
             if sa not in to:
                 to[sa] = tb
                 order.append(sa)
             elif to[sa] != tb:
-                return None
-    return to if len(set(to.values())) == len(to) else None
-
-
-def fdfa_isomorphic(a: Fdfa, b: Fdfa) -> bool:
-    """Whether the reachable parts of a and b are equal up to renaming:
-    one bijection of the leading states, and under it one of each pair of
-    progress DFAs."""
-    lead = _isomorphism(Dfa(a.leading, frozenset()),
-                        Dfa(b.leading, frozenset()))
-    return lead is not None and all(
-        _isomorphism(a.progress[q], b.progress[c]) is not None
-        for q, c in lead.items())
+                return False
+    return len(set(to.values())) == len(to)
 
 
 @dataclass(frozen=True)

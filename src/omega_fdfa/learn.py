@@ -24,7 +24,6 @@ from .core_automata import (
     ResourceLimitError,
     UpWord,
     Word,
-    member_det_from,
     member_upword_det,  # noqa: F401  (fdfabench/spans.py counts it here)
     nba_dba_included,  # noqa: F401  (fdfabench/spans.py wraps it here)
     nba_dba_intersection_witness,  # noqa: F401  (likewise)
@@ -39,7 +38,7 @@ from .fdfa import (
     accepts_from,
     accepts_upword,
     complement_finals,  # noqa: F401  (fdfabench/spans.py wraps it here)
-    fdfa_isomorphic,
+    leading_isomorphic,
     limit_canonical_form,
     normalize,
 )
@@ -197,35 +196,34 @@ def _power_violation(h: Fdfa, cap: int) -> tuple[Word, Word, int] | None:
 
 class _Teacher:
     """Query plumbing shared by the teachers: counters, the optional log,
-    membership, and exact equivalence queries against a saturated reference
-    FDFA R of the target.
+    and a saturated reference FDFA R of the target, which answers every
+    query.
 
-    A verdict on u . v^omega depends on u only through the state s that u
-    reaches in the reference's TS, so every membership query runs u there
-    and asks ``member_from(s, v)``.
+    A membership query on u . v^omega runs u on R's leading DFA to a state
+    s and asks ``accepts_from(R, s, v)``.
 
     An equivalence query on a hypothesis H checks in three steps:
 
     1. The pair search (``_pair_search``) returns the least (|u| + |v|, u,
        v) with u . v^omega normalized in both H and R and judged unlike by
        their progress DFAs, which is a counterexample since R is saturated.
-    2. If there is none, H is accepted when its canonical limit form is
-       isomorphic to R: that form keeps H's verdict on every UP-word.
+    2. If there is none, H is accepted when its leading DFA is isomorphic
+       to R's.  A decomposition is then normalized in H exactly when it is
+       in R, and step 1 found their progress DFAs agreeing on every period
+       that returns to its leading state, so H and R accept the same
+       UP-words.
     3. Otherwise the power check (``_power_violation``) looks for a leading
        state q and a period y returning to q on whose powers q's progress
        DFA is not constant.  If there is none, H is exact: a wrong
        normalized (u, v) would make some (u . v^i, v^p), normalized in both
        families, a mismatch of step 1.  A violation (u, y, k) gives two
-       decompositions of one word that H judges unlike, and the one that
-       the target judges unlike H is returned.  Step 3 walks a transition
-       monoid, so it shares ``congruence.PROFILE_CAP``."""
+       decompositions of one word that H judges unlike, and the one that R
+       judges unlike H is returned.  Step 3 walks a transition monoid, so
+       it shares ``congruence.PROFILE_CAP``."""
 
-    def __init__(self, ref_ts: DetTS, member_from: Callable[[int, Word], bool],
-                 reference: Fdfa, log: QueryLog | None):
-        self.ref_ts = ref_ts
-        self.alphabet = ref_ts.alphabet
-        self.member_from = member_from
+    def __init__(self, reference: Fdfa, log: QueryLog | None):
         self.reference = reference
+        self.alphabet = reference.leading.alphabet
         self.log = log
         self.mq_count = 0
         self.eq_count = 0
@@ -235,10 +233,11 @@ class _Teacher:
         counted nor logged."""
         if not period:
             raise AutomatonError("period must be nonempty")
-        s = run_word(self.ref_ts, self.ref_ts.initial, prefix)
+        m = self.reference.leading
+        s = run_word(m, m.initial, prefix)
         if min(period) < 0 or max(period) >= self.alphabet.size:
             raise AlphabetError("word letter outside alphabet")
-        result = self.member_from(s, period)
+        result = accepts_from(self.reference, s, period)
         self.mq_count += 1
         if self.log:
             self.log.mq(prefix, period, result)
@@ -256,45 +255,40 @@ class _Teacher:
 
     def _find_counterexample(self, h: Fdfa) -> UpWord | None:
         ce = _pair_search(h, self.reference)
-        if ce is not None \
-                or fdfa_isomorphic(limit_canonical_form(h), self.reference):
+        if ce is not None or leading_isomorphic(h, self.reference):
             return ce
         return self._power_counterexample(h)
 
     def _power_counterexample(self, h: Fdfa) -> UpWord | None:
         """Step 3: of the two decompositions of a power check violation,
-        the one whose verdict in h is not the target's."""
+        the one whose verdict in h is not R's."""
         found = _power_violation(h, congruence.PROFILE_CAP)
         if found is None:
             return None
         u, y, k = found
-        ts = self.ref_ts
-        if accepts_upword(h, UpWord(u, y)) \
-                != self.member_from(run_word(ts, ts.initial, u), y):
-            return UpWord(u, y)
+        w = UpWord(u, y)
+        if accepts_upword(h, w) != accepts_upword(self.reference, w):
+            return w
         return UpWord(u, y * k)
 
 
 class DbaTeacher(_Teacher):
-    """Oracle backed by a reference DBA; its canonical limit FDFA, built
-    once under the caps of ``congruence``, is the reference of the
-    equivalence queries."""
+    """Oracle backed by a reference DBA, which must be Buchi; its
+    canonical limit FDFA, built once under the caps of ``congruence``, is
+    the reference R that answers every query."""
 
     def __init__(self, ref: DetOmega, log: QueryLog | None = None):
         if ref.polarity != BUCHI:
             raise AutomatonError("DbaTeacher expects a Buchi reference")
-        super().__init__(ref.ts, partial(member_det_from, ref),
-                         congruence.build_canonical_fdfa(ref, LIMIT), log)
-        self.ref = ref
+        super().__init__(congruence.build_canonical_fdfa(ref, LIMIT), log)
 
 
 class FdfaTeacher(_Teacher):
     """Oracle backed by a saturated FDFA (for targets no DBA recognizes),
-    which is also the reference of the equivalence queries."""
+    which is the reference R that answers every query."""
 
     def __init__(self, ref: Fdfa, log: QueryLog | None = None):
-        super().__init__(ref.leading, partial(accepts_from, ref), ref, log)
-        self.ref = ref
+        super().__init__(ref, log)
 
 
 class _Table:

@@ -5,7 +5,8 @@ the learner's former restart-scan table closing, the former nested-product
 assembly of the Buchi translations and a trim of its useless component
 states, the former round-by-round partition refinement, the former
 SCC-based least-lasso search, the co-safety language V_u of criterion 8,
-and the hypotheses that a learner's equivalence queries receive.  Unlike
+the hypotheses that a learner's equivalence queries receive, and a
+saturated FDFA teacher whose leading DFA is not the residual quotient.  Unlike
 ``oracles.py`` most of these reuse the package's own search (``explore``,
 ``_scc_ids``, ``_least_lasso``, ``dfa_product``, ``dfa_minimize``), so
 they pin its results rather than check them independently."""
@@ -28,7 +29,10 @@ from omega_fdfa import (
     Lasso,
     LeadingQuotient,
     Nba,
+    PERIODIC,
     ResourceLimitError,
+    build_canonical_fdfa,
+    gen_fig1,
     learn_limit_fdfa,
 )
 from omega_fdfa.core_automata import (
@@ -385,3 +389,27 @@ def eq_hypotheses(teacher) -> list[Fdfa]:
     teacher.eq = recording
     learn_limit_fdfa(teacher)
     return seen
+
+
+def split_leading_state(f: Fdfa, source: int, letter: int) -> Fdfa:
+    """f with the edge (source, letter) sent to a new leading state that
+    has the old target's row and progress DFA; labels are dropped."""
+    m = f.leading
+    q = m.delta[source][letter]
+    delta = [list(row) for row in m.delta] + [list(m.delta[q])]
+    delta[source][letter] = m.state_count
+    leading = DetTS(m.alphabet, m.state_count + 1, m.initial,
+                    tuple([tuple(row) for row in delta]))
+    return replace(f, leading=leading, progress=f.progress + (f.progress[q],),
+                   labels=None)
+
+
+def split_fig1_periodic() -> Fdfa:
+    """Figure 1's periodic family with leading state 2 split: the edge (0,
+    b) goes to a new state 5 that has state 2's row and progress DFA.  The
+    family is saturated, but the learner's leading DFAs, which have at
+    most the 5 states of the residual quotient, are never isomorphic to
+    its 6-state one, so the equivalence query that accepts runs the power
+    check."""
+    return split_leading_state(build_canonical_fdfa(gen_fig1(), PERIODIC),
+                               0, 1)

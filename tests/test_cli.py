@@ -42,6 +42,7 @@ from omega_fdfa.cli import (
 from omega_fdfa.congruence import PAIR_CAP
 from omega_fdfa.core_automata import det_to_nba
 
+from helpers import split_fig1_periodic
 from oracles import naive_member, words_upto
 
 
@@ -458,15 +459,13 @@ def test_learned_family_is_decided_recognizable(cli, tmp_path, seed):
 
 
 def test_cmd_learn_power_check_exits_4_at_the_profile_cap(
-        cli, fig1_file, tmp_path, monkeypatch):
-    # fig1's periodic family is saturated but not limit-canonical, so its
+        cli, tmp_path, monkeypatch):
+    # the split family's leading DFA is not the residual quotient, so the
     # last equivalence query runs the power check
-    periodic = tmp_path / "periodic.fdfa"
-    assert cli("canon", str(fig1_file), "--flavor", "periodic",
-               "--out", str(periodic))[0] == 0
-    assert cli("learn", "--teacher", f"fdfa:{periodic}")[0] == 0
+    split = _write(tmp_path, "split.fdfa", format_fdfa(split_fig1_periodic()))
+    assert cli("learn", "--teacher", f"fdfa:{split}")[0] == 0
     monkeypatch.setattr(congruence, "PROFILE_CAP", 3)
-    code, _, err = cli("learn", "--teacher", f"fdfa:{periodic}")
+    code, _, err = cli("learn", "--teacher", f"fdfa:{split}")
     assert code == 4
     assert err == "error: power check exceeded cap of 3 states\n"
 

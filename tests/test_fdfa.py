@@ -1,5 +1,6 @@
 """Tests for FDFA structure, acceptance semantics, normalization, saturation
-checks, sink-final analysis, and final-set surgery."""
+checks, sink-final analysis, final-set surgery, and leading-DFA
+isomorphism."""
 
 from dataclasses import replace
 
@@ -31,9 +32,9 @@ from omega_fdfa import (
     sink_final_state,
     size_report,
 )
-from omega_fdfa.fdfa import accepts_from
+from omega_fdfa.fdfa import accepts_from, leading_isomorphic
 
-from helpers import eq_hypotheses
+from helpers import eq_hypotheses, split_leading_state
 from oracles import words_upto
 
 AB = Alphabet(("a", "b"))
@@ -207,3 +208,26 @@ def test_size_report(fig1_limit):
     assert report.leading == 5
     assert report.progress == (2, 2, 1, 2, 2)
     assert report.total == 14
+
+
+def test_leading_isomorphic(fig1_limit):
+    f, m = fig1_limit, fig1_limit.leading
+    n = m.state_count
+    reversed_ = Fdfa(DetTS(m.alphabet, n, n - 1 - m.initial, tuple(
+        tuple(n - 1 - t for t in m.delta[n - 1 - q]) for q in range(n))),
+        f.progress[::-1])
+    assert leading_isomorphic(f, reversed_)
+    assert leading_isomorphic(f, complement_finals(f))  # progress is ignored
+    # leading state 2 is also reached from state 4, so the split adds one
+    assert m.delta[0][1] == m.delta[4][0] == 2
+    assert not leading_isomorphic(f, split_leading_state(f, 0, 1))
+    loop = Dfa(DetTS(AB, 1, 0, ((0, 0),)), frozenset())
+    one = Fdfa(DetTS(AB, 1, 0, ((0, 0),)), (loop,))
+    two = Fdfa(DetTS(AB, 2, 0, ((1, 1), (0, 0))), (loop, loop))
+    # both of two's states map onto one's only state, consistently
+    assert not leading_isomorphic(two, one)
+    assert not leading_isomorphic(one, two)
+    a = Alphabet(("a",))
+    one_letter = Fdfa(DetTS(a, 1, 0, ((0,),)),
+                      (Dfa(DetTS(a, 1, 0, ((0,),)), frozenset()),))
+    assert not leading_isomorphic(one, one_letter)

@@ -7,7 +7,9 @@ progress DFAs), the DBA translation and the decision witness, so any change
 to exploration order shows up here.  The learner's logs pin every membership query in order; the
 5-state random DBA's run is one where progress representatives collapse
 after a leading refinement, and the 6-state one's re-closes progress
-tables after leading refinements between many progress refinements.  ``lassos.txt`` pins the witnesses of the emptiness,
+tables after leading refinements between many progress refinements; the
+FDFA teacher on Figure 1's periodic family, saturated but not
+limit-canonical, is accepted by comparing leading DFAs.  ``lassos.txt`` pins the witnesses of the emptiness,
 inclusion and intersection engines, which the CLI outputs reach only in
 part."""
 
@@ -38,7 +40,8 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 CASES = ["canon-periodic", "canon-syntactic", "canon-recurrent", "canon-limit",
          "canon-counter12",
          "translate-nba", "translate-ldba", "translate-dba", "decide-fig5",
-         "learn-fig1", "learn-fig5", "learn-rand-5x3-s1", "learn-rand-6x2-s22"]
+         "learn-fig1", "learn-fig5", "learn-rand-5x3-s1", "learn-rand-6x2-s22",
+         "learn-fig1-periodic"]
 
 
 def run_case(case: str, tmp: pathlib.Path, capsys) -> str:
@@ -69,9 +72,14 @@ def run_case(case: str, tmp: pathlib.Path, capsys) -> str:
     elif kind == "decide":
         argv = ["decide", str(fig5)]
     else:
+        periodic = tmp / "periodic.fdfa"
+        if arg == "fig1-periodic":
+            assert main(["canon", str(fig1), "--flavor", "periodic",
+                         "--out", str(periodic)]) == 0
         teacher = {"fig1": f"dba:{fig1}", "fig5": f"fdfa:{fig5}",
                    "rand-5x3-s1": f"dba:{rand}",
-                   "rand-6x2-s22": f"dba:{rand22}"}[arg]
+                   "rand-6x2-s22": f"dba:{rand22}",
+                   "fig1-periodic": f"fdfa:{periodic}"}[arg]
         argv = ["learn", "--teacher", teacher, "--out", str(out),
                 "--log", str(log)]
     capsys.readouterr()

@@ -15,7 +15,6 @@ from omega_fdfa import (
     FdfaTeacher,
     LIMIT,
     LearnLimitExceeded,
-    PERIODIC,
     QueryLog,
     ResourceLimitError,
     UpWord,
@@ -26,6 +25,7 @@ from omega_fdfa import (
     gen_ln,
     gen_random_dba,
     gen_sigma_star_aa,
+    is_saturated_bounded,
     learn_limit_fdfa,
     member_upword_det,
     size_report,
@@ -34,9 +34,21 @@ from omega_fdfa import (
 import omega_fdfa.congruence as congruence
 from omega_fdfa.cli import format_fdfa
 from omega_fdfa.core_automata import run_word
-from omega_fdfa.fdfa import accepts_decomposition, normalize
+from omega_fdfa.fdfa import (
+    FLAVORS,
+    accepts_decomposition,
+    leading_isomorphic,
+    limit_canonical_form,
+    normalize,
+)
 
-from helpers import eq_hypotheses, fdfas_isomorphic, restart_scan_close
+from helpers import (
+    eq_hypotheses,
+    fdfas_isomorphic,
+    restart_scan_close,
+    split_fig1_periodic,
+    split_leading_state,
+)
 from oracles import naive_member, words_upto
 
 
@@ -121,8 +133,8 @@ def test_dba_teacher_refuses_a_cobuchi_reference_before_any_query(
     # the refusal used to come from the first EQ's inclusion check, after
     # 22 MQs on fig1
     queried = []
-    monkeypatch.setattr(learn, "member_det_from",
-                        lambda d, s, v: queried.append(v))
+    monkeypatch.setattr(learn, "accepts_from",
+                        lambda f, s, v: queried.append(v))
     log = QueryLog(fig1.ts.alphabet)
     with pytest.raises(AutomatonError, match="expects a Buchi reference"):
         learn_limit_fdfa(DbaTeacher(replace(fig1, polarity=COBUCHI), log=log))
@@ -449,12 +461,64 @@ def test_power_check_returns_a_counterexample():
 
 
 def test_power_check_shares_the_profile_cap(fig1, monkeypatch):
-    # the periodic family of fig1 is saturated but not limit-canonical, so
-    # the last equivalence query falls through to the power check
-    teacher = FdfaTeacher(build_canonical_fdfa(fig1, PERIODIC))
+    # the split family's leading DFA is not the residual quotient, so the
+    # last equivalence query falls through to the power check
+    teacher = FdfaTeacher(split_fig1_periodic())
+    assert is_saturated_bounded(teacher.reference, 4) is None
     h, _ = learn_limit_fdfa(teacher)
     assert _first_disagreement(h, lambda w: naive_member(fig1, w), 2, 8) \
         is None
     monkeypatch.setattr(congruence, "PROFILE_CAP", 3)
     with pytest.raises(ResourceLimitError, match="exceeded cap of 3"):
         learn_limit_fdfa(FdfaTeacher(teacher.reference))
+
+
+def test_leading_isomorphism_decides_as_the_canonical_form():
+    """Where the pair search finds nothing, comparing leading DFAs gives
+    the verdict of comparing the hypothesis's canonical limit form with a
+    limit-canonical reference: on every hypothesis the DBA teachers
+    receive, and on each with its initial state's a-successor split."""
+    compared = accepted = 0
+    for teacher_class, d, _ in _parity_cases():
+        if teacher_class is not DbaTeacher:
+            continue
+        teacher = DbaTeacher(d)
+        r = teacher.reference
+        for h in eq_hypotheses(teacher):
+            for g in (h, split_leading_state(h, h.leading.initial, 0)):
+                if learn._pair_search(g, r) is not None:
+                    continue
+                same = leading_isomorphic(g, r)
+                assert same == fdfas_isomorphic(limit_canonical_form(g), r)
+                compared += 1
+                accepted += same
+    # a split whose old target is reached only through the split edge
+    # renames that target, and the leading DFAs stay isomorphic
+    assert compared == 200 and accepted == 103
+
+
+def _fdfa_teacher_cases():
+    """fig1 and seeded random DBAs, each with its four canonical families."""
+    dbas = [gen_fig1()]
+    dbas += [gen_random_dba(seed, 2 + seed % 5, 1 + seed % 3)
+             for seed in range(24)]
+    for d in dbas:
+        for flavor in FLAVORS:
+            yield d, build_canonical_fdfa(d, flavor)
+
+
+def test_canonical_families_are_learned_without_the_power_check(monkeypatch):
+    """Every canonical family is saturated and its leading DFA is the
+    residual quotient, so step 2 accepts the exact hypothesis at once."""
+    def refused(h, cap):
+        raise AssertionError("power check called")
+
+    monkeypatch.setattr(learn, "_power_violation", refused)
+    learned = 0
+    for d, f in _fdfa_teacher_cases():
+        h, _ = learn_limit_fdfa(FdfaTeacher(f))
+        k = d.ts.alphabet.size
+        assert _first_disagreement(h, lambda w, d=d: naive_member(d, w), k,
+                                   _oracle_bound(k) - 1) is None, f.flavor
+        learned += 1
+    assert learned == 100
