@@ -48,8 +48,8 @@ from .fdfa import (
     accepts_upword,
     complement_finals,
     extract_fb,
-    is_saturated_bounded,
     normalize,
+    saturation_witness,
     sink_final_state,
     size_report,
 )

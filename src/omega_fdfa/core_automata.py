@@ -73,6 +73,10 @@ class Alphabet:
             raise AlphabetError("alphabet must be nonempty")
         if len(set(self.letters)) != len(self.letters):
             raise AlphabetError("duplicate letters in alphabet")
+        for t in self.letters:
+            if t == "-" or "." in t:
+                raise AlphabetError(f"letter {t!r} cannot be spelled in a "
+                                    "word: '-' and '.' are reserved")
 
     @cached_property
     def size(self) -> int:
@@ -364,16 +368,6 @@ def profile_walk(alphabet: Alphabet, steps: Steps, cap: int,
     del index, get
     delta = tuple(list(zip(*cols)))
     return profiles, DetTS(alphabet, len(profiles), 0, delta), states
-
-
-def short_words(nletters: int, max_len: int) -> list[Word]:
-    """All words of length at most max_len, in length-then-lex order."""
-    out: list[Word] = [()]
-    layer: list[Word] = [()]
-    for _ in range(max_len):
-        layer = [w + (a,) for w in layer for a in range(nletters)]
-        out.extend(layer)
-    return out
 
 
 def member_upword_det(a: DetOmega, w: UpWord) -> bool:

@@ -1,21 +1,23 @@
-"""Families of DFAs: acceptance semantics, normalization, saturation checks,
-sink-final analysis, final-set surgery, the canonical limit form of a
-family, and isomorphism of leading DFAs."""
+"""Families of DFAs: acceptance semantics, normalization, an exact
+saturation check, sink-final analysis, final-set surgery, the canonical
+limit form of a family, and isomorphism of leading DFAs."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable, Iterator
 
 from .core_automata import (
     AutomatonError,
     DetTS,
     Dfa,
+    ResourceLimitError,
     UpWord,
     Word,
     dfa_minimize,
     dfa_product,
     run_word,
-    short_words,
+    shortest_state_words,
 )
 
 PERIODIC = "periodic"
@@ -85,20 +87,6 @@ def accepts_decomposition(f: Fdfa, w: UpWord) -> bool:
     return f.progress[q].accepts(w.period)
 
 
-def _decompositions(w: UpWord, bound: int) -> list[UpWord]:
-    """Alternative decompositions of the same omega-word: pump the prefix,
-    rotate the period, repeat the period, all within the bound."""
-    out = []
-    v = w.period
-    for i in range(bound + 1):
-        for j in range(len(v)):
-            prefix = w.prefix + v * i + v[:j]
-            rot = v[j:] + v[:j]
-            for k in range(1, bound + 1):
-                out.append(UpWord(prefix, rot * k))
-    return out
-
-
 def accepts_from(f: Fdfa, q: int, v: Word) -> bool:
     """Acceptance of u . v^omega, v nonempty, for every u that leads the
     leading DFA to q: walk q, q.v, q.v.v, ... to the first repeat q_i =
@@ -114,30 +102,78 @@ def accepts_upword(f: Fdfa, w: UpWord) -> bool:
     return accepts_from(f, run_word(m, m.initial, w.prefix), w.period)
 
 
-def _is_normalized(f: Fdfa, w: UpWord) -> bool:
+def _power_flip(g: tuple[int, ...], start: int,
+                finals: frozenset[int]) -> int | None:
+    """The least k > 1 at which start . y^k differs in finality from
+    start . y, where g is y's transformation of the states; None if
+    every power agrees."""
+    s, k, seen = g[start], 1, set()
+    while s not in seen:
+        if (s in finals) != (g[start] in finals):
+            return k
+        seen.add(s)
+        s, k = g[s], k + 1
+    return None
+
+
+def _walk(start: tuple, step: Callable[[tuple, int], tuple], nletters: int,
+          cap: int) -> Iterator[tuple[tuple, Word]]:
+    """Each state that step reaches from start by a nonempty word, once,
+    with the length-lex least such word, breadth-first; raises
+    ResourceLimitError above ``cap`` states."""
+    seen = {start}
+    queue: list[tuple[tuple, Word]] = [(start, ())]
+    for state, w in queue:  # queue grows while it is walked
+        for a in range(nletters):
+            nxt = step(state, a)
+            if nxt in seen:
+                continue
+            if len(seen) >= cap:
+                raise ResourceLimitError(
+                    f"saturation check exceeded cap of {cap} states")
+            seen.add(nxt)
+            queue.append((nxt, w + (a,)))
+            yield nxt, w + (a,)
+
+
+def saturation_witness(f: Fdfa, cap: int) -> tuple[UpWord, UpWord] | None:
+    """Two returning decompositions of one UP-word that f judges unlike,
+    the accepted one first; None when f is saturated.
+
+    f is saturated iff, for every reachable leading state q and every
+    nonempty y with q . y = q, where N_q is q's progress DFA:
+    (P) N_q accepts y iff it accepts y^k, for every k >= 1;
+    (R) if y = a . y', N_q accepts a . y' iff N_{q.a} accepts y' . a.
+    For each q, with its length-lex least access word u and in that order,
+    (P) walks (q . y, y's transformation of N_q), and a flip at the least
+    k gives (u, y) and (u, y^k); then, for each letter a, (R) walks
+    (q . a . y', N_q after a . y', N_{q.a} after y'), and a mismatch gives
+    (u, a . y') and (u . a, y' . a).  Each walk raises ResourceLimitError
+    above ``cap`` states."""
     m = f.leading
-    q = run_word(m, m.initial, w.prefix)
-    return run_word(m, q, w.period) == q
-
-
-def is_saturated_bounded(f: Fdfa, bound: int) -> tuple[UpWord, UpWord] | None:
-    """Check all UP-words with |u|, |v| <= bound: every normalized
-    decomposition within the bound must agree on acceptance.  Returns a
-    disagreeing pair of decompositions, or None when saturated so far."""
-    nletters = f.leading.alphabet.size
-    words = short_words(nletters, bound)
-    periods = [w for w in words if w]
-    for u in words:
-        for v in periods:
-            verdict: tuple[UpWord, bool] | None = None
-            for d in _decompositions(UpWord(u, v), bound):
-                if not _is_normalized(f, d):
-                    continue
-                acc = accepts_decomposition(f, d)
-                if verdict is None:
-                    verdict = (d, acc)
-                elif verdict[1] != acc:
-                    return (verdict[0], d) if verdict[1] else (d, verdict[0])
+    k = m.alphabet.size
+    for q, u in shortest_state_words(m).items():
+        n = f.progress[q]
+        nd, nf, n0 = n.ts.delta, n.finals, n.ts.initial
+        cols = list(zip(*nd))
+        for (x, g), y in _walk(
+                (q, tuple(range(n.ts.state_count))),
+                lambda s, a: (m.delta[s[0]][a],
+                              tuple([cols[a][i] for i in s[1]])), k, cap):
+            power = _power_flip(g, n0, nf) if x == q else None
+            if power is not None:
+                pair = (UpWord(u, y), UpWord(u, y * power))
+                return pair if g[n0] in nf else pair[::-1]
+        for a in range(k):
+            p = f.progress[m.delta[q][a]]
+            pd, pf = p.ts.delta, p.finals
+            for (x, s, t), y in _walk(
+                    (m.delta[q][a], nd[n0][a], p.ts.initial),
+                    lambda st, b: (m.delta[st[0]][b], nd[st[1]][b],
+                                   pd[st[2]][b]), k, cap):
+                if x == q and (s in nf) != (pd[t][a] in pf):
+                    pair = (UpWord(u, (a,) + y), UpWord(u + (a,), y + (a,)))
+                    return pair if s in nf else pair[::-1]
     return None
 
 

@@ -29,7 +29,6 @@ from .core_automata import (
     nba_dba_intersection_witness,  # noqa: F401  (likewise)
     nba_nba_intersection_witness,  # noqa: F401  (likewise)
     run_word,
-    shortest_state_words,
 )
 from .fdfa import (
     Fdfa,
@@ -41,6 +40,7 @@ from .fdfa import (
     leading_isomorphic,
     limit_canonical_form,
     normalize,
+    saturation_witness,
 )
 from .translate import fdfa_to_nba  # noqa: F401  (fdfabench/spans.py wraps it)
 
@@ -146,54 +146,6 @@ def _pair_search(h: Fdfa, r: Fdfa) -> UpWord | None:
     return None if best is None else UpWord(best[1], best[2])
 
 
-def _power_flip(g: tuple[int, ...], start: int,
-                finals: frozenset[int]) -> int | None:
-    """The least k > 1 at which start . y^k differs in finality from
-    start . y, where g is y's transformation of the states; None if
-    every power agrees."""
-    s = g[start]
-    verdict, seen, k = s in finals, {s}, 1
-    while True:
-        s, k = g[s], k + 1
-        if s in seen:
-            return None
-        if (s in finals) != verdict:
-            return k
-        seen.add(s)
-
-
-def _power_violation(h: Fdfa, cap: int) -> tuple[Word, Word, int] | None:
-    """A leading state q, by its length-lex least access word u, a period y
-    that leads q back to q, and the least k with y^k judged unlike y by
-    q's progress DFA; None if no such y exists.  For each q this walks
-    (q . y, y's transformation of q's progress DFA) breadth-first, and
-    raises ResourceLimitError above ``cap`` such pairs."""
-    m = h.leading
-    words = shortest_state_words(m)
-    for q in sorted(words):
-        u, n = words[q], h.progress[q]
-        cols = list(zip(*n.ts.delta))
-        start = (q, tuple(range(n.ts.state_count)))
-        seen = {start}
-        queue: list[tuple[tuple[int, tuple[int, ...]], Word]] = [(start, ())]
-        for (x, f), y in queue:  # queue grows while it is walked
-            for a, col in enumerate(cols):
-                state = (m.delta[x][a], tuple([col[s] for s in f]))
-                if state in seen:
-                    continue
-                if len(seen) >= cap:
-                    raise ResourceLimitError(
-                        f"power check exceeded cap of {cap} states")
-                seen.add(state)
-                ya = y + (a,)
-                if state[0] == q:
-                    k = _power_flip(state[1], n.ts.initial, n.finals)
-                    if k is not None:
-                        return u, ya, k
-                queue.append((state, ya))
-    return None
-
-
 class _Teacher:
     """Query plumbing shared by the teachers: counters, the optional log,
     and a saturated reference FDFA R of the target, which answers every
@@ -212,14 +164,13 @@ class _Teacher:
        in R, and step 1 found their progress DFAs agreeing on every period
        that returns to its leading state, so H and R accept the same
        UP-words.
-    3. Otherwise the power check (``_power_violation``) looks for a leading
-       state q and a period y returning to q on whose powers q's progress
-       DFA is not constant.  If there is none, H is exact: a wrong
-       normalized (u, v) would make some (u . v^i, v^p), normalized in both
-       families, a mismatch of step 1.  A violation (u, y, k) gives two
-       decompositions of one word that H judges unlike, and the one that R
-       judges unlike H is returned.  Step 3 walks a transition monoid, so
-       it shares ``congruence.PROFILE_CAP``."""
+    3. Otherwise ``fdfa.saturation_witness`` looks for two returning
+       decompositions of one word that H judges unlike.  If there are none,
+       H is saturated and so exact: a wrong normalized (u, v) would make
+       some (u . v^i, v^p), normalized in both families, a mismatch of step
+       1.  Otherwise both are normalized in H, R judges them alike, and the
+       one whose verdict in R is not H's is returned.  Step 3 walks a
+       transition monoid, so it shares ``congruence.PROFILE_CAP``."""
 
     def __init__(self, reference: Fdfa, log: QueryLog | None):
         self.reference = reference
@@ -257,19 +208,12 @@ class _Teacher:
         ce = _pair_search(h, self.reference)
         if ce is not None or leading_isomorphic(h, self.reference):
             return ce
-        return self._power_counterexample(h)
-
-    def _power_counterexample(self, h: Fdfa) -> UpWord | None:
-        """Step 3: of the two decompositions of a power check violation,
-        the one whose verdict in h is not R's."""
-        found = _power_violation(h, congruence.PROFILE_CAP)
+        found = saturation_witness(h, congruence.PROFILE_CAP)
         if found is None:
             return None
-        u, y, k = found
-        w = UpWord(u, y)
-        if accepts_upword(h, w) != accepts_upword(self.reference, w):
-            return w
-        return UpWord(u, y * k)
+        accepted, rejected = found
+        return rejected if accepts_upword(self.reference, accepted) \
+            else accepted
 
 
 class DbaTeacher(_Teacher):

@@ -1,12 +1,13 @@
 """Independent oracles used to validate the library: step-by-step
 ultimately-periodic membership checks for DBAs and NBAs, a brute-force
-word-partition oracle for the four progress congruences and a brute-force
-limit-finality oracle over words.  Everything here is deliberately naive
-and shares no logic with the package beyond raw transition lookups."""
+word-partition oracle for the four progress congruences, a brute-force
+limit-finality oracle over words and a bounded saturation scan of FDFAs.
+Everything here is deliberately naive and shares no logic with the package
+beyond raw transition lookups."""
 
 from __future__ import annotations
 
-from omega_fdfa import BUCHI, DetOmega, DetTS, Nba, UpWord, Word
+from omega_fdfa import BUCHI, DetOmega, DetTS, Fdfa, Nba, UpWord, Word
 from omega_fdfa.congruence import LeadingQuotient
 
 
@@ -223,3 +224,51 @@ def limit_finals(d: DetOmega, lq: LeadingQuotient,
             if run(x + z) != u
             or z and naive_member(d, UpWord(x, z))))
     return out
+
+
+def saturation_pair_upto(f: Fdfa, bound: int) -> tuple[UpWord, UpWord] | None:
+    """A brute-force bounded saturation scan of the FDFA f: for each u and
+    nonempty v with |u|, |v| <= bound, the decompositions (u . v^i . v[:j],
+    (v[j:] . v[:j])^k) of u . v^omega, for i <= bound, j < |v| and
+    1 <= k <= bound, must agree wherever the period leads the leading state
+    after the prefix back to itself.  Returns the first two that disagree,
+    the accepted one first, or None.  Verdicts are read off raw
+    transitions, and u is skipped when a shorter word reached its leading
+    state, since the decompositions then reach the same states."""
+    m = f.leading
+
+    def run(delta, s: int, w: Word) -> int:
+        for a in w:
+            s = delta[s][a]
+        return s
+
+    def verdict(q: int, v: Word) -> bool | None:
+        if run(m.delta, q, v) != q:
+            return None
+        p = f.progress[q]
+        return run(p.ts.delta, p.ts.initial, v) in p.finals
+
+    words = words_upto(m.alphabet.size, bound)
+    reached = set()
+    for u in words:
+        q = run(m.delta, m.initial, u)
+        if q in reached:
+            continue
+        reached.add(q)
+        for v in words[1:]:
+            first = None
+            for i in range(bound + 1):
+                for j in range(len(v)):
+                    prefix, rot = u + v * i + v[:j], v[j:] + v[:j]
+                    s = run(m.delta, m.initial, prefix)
+                    for k in range(1, bound + 1):
+                        acc = verdict(s, rot * k)
+                        if acc is None:
+                            continue
+                        d = UpWord(prefix, rot * k)
+                        if first is None:
+                            first = (d, acc)
+                        elif first[1] != acc:
+                            return (first[0], d) if first[1] \
+                                else (d, first[0])
+    return None

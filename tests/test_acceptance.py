@@ -24,7 +24,6 @@ from omega_fdfa import (
     gen_ln,
     gen_random_dba,
     gen_sigma_star_aa,
-    is_saturated_bounded,
     learn_limit_fdfa,
     member_upword_det,
     member_upword_nba,
@@ -35,7 +34,12 @@ from omega_fdfa import (
 )
 from omega_fdfa.cli import format_automaton, main
 from omega_fdfa.core_automata import Dfa
-from omega_fdfa.fdfa import accepts_decomposition, sink_final_state
+from omega_fdfa.congruence import PROFILE_CAP
+from omega_fdfa.fdfa import (
+    accepts_decomposition,
+    saturation_witness,
+    sink_final_state,
+)
 
 from helpers import cosafety_vu_dfa
 from oracles import partitions_match, words_upto
@@ -109,14 +113,14 @@ def test_criterion_3_decision_algorithm():
 
 def test_criterion_4_sink_final_variant_properties():
     """The sink-final variant of (Sigma* aa)^omega rejects (eps, a) yet
-    accepts (eps, aa); the bounded saturation check reports exactly that
+    accepts (eps, aa); the saturation check reports exactly that
     disagreement; every zoo sink-final variant is almost saturated up to
     pump factor 4."""
     saa = gen_sigma_star_aa()
     fb = extract_fb(build_canonical_fdfa(saa, LIMIT))
     assert not accepts_decomposition(fb, UpWord((), (0,)))
     assert accepts_decomposition(fb, UpWord((), (0, 0)))
-    pair = is_saturated_bounded(fb, 2)
+    pair = saturation_witness(fb, PROFILE_CAP)
     assert pair == (UpWord((), (0, 0)), UpWord((), (0,)))
     for d in ZOO_DBAS:
         zfb = extract_fb(build_canonical_fdfa(d, LIMIT))

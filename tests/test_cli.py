@@ -270,6 +270,18 @@ def test_cmd_canon_rejects_bad_input(cli, tmp_path):
     assert cli("canon", str(tmp_path / "missing.aut"))[0] == 2
 
 
+@pytest.mark.parametrize("letters, bad", [("a.b c", "a.b"), ("- a", "-")])
+def test_letter_no_word_can_spell_exits_2(cli, tmp_path, letters, bad):
+    # '.' separates letters and '-' is the empty word, so such a letter
+    # could be read and written back but never queried
+    path = _write(tmp_path, "bad.aut", f"alphabet: {letters}\nstates: 1\n"
+                  "initial: 0\nacceptance: buchi\n")
+    refusal = (2, "", f"error: letter {bad!r} cannot be spelled in a word: "
+               "'-' and '.' are reserved\n")
+    assert cli("accepts", path, "-", bad) == refusal
+    assert cli("canon", path) == refusal
+
+
 def test_fdfa_file_read_as_an_automaton_exits_2(cli, fig1_fdfa_file):
     # it used to fail on its first block with "missing alphabet"
     with open(fig1_fdfa_file, encoding="utf-8") as fh:
@@ -458,16 +470,16 @@ def test_learned_family_is_decided_recognizable(cli, tmp_path, seed):
     assert code == 0 and "recognizable: yes" in stdout
 
 
-def test_cmd_learn_power_check_exits_4_at_the_profile_cap(
+def test_cmd_learn_saturation_check_exits_4_at_the_profile_cap(
         cli, tmp_path, monkeypatch):
     # the split family's leading DFA is not the residual quotient, so the
-    # last equivalence query runs the power check
+    # last equivalence query runs the saturation check
     split = _write(tmp_path, "split.fdfa", format_fdfa(split_fig1_periodic()))
     assert cli("learn", "--teacher", f"fdfa:{split}")[0] == 0
     monkeypatch.setattr(congruence, "PROFILE_CAP", 3)
     code, _, err = cli("learn", "--teacher", f"fdfa:{split}")
     assert code == 4
-    assert err == "error: power check exceeded cap of 3 states\n"
+    assert err == "error: saturation check exceeded cap of 3 states\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

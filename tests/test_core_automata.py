@@ -48,7 +48,6 @@ from omega_fdfa.core_automata import (
     det_to_nba,
     explore,
     member_det_from,
-    short_words,
     shortest_state_words,
     transition_monoid,
 )
@@ -228,12 +227,6 @@ def test_transition_monoid_cap_is_inclusive():
         with pytest.raises(ResourceLimitError,
                            match=f"^more than {size - 1} profiles$"):
             transition_monoid(d.ts, d.acc, size - 1)
-
-
-def test_short_words_length_then_lex():
-    assert short_words(2, 2) == [(), (0,), (1,), (0, 0), (0, 1), (1, 0),
-                                 (1, 1)]
-    assert short_words(3, 0) == [()]
 
 
 def _dfa_suffix_a():

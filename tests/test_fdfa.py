@@ -1,7 +1,9 @@
-"""Tests for FDFA structure, acceptance semantics, normalization, saturation
-checks, sink-final analysis, final-set surgery, and leading-DFA
+"""Tests for FDFA structure, acceptance semantics, normalization, the
+saturation check, sink-final analysis, final-set surgery, and leading-DFA
 isomorphism."""
 
+import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -25,17 +27,18 @@ from omega_fdfa import (
     gen_fig1,
     gen_random_dba,
     gen_sigma_star_aa,
-    is_saturated_bounded,
     member_upword_det,
     normalize,
     run_word,
+    saturation_witness,
     sink_final_state,
     size_report,
 )
+from omega_fdfa.congruence import PROFILE_CAP
 from omega_fdfa.fdfa import accepts_from, leading_isomorphic
 
 from helpers import eq_hypotheses, split_leading_state
-from oracles import words_upto
+from oracles import saturation_pair_upto, words_upto
 
 AB = Alphabet(("a", "b"))
 
@@ -146,13 +149,13 @@ def test_accepts_from_is_the_normalized_decomposition():
     assert checked > 100_000
 
 
-def test_is_saturated_bounded_canonical(fig1_limit):
-    assert is_saturated_bounded(fig1_limit, 3) is None
+def test_saturation_witness_none_on_canonical(fig1_limit):
+    assert saturation_witness(fig1_limit, PROFILE_CAP) is None
 
 
-def test_is_saturated_bounded_reports_fb_disagreement(saa):
+def test_saturation_witness_reports_fb_disagreement(saa):
     fb = extract_fb(build_canonical_fdfa(saa, LIMIT))
-    pair = is_saturated_bounded(fb, 2)
+    pair = saturation_witness(fb, PROFILE_CAP)
     assert pair is not None
     accepted, rejected = pair
     # (eps, aa) is accepted while (eps, a) — the same omega-word — is not
@@ -160,6 +163,57 @@ def test_is_saturated_bounded_reports_fb_disagreement(saa):
     assert rejected == up("", "a")
     assert accepts_decomposition(fb, accepted)
     assert not accepts_decomposition(fb, rejected)
+
+
+def _random_fdfa(rng: random.Random) -> Fdfa:
+    """1-4 leading states, 1-3 letters, and 1-3 states per progress DFA,
+    with uniform transitions and finals."""
+    k, n = rng.randint(1, 3), rng.randint(1, 4)
+    alphabet = Alphabet(tuple("abc"[:k]))
+
+    def ts(count: int) -> DetTS:
+        return DetTS(alphabet, count, 0, tuple([
+            tuple([rng.randrange(count) for _ in range(k)])
+            for _ in range(count)]))
+
+    progress = []
+    for _ in range(n):
+        c = rng.randint(1, 3)
+        progress.append(Dfa(ts(c), frozenset(
+            s for s in range(c) if rng.random() < 0.5)))
+    return Fdfa(ts(n), tuple(progress))
+
+
+def _same_omega_word(a: UpWord, b: UpWord) -> bool:
+    """Past both prefixes both words repeat with period |a.v| * |b.v|, so
+    they are equal iff they agree up to there and one such period on."""
+    n = max(len(a.prefix), len(b.prefix)) + len(a.period) * len(b.period)
+    return (a.prefix + a.period * n)[:n] == (b.prefix + b.period * n)[:n]
+
+
+def test_saturation_witness_agrees_with_a_bounded_scan():
+    """On seeded random FDFAs the exact check finds a witness exactly when
+    a brute-force scan of the decompositions within bound 4 does.  Each
+    witness is two returning decompositions of one omega-word that the
+    family judges unlike, with one prefix (P) or prefixes one letter apart
+    (R)."""
+    rng = random.Random(0)
+    kinds = Counter()
+    for _ in range(600):
+        f = _random_fdfa(rng)
+        pair = saturation_witness(f, PROFILE_CAP)
+        assert (pair is None) == (saturation_pair_upto(f, 4) is None), f
+        if pair is None:
+            kinds[None] += 1
+            continue
+        accepted, rejected = pair
+        assert _same_omega_word(accepted, rejected)
+        assert normalize(f, accepted) == accepted
+        assert normalize(f, rejected) == rejected
+        assert accepts_decomposition(f, accepted)
+        assert not accepts_decomposition(f, rejected)
+        kinds["P" if accepted.prefix == rejected.prefix else "R"] += 1
+    assert kinds == {None: 289, "P": 113, "R": 198}
 
 
 def test_sink_final_state():

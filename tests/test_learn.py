@@ -25,7 +25,6 @@ from omega_fdfa import (
     gen_ln,
     gen_random_dba,
     gen_sigma_star_aa,
-    is_saturated_bounded,
     learn_limit_fdfa,
     member_upword_det,
     size_report,
@@ -439,32 +438,38 @@ def _flipped_hypotheses(f):
                           + f.progress[q + 1:])
 
 
-def test_power_check_returns_a_counterexample():
-    violations = 0
+def test_saturation_check_returns_a_counterexample(monkeypatch):
+    """Step 3 alone, on every hypothesis with one progress finality
+    flipped: a saturated hypothesis is accepted, and of the two
+    decompositions of an unsaturated one's witness the one returned is
+    judged wrongly by the hypothesis, for both witness kinds."""
+    monkeypatch.setattr(learn, "_pair_search", lambda h, r: None)
+    monkeypatch.setattr(learn, "leading_isomorphic", lambda a, b: False)
+    kinds = Counter()
     for seed in range(40):
         d = gen_random_dba(seed, 2 + seed % 5, 1 + seed % 3)
         teacher = DbaTeacher(d)
-        assert learn._power_violation(teacher.reference,
-                                      congruence.PROFILE_CAP) is None
+        assert learn.saturation_witness(teacher.reference,
+                                        congruence.PROFILE_CAP) is None
         for h in _flipped_hypotheses(teacher.reference):
-            found = learn._power_violation(h, congruence.PROFILE_CAP)
+            found = learn.saturation_witness(h, congruence.PROFILE_CAP)
+            ce = teacher._find_counterexample(h)
             if found is None:
+                assert ce is None
                 continue
-            u, y, k = found
-            assert accepts_upword(h, UpWord(u, y)) \
-                != accepts_upword(h, UpWord(u, y * k))
-            ce = teacher._power_counterexample(h)
-            assert ce in (UpWord(u, y), UpWord(u, y * k))
+            assert ce in found
             assert accepts_upword(h, ce) != naive_member(d, ce)
-            violations += 1
-    assert violations > 25
+            accepted, rejected = found
+            kinds["P" if accepted.prefix == rejected.prefix else "R"] += 1
+    assert kinds == {"P": 34, "R": 90}
 
 
-def test_power_check_shares_the_profile_cap(fig1, monkeypatch):
+def test_saturation_check_shares_the_profile_cap(fig1, monkeypatch):
     # the split family's leading DFA is not the residual quotient, so the
-    # last equivalence query falls through to the power check
+    # last equivalence query falls through to the saturation check
     teacher = FdfaTeacher(split_fig1_periodic())
-    assert is_saturated_bounded(teacher.reference, 4) is None
+    assert learn.saturation_witness(teacher.reference,
+                                    congruence.PROFILE_CAP) is None
     h, _ = learn_limit_fdfa(teacher)
     assert _first_disagreement(h, lambda w: naive_member(fig1, w), 2, 8) \
         is None
@@ -507,13 +512,14 @@ def _fdfa_teacher_cases():
             yield d, build_canonical_fdfa(d, flavor)
 
 
-def test_canonical_families_are_learned_without_the_power_check(monkeypatch):
+def test_canonical_families_are_learned_without_the_saturation_check(
+        monkeypatch):
     """Every canonical family is saturated and its leading DFA is the
     residual quotient, so step 2 accepts the exact hypothesis at once."""
     def refused(h, cap):
-        raise AssertionError("power check called")
+        raise AssertionError("saturation check called")
 
-    monkeypatch.setattr(learn, "_power_violation", refused)
+    monkeypatch.setattr(learn, "saturation_witness", refused)
     learned = 0
     for d, f in _fdfa_teacher_cases():
         h, _ = learn_limit_fdfa(FdfaTeacher(f))

@@ -15,13 +15,13 @@ from omega_fdfa import (
     gen_ln,
     gen_random_dba,
     gen_sigma_star_aa,
-    is_saturated_bounded,
     member_upword_det,
     progress_dfa,
     run_word,
     size_report,
 )
-from omega_fdfa.fdfa import RECURRENT, sink_final_state
+from omega_fdfa.congruence import PROFILE_CAP
+from omega_fdfa.fdfa import RECURRENT, saturation_witness, sink_final_state
 
 from oracles import naive_member, words_upto
 
@@ -116,7 +116,7 @@ def test_gen_fig5_fdfa_semantics():
     assert not accepts_upword(f, UpWord((), (2,)))  # 3^omega
     assert not accepts_upword(f, UpWord((), (0,)))  # 1^omega
     assert sink_final_state(f.progress[0]) == 3     # the max-4 class
-    assert is_saturated_bounded(f, 3) is None
+    assert saturation_witness(f, PROFILE_CAP) is None
     assert not decide_dba_recognizable(f).recognizable
 
 
