@@ -116,14 +116,36 @@ def _least_period(h: Fdfa, r: Fdfa, q: int, c: int,
     return None
 
 
-def _pair_search(h: Fdfa, r: Fdfa) -> UpWord | None:
+def _memo_period(periods: dict, h: Fdfa, r: Fdfa, q: int, c: int,
+                 bound: int | None) -> Word | None:
+    """``_least_period(h, r, q, c, bound)``, reusing ``periods``, a memo
+    for one leading DFA of h and one r, keyed by q, c and q's progress DFA.
+    A period found is the least of any length, so it is reused under any
+    bound; a None is reused only under a bound no larger than the one it
+    was searched to (None: unbounded)."""
+    n = h.progress[q]
+    key = (q, c, n.ts.delta, n.ts.initial, n.finals)
+    if key in periods:
+        v, searched = periods[key]
+        if v is not None:
+            return v if bound is None or len(v) <= bound else None
+        if searched is None or bound is not None and bound <= searched:
+            return None
+    v = _least_period(h, r, q, c, bound)
+    periods[key] = v, bound
+    return v
+
+
+def _pair_search(h: Fdfa, r: Fdfa, periods: dict) -> UpWord | None:
     """The least (|u| + |v|, u, v) such that u leads h and r to leading
     states q and c, v leads q back to q and c back to c, and the progress
     DFAs of q and c disagree on v; None if there is none.
 
     Only the length-lex least u of each pair (q, c) can be least, so the
     pairs are searched breadth-first, each once, and the search stops once
-    |u| + 1 exceeds the best total."""
+    |u| + 1 exceeds the best total.  ``periods`` is a memo of least
+    periods for h's leading DFA and r (see ``_memo_period``); a fresh
+    ``{}`` searches every pair anew."""
     hd, rd = h.leading.delta, r.leading.delta
     root = (h.leading.initial, r.leading.initial)
     access = {root: ()}
@@ -133,8 +155,8 @@ def _pair_search(h: Fdfa, r: Fdfa) -> UpWord | None:
         u = access[q, c]
         if best is not None and len(u) + 1 > best[0]:
             break
-        v = _least_period(h, r, q, c,
-                          None if best is None else best[0] - len(u))
+        bound = None if best is None else best[0] - len(u)
+        v = _memo_period(periods, h, r, q, c, bound)
         if v is not None:
             key = (len(u) + len(v), u, v)
             if best is None or key < best:
@@ -159,6 +181,12 @@ class _Teacher:
     1. The pair search (``_pair_search``) returns the least (|u| + |v|, u,
        v) with u . v^omega normalized in both H and R and judged unlike by
        their progress DFAs, which is a counterexample since R is saturated.
+       A pair's least period depends only on H's leading DFA, on the
+       pair's progress DFA in H and on R, so the teacher keeps a memo of
+       them (``periods``, see ``_memo_period``) while H's leading DFA stays
+       the same: a query after a progress refinement searches again the
+       pairs of the refined state, and others only where a larger bound
+       than before meets a period not found.
     2. If there is none, H is accepted when its leading DFA is isomorphic
        to R's.  A decomposition is then normalized in H exactly when it is
        in R, and step 1 found their progress DFAs agreeing on every period
@@ -178,6 +206,8 @@ class _Teacher:
         self.log = log
         self.mq_count = 0
         self.eq_count = 0
+        self.periods: dict = {}
+        self.periods_leading: DetTS | None = None
 
     def mq(self, prefix: Word, period: Word) -> bool:
         """Membership of prefix . period^omega; a refused query is neither
@@ -205,7 +235,9 @@ class _Teacher:
         return ce
 
     def _find_counterexample(self, h: Fdfa) -> UpWord | None:
-        ce = _pair_search(h, self.reference)
+        if h.leading != self.periods_leading:
+            self.periods, self.periods_leading = {}, h.leading
+        ce = _pair_search(h, self.reference, self.periods)
         if ce is not None or leading_isomorphic(h, self.reference):
             return ce
         found = saturation_witness(h, congruence.PROFILE_CAP)
@@ -238,20 +270,22 @@ class FdfaTeacher(_Teacher):
 class _Table:
     """An observation table: rows, the representatives among them, and the
     experiments.  The leading table and every progress table are instances.
-    Cells are given by the ``cells(row)`` that ``close`` is passed, a
-    function of the experiment: a table keeps no function of its session,
-    so a finished session holds no reference cycle and is freed as soon as
-    it is dropped.
+    Row vectors are given by the ``vector_of(row)`` that ``close`` is
+    passed, bit i the entry of the i-th experiment: a table keeps no
+    function of its session, so a finished session holds no reference
+    cycle and is freed as soon as it is dropped.
 
-    Each row's vector is kept across closes in ``vecs``, bit i the entry of
-    the i-th experiment, over the first ``width`` experiments; a refinement
-    only appends experiments, so ``close`` evaluates only the columns a row
-    lacks, and a row without a vector in full.  Dropping ``vecs`` makes the
-    next close evaluate every cell again.  ``close`` visits the rows once
-    each in length-lex order: a row whose vector is new is promoted, and
-    its successors, which sort after it, join the pass.  ``delta``, each
-    representative's successor representatives by letter, is read off the
-    same vectors."""
+    ``answers`` keeps, for the whole run, each row's membership-query
+    answers as (known bits, answer bits) over the experiments; ``answer``
+    asks only the columns of a mask that are not known yet, in ascending
+    order.  A leading entry is its answer; a progress entry is its answer
+    only where the experiment returns to the table's leading state (see
+    ``_Session._progress_vector``), so answers outlive leading
+    refinements.  ``close`` visits the rows once each in length-lex order:
+    a row whose vector is new is promoted, and its successors, which sort
+    after it, join the pass.  ``vecs`` keeps the vectors of the last
+    close, and ``delta``, each representative's successor representatives
+    by letter, is read off them."""
 
     def __init__(self, nletters: int, exps: list):
         self.nletters = nletters
@@ -260,27 +294,35 @@ class _Table:
         self.exps = exps
         self.delta: tuple[tuple[int, ...], ...] = ()
         self.vecs: dict[Word, int] = {}
-        self.width = 0
+        self.answers: dict[Word, tuple[int, int]] = {}
 
     def add_exp(self, exp) -> None:
         if exp in self.exps:
             raise CounterexampleError("experiment already present")
         self.exps.append(exp)
 
-    def close(self, cells: Callable[[Word], Callable[[object], bool]]
-              ) -> None:
-        kept, width, exps = self.vecs, self.width, self.exps
+    def answer(self, row: Word, mask: int,
+               ask: Callable[[Word, object], bool]) -> int:
+        """Row's answers on the experiments of ``mask``, asking
+        ``ask(row, exp)`` for each one not known yet."""
+        known, bits = self.answers.get(row, (0, 0))
+        need = mask & ~known
+        if need:
+            known |= need
+            while need:
+                low = need & -need  # the lowest column still to ask
+                if ask(row, self.exps[low.bit_length() - 1]):
+                    bits |= low
+                need ^= low
+            self.answers[row] = known, bits
+        return bits & mask
+
+    def close(self, vector_of: Callable[[Word], int]) -> None:
         vecs: dict[Word, int] = {}
 
         def vector(row: Word) -> int:
             if row not in vecs:
-                bits, start = (kept[row], width) if row in kept else (0, 0)
-                if start < len(exps):
-                    cell = cells(row)
-                    for i in range(start, len(exps)):
-                        if cell(exps[i]):
-                            bits |= 1 << i
-                vecs[row] = bits
+                vecs[row] = vector_of(row)
             return vecs[row]
 
         # progress entries depend on the leading DFA, so representatives
@@ -300,7 +342,7 @@ class _Table:
                 if row + (a,) not in self.rows:
                     self.rows.add(row + (a,))
                     heapq.heappush(heap, (len(row) + 1, row + (a,)))
-        self.vecs, self.width = vecs, len(exps)
+        self.vecs = vecs
         self.reps = list(reps.values())
         index = {vec: i for i, vec in enumerate(reps)}
         self.delta = tuple([tuple([index[vecs[rep + (a,)]]
@@ -368,8 +410,10 @@ class _Session:
     def leading_state(self, w: Word) -> int:
         return run_word(self.leading, 0, w)
 
-    def _lead_cells(self, row: Word) -> Callable[[tuple[Word, Word]], bool]:
-        return lambda exp: self.mq(row + exp[0], exp[1])
+    def _lead_vector(self, row: Word) -> int:
+        lead = self.lead
+        return lead.answer(row, (1 << len(lead.exps)) - 1,
+                           lambda row, exp: self.mq(row + exp[0], exp[1]))
 
     def _progress_cells(self, q: int, x: Word) -> Callable[[Word], bool]:
         """Row x of q's progress table as a function of the experiment v:
@@ -380,19 +424,38 @@ class _Session:
         return lambda v: run_word(self.leading, p, v) != q \
             or self.mq(rep, x + v)
 
+    def _progress_vector(self, q: int, ret: list[tuple[int, int]],
+                         ask: Callable[[Word, Word], bool], x: Word) -> int:
+        """Row x of q's progress table, as ``_progress_cells`` gives it:
+        ``ret[p]`` pairs the mask of the experiments that lead leading state
+        p back to q with its complement.  With p = q . x, the bits outside
+        the mask are 1 and those inside are the kept answers on
+        rep_q (x + v)^omega, which no leading refinement changes."""
+        mask, ones = ret[run_word(self.leading, q, x)]
+        return ones | self.progress[q].answer(x, mask, ask)
+
+    def _close_progress(self, q: int) -> None:
+        table, m, rep = self.progress[q], self.leading, self.lead.reps[q]
+        full = (1 << len(table.exps)) - 1
+        ret = []
+        for p in range(m.state_count):
+            mask = sum(1 << i for i, v in enumerate(table.exps)
+                       if run_word(m, p, v) == q)
+            ret.append((mask, full & ~mask))
+        table.close(partial(self._progress_vector, q, ret,
+                            lambda x, v: self.mq(rep, x + v)))
+
     def close_leading(self) -> None:
         """Close the leading table and rebuild the leading DFA; progress
-        entries depend on it, so every progress table drops its vectors and
-        is re-closed.  Leading vectors are plain membership queries and
-        are kept."""
-        self.lead.close(self._lead_cells)
+        entries depend on it, so every progress table is re-closed, from
+        the answers it keeps."""
+        self.lead.close(self._lead_vector)
         self.leading = DetTS(self.alphabet, len(self.lead.reps), 0,
                              self.lead.delta)
         for _ in range(len(self.progress), len(self.lead.reps)):
             self.progress.append(_Table(self.alphabet.size, [()]))
-        for q, table in enumerate(self.progress):
-            table.vecs = {}
-            table.close(partial(self._progress_cells, q))
+        for q in range(len(self.progress)):
+            self._close_progress(q)
 
     def hypothesis(self) -> Fdfa:
         # the experiment () is column 0 of every progress table
@@ -430,7 +493,7 @@ class _Session:
         if j is None:
             raise CounterexampleError("no flip found in the progress scan")
         table.add_exp(y[j:])
-        table.close(partial(self._progress_cells, q))
+        self._close_progress(q)
 
 
 def learn_limit_fdfa(teacher, *, max_iterations: int = 500

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import replace
+from functools import partial
 from typing import Callable, Collection, Hashable, Iterable, Sequence
 
 from omega_fdfa import (
@@ -188,14 +189,23 @@ def explored_monoid(ts: DetTS, marks: Collection[tuple[int, int]], cap: int,
     return profiles, DetTS(ts.alphabet, len(profiles), 0, tuple(delta)), states
 
 
-def restart_scan_close(table, cells) -> None:
-    """``learn._Table.close`` as it was before the one-pass close: after each
-    promotion, rescan every row in length-lex order from the start,
-    evaluating each row's vector afresh from ``cells(row)``, whatever the
-    table kept from an earlier close; then recompute every representative's
+def restart_scan_close(session, table) -> None:
+    """``learn._Table.close`` as it was before the one-pass close, for a
+    table of ``session``: after each promotion, rescan every row in
+    length-lex order from the start, evaluating each row's vector afresh,
+    cell by cell, whatever the table kept from an earlier close: a leading
+    cell is the session's membership query, a progress cell
+    ``_Session._progress_cells``.  Then recompute every representative's
     and successor's vector to read off ``delta``.  It leaves the
     representatives' vectors in the table as bit masks over every
     experiment, since the learner reads progress finality from bit 0."""
+    if table is session.lead:
+        def cells(row):
+            return lambda exp: session.mq(row + exp[0], exp[1])
+    else:
+        cells = partial(session._progress_cells,
+                        session.progress.index(table))
+
     def vector(row):
         cell = cells(row)
         return tuple(cell(exp) for exp in table.exps)
@@ -228,7 +238,6 @@ def restart_scan_close(table, cells) -> None:
     table.delta = tuple(tuple(index[vec] for vec in row) for row in succ)
     table.vecs = {rep: sum(bit << i for i, bit in enumerate(vec))
                   for vec, rep in zip(index, table.reps)}
-    table.width = len(table.exps)
 
 
 def nested_product_nba(f: Fdfa, duplicate: bool) -> Nba:

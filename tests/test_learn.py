@@ -1,6 +1,7 @@
 """Tests for the limit-FDFA learner and its teachers."""
 
 import gc
+import hashlib
 import re
 from collections import Counter
 from dataclasses import replace
@@ -210,51 +211,46 @@ def test_learn_one_letter_alphabet():
     _assert_language_matches(h, d)
 
 
-def test_cells_are_evaluated_once_between_leading_closes(monkeypatch):
-    """Row vectors are kept across closes: between two leading closes no
-    (table, row, experiment) cell is evaluated twice, a leading cell never
-    is, and a progress refinement evaluates exactly the new experiment's
-    cell of each row its table had before."""
-    seen = Counter()  # cells since the last leading close
-    lead_seen = Counter()  # leading cells over the whole run
+def test_answers_reach_the_teacher_once_per_run(monkeypatch):
+    """Tables keep their answers for the whole run: no (table, row,
+    experiment) answer is asked of ``_Session.mq`` twice, also across
+    leading closes, which re-close every progress table; and a progress
+    refinement asks only the new experiment, of exactly those rows its
+    table had before that return on it."""
+    asked = Counter()  # (table, row, experiment) over the whole run
     leads = set()
+    closes = []
     refined = []
-    close = learn._Table.close
+    answer = learn._Table.answer
     close_leading = learn._Session.close_leading
     refine_progress = learn._Session._refine_progress
 
-    def counting_close(table, cells):
-        def counted(row):
-            cell = cells(row)
-
-            def count(exp):
-                seen[table, row, exp] += 1
-                if table in leads:
-                    lead_seen[table, row, exp] += 1
-                return cell(exp)
-            return count
-
-        close(table, counted)
+    def counting_answer(table, row, mask, ask):
+        def counted(row, exp):
+            asked[table, row, exp] += 1
+            return ask(row, exp)
+        return answer(table, row, mask, counted)
 
     def counted_close_leading(session):
-        assert max(seen.values(), default=1) == 1
-        seen.clear()
         leads.add(session.lead)
+        closes.append(len(session.progress))
         close_leading(session)
 
     def checked_refine_progress(session, q, progress, y):
         table = session.progress[q]
         rows = set(table.rows)
-        before = seen.copy()
+        before = asked.copy()
         refine_progress(session, q, progress, y)
-        new = seen - before
+        new = asked - before
         assert all(t is table for t, _, _ in new)
-        assert Counter({(row, exp): n for (_, row, exp), n in new.items()
+        exp = table.exps[-1]
+        assert Counter({(row, e): n for (_, row, e), n in new.items()
                         if row in rows}) \
-            == Counter({(row, table.exps[-1]): 1 for row in rows})
+            == Counter({(row, exp): 1 for row in rows
+                        if run_word(session.leading, q, row + exp) == q})
         refined.append(len(rows))
 
-    monkeypatch.setattr(learn._Table, "close", counting_close)
+    monkeypatch.setattr(learn._Table, "answer", counting_answer)
     monkeypatch.setattr(learn._Session, "close_leading", counted_close_leading)
     monkeypatch.setattr(learn._Session, "_refine_progress",
                         checked_refine_progress)
@@ -262,8 +258,11 @@ def test_cells_are_evaluated_once_between_leading_closes(monkeypatch):
               gen_random_dba(22, 6, 2)):
         learn_limit_fdfa(DbaTeacher(d))
     learn_limit_fdfa(FdfaTeacher(gen_fig5_fdfa()))
-    assert max(seen.values()) == max(lead_seen.values()) == 1
-    assert len(leads) == 5 and len(refined) > 40 and max(refined) > 10
+    assert max(asked.values()) == 1
+    assert any(t in leads for t, _, _ in asked)
+    # leading refinements re-close progress tables that already have rows
+    assert len(leads) == 5 and sum(n > 0 for n in closes) >= 5
+    assert len(refined) > 40 and max(refined) > 10
 
 
 def _logged_run(teacher_class, ref, alphabet) -> tuple:
@@ -293,11 +292,52 @@ def _parity_cases():
 def test_one_pass_close_learns_as_the_restart_scan(monkeypatch):
     cases = list(_parity_cases())
     one_pass = [_logged_run(*case) for case in cases]
-    monkeypatch.setattr(learn._Table, "close", restart_scan_close)
+    sessions = []  # the session being built or run; its tables close
+    init = learn._Session.__init__
+
+    def recording_init(session, teacher):
+        sessions.append(session)
+        init(session, teacher)
+
+    monkeypatch.setattr(learn._Session, "__init__", recording_init)
+    monkeypatch.setattr(learn._Table, "close", lambda table, vector_of:
+                        restart_scan_close(sessions[-1], table))
     restart_scan = [_logged_run(*case) for case in cases]
     assert len(cases) > 100
     for case, got, expected in zip(cases, one_pass, restart_scan):
         assert got == expected, case
+
+
+def _digest_cases():
+    for seed in range(300):
+        d = gen_random_dba(seed, 2 + seed % 6, 1 + seed % 3)
+        yield DbaTeacher, d, d.ts.alphabet
+    for seed, n, k in BENCHMARK_DBAS:
+        d = gen_random_dba(seed, n, k)
+        yield DbaTeacher, d, d.ts.alphabet
+    fig5 = gen_fig5_fdfa()
+    yield FdfaTeacher, fig5, fig5.leading.alphabet
+    for d in (gen_fig1(), gen_ln(2), gen_ln(4), gen_random_dba(0, 4, 3)):
+        f = build_canonical_fdfa(d, LIMIT)
+        yield FdfaTeacher, f, f.leading.alphabet
+
+
+def test_learned_outputs_and_query_logs_are_pinned():
+    """The written FDFA, the query log and the counts of 315 seeded runs
+    hash to the digest they had before the learner kept its progress
+    answers and its least periods: any change to a query, its order or a
+    learned family shows up here."""
+    digest = hashlib.sha256()
+    learned = mqs = 0
+    for case in _digest_cases():
+        result = _logged_run(*case)
+        digest.update(repr(result).encode())
+        if len(result) == 5:  # one reference exceeds the profile cap
+            learned += 1
+            mqs += result[2]
+    assert (learned, mqs) == (314, 30_044)
+    assert digest.hexdigest() == \
+        "bab519b97c9536782382dffc32f2c0066ae893c76c7e50e391cc9a2668b89c43"
 
 
 # --------------------------------------------------------------------------
@@ -416,7 +456,7 @@ def test_pair_search_returns_the_least_short_counterexample():
         k = teacher.alphabet.size
         bound = _oracle_bound(k) if k < 4 else 4
         for h in eq_hypotheses(teacher):
-            ce = learn._pair_search(h, teacher.reference)
+            ce = learn._pair_search(h, teacher.reference, {})
             got = None if ce is None \
                 else (len(ce.prefix) + len(ce.period), ce.prefix, ce.period)
             if got is not None and got[0] > bound:
@@ -426,6 +466,80 @@ def test_pair_search_returns_the_least_short_counterexample():
             compared += 1
             found += got is not None
     assert compared > 100 and found > 80
+
+
+def test_memoized_pair_search_returns_what_a_fresh_one_does(monkeypatch):
+    """Every equivalence query of the parity cases: the pair search with
+    the teacher's memo of least periods returns what a search without it
+    returns, and it runs fewer period searches."""
+    pair_search, least_period = learn._pair_search, learn._least_period
+    searches = Counter()
+    mode = []
+
+    def counted_least_period(*args):
+        searches[mode[-1]] += 1
+        return least_period(*args)
+
+    def checked(h, r, periods):
+        mode.append("memo")
+        got = pair_search(h, r, periods)
+        mode.append("fresh")
+        assert got == pair_search(h, r, {})
+        searches["eq"] += 1
+        return got
+
+    monkeypatch.setattr(learn, "_least_period", counted_least_period)
+    monkeypatch.setattr(learn, "_pair_search", checked)
+    for teacher_class, ref, _ in _parity_cases():
+        learn_limit_fdfa(teacher_class(ref))
+    # 373 queries; 1,184 period searches with the memo, 1,612 without
+    assert searches["eq"] > 300
+    assert searches["memo"] < 0.8 * searches["fresh"]
+
+
+def test_memo_reuses_a_period_under_any_bound_and_a_none_under_its_own(
+        monkeypatch):
+    teacher = DbaTeacher(gen_fig1())
+    r = teacher.reference
+    hypotheses = eq_hypotheses(teacher)
+    h, q, c, v = next((h, q, c, v) for h in hypotheses
+                      for q in range(h.leading.state_count)
+                      for c in range(r.leading.state_count)
+                      for v in [learn._least_period(h, r, q, c, None)]
+                      if v is not None and len(v) >= 2)
+    n = len(v)
+    least_period = learn._least_period
+    bounds = []
+
+    def counted(*args):
+        bounds.append(args[-1])
+        return least_period(*args)
+
+    monkeypatch.setattr(learn, "_least_period", counted)
+
+    def memo(periods, bound):
+        return learn._memo_period(periods, h, r, q, c, bound)
+
+    periods = {}
+    # a None searched to bound n - 1 answers bounds up to n - 1 ...
+    assert memo(periods, n - 1) is None and memo(periods, n - 1) is None
+    assert memo(periods, 1) is None and bounds == [n - 1]
+    # ... and is searched again for a larger bound
+    assert memo(periods, n) == v and bounds == [n - 1, n]
+    # a period found reads as None under a bound it exceeds
+    assert memo(periods, n - 1) is None and memo(periods, None) == v
+    assert memo(periods, n + 3) == v and bounds == [n - 1, n]
+    # a None searched to a bound is searched again unbounded
+    periods = {}
+    assert memo(periods, n - 1) is None and memo(periods, None) == v
+    assert bounds == [n - 1, n, n - 1, None]
+    # a None searched unbounded answers every bound
+    last = hypotheses[-1]
+    root = (last.leading.initial, r.leading.initial)
+    periods = {}
+    assert learn._memo_period(periods, last, r, *root, None) is None
+    assert learn._memo_period(periods, last, r, *root, 50) is None
+    assert bounds[4:] == [None]
 
 
 def _flipped_hypotheses(f):
@@ -443,7 +557,8 @@ def test_saturation_check_returns_a_counterexample(monkeypatch):
     flipped: a saturated hypothesis is accepted, and of the two
     decompositions of an unsaturated one's witness the one returned is
     judged wrongly by the hypothesis, for both witness kinds."""
-    monkeypatch.setattr(learn, "_pair_search", lambda h, r: None)
+    monkeypatch.setattr(learn, "_pair_search",
+                        lambda h, r, periods: None)
     monkeypatch.setattr(learn, "leading_isomorphic", lambda a, b: False)
     kinds = Counter()
     for seed in range(40):
@@ -491,7 +606,7 @@ def test_leading_isomorphism_decides_as_the_canonical_form():
         r = teacher.reference
         for h in eq_hypotheses(teacher):
             for g in (h, split_leading_state(h, h.leading.initial, 0)):
-                if learn._pair_search(g, r) is not None:
+                if learn._pair_search(g, r, {}) is not None:
                     continue
                 same = leading_isomorphic(g, r)
                 assert same == fdfas_isomorphic(limit_canonical_form(g), r)
