@@ -11,7 +11,7 @@ Profile DFAs are transition monoids of the reference.  Their per-reference
 part, the reachable-state numbering and each letter's step list over
 profile entries (``core_automata.profile_steps``), is built once per
 reference and kept on it; every monoid is a walk over those lists
-(``core_automata.profile_walk``), with bytes profiles when at most 128
+(``core_automata.transition_monoid``), with bytes profiles when at most 128
 states are reachable.  A monoid is numbered breadth-first with every
 profile reachable, and so is each quotient of it, so a progress DFA born
 on one is minimized on its own rows (``_minimized_on_rows``, one partition
@@ -61,8 +61,8 @@ from .core_automata import (
     dfa_minimize,
     dfa_product,
     explore,
-    profile_walk,
     shortest_state_words,
+    transition_monoid,
 )
 from .fdfa import Fdfa, LIMIT, PERIODIC, RECURRENT, SYNTACTIC
 
@@ -102,7 +102,7 @@ class LeadingQuotient:
     def _monoid(self) -> Monoid:
         """The profile TS of ``ref``; raises ResourceLimitError above
         PROFILE_CAP profiles."""
-        return _explore_profiles(self.ref, PROFILE_CAP)
+        return transition_monoid(self.ref, PROFILE_CAP)
 
     @cached_property
     def _accepts(self) -> tuple[list[int], list[tuple[bool, ...]]]:
@@ -165,20 +165,6 @@ def compute_leading(d: DetOmega) -> LeadingQuotient:
     for s in reachable:
         members[class_of[s]].append(s)
     return LeadingQuotient(d, class_of, leading, reps, rep_words, members)
-
-
-def _explore_profiles(d: DetOmega, cap: int,
-                      domain: Sequence[int] | None = None) -> Monoid:
-    """The transition-profile TS of d over the ``domain`` states (default:
-    every reachable state), whose profile bits mark d's accepting
-    transitions (see core_automata.transition_monoid); raises
-    ResourceLimitError above ``cap`` profiles.  Every monoid of d walks
-    the same ``d._steps``."""
-    try:
-        return profile_walk(d.ts.alphabet, d._steps, cap, domain)
-    except ResourceLimitError:
-        raise ResourceLimitError(
-            f"profile DFA exceeded cap of {cap} states") from None
 
 
 def _omega_accepts(p: Sequence[int],
@@ -316,7 +302,7 @@ def progress_dfa(lq: LeadingQuotient, u_class: int, flavor: str) -> Dfa:
         return _minimized_on_rows(ts, finals[u_class])
     # u's class-local monoid, whose profiles map onto u's limit classes
     members = lq.members[u_class]
-    monoid = _explore_profiles(lq.ref, PROFILE_CAP, members)
+    monoid = transition_monoid(lq.ref, PROFILE_CAP, members)
     return _minimized_on_rows(monoid[1], _limit_finals(monoid, members))
 
 

@@ -152,7 +152,7 @@ class DetOmega:
     only finitely often.  ``_nba``, the automaton viewed as an NBA (Buchi
     polarity only), ``_marked``, whose ``_marked[s][a]`` tells whether
     (s, a) is in ``acc``, and ``_steps``, the ``profile_steps`` that every
-    transition monoid of the automaton shares, are built on first use,
+    ``transition_monoid`` of the automaton walks, are built on first use,
     outside ``==``, ``hash`` and ``repr``.
     """
 
@@ -317,26 +317,20 @@ def profile_steps(ts: DetTS, marks: Collection[tuple[int, int]]) -> Steps:
     return states, steps
 
 
-def transition_monoid(ts: DetTS, marks: Collection[tuple[int, int]],
-                      cap: int, domain: Sequence[int] | None = None) -> Monoid:
-    """The transition-profile TS of ts with its ``marks`` (a set of (state,
-    letter) pairs), explored from the identity (the profile of epsilon),
-    and ts's reachable states in the order that profile entries point to.
-    The profile of a word z holds, for the i-th state of the ``domain``
-    (default: the reachable states in that order), ``(j << 1) | bit``: z
-    leads it to the j-th reachable state, and bit says whether that run took
-    a marked transition.  Profiles are bytes when at most BYTE_PROFILES
-    states are reachable, else tuples.  They are numbered as ``explore``
-    numbers them; raises ResourceLimitError when more than ``cap`` are
-    reachable."""
-    return profile_walk(ts.alphabet, profile_steps(ts, marks), cap, domain)
-
-
-def profile_walk(alphabet: Alphabet, steps: Steps, cap: int,
-                 domain: Sequence[int] | None = None) -> Monoid:
-    """transition_monoid from its ``profile_steps``, which several monoids
-    of one automaton share; the encoding is chosen here."""
-    states, step_lists = steps
+def transition_monoid(d: DetOmega, cap: int,
+                      domain: Sequence[int] | None = None) -> Monoid:
+    """The transition-profile TS of d, whose profile bits mark d's
+    accepting transitions, explored from the identity (the profile of
+    epsilon), and d's reachable states in the order that profile entries
+    point to.  The profile of a word z holds, for the i-th state of the
+    ``domain`` (default: the reachable states in that order),
+    ``(j << 1) | bit``: z leads it to the j-th reachable state, and bit says
+    whether that run took an accepting transition.  Profiles are bytes when
+    at most BYTE_PROFILES states are reachable, else tuples.  They are
+    numbered as ``explore`` numbers them; raises ResourceLimitError when
+    more than ``cap`` are reachable.  Every monoid of d walks the same
+    ``d._steps``."""
+    states, step_lists = d._steps
     start = range(0, 2 * len(states), 2) if domain is None \
         else [2 * states.index(s) for s in domain]
     if len(states) <= BYTE_PROFILES:
@@ -360,14 +354,15 @@ def profile_walk(alphabet: Alphabet, steps: Steps, cap: int,
             if i is None:
                 i = len(profiles)
                 if i >= cap:
-                    raise ResourceLimitError(f"more than {cap} profiles")
+                    raise ResourceLimitError(
+                        f"profile DFA exceeded cap of {cap} states")
                 index[q] = i
                 profiles.append(q)
             put(i)
     # the index is no longer needed; freeing it first lowers the peak
     del index, get
     delta = tuple(list(zip(*cols)))
-    return profiles, DetTS(alphabet, len(profiles), 0, delta), states
+    return profiles, DetTS(d.ts.alphabet, len(profiles), 0, delta), states
 
 
 def member_upword_det(a: DetOmega, w: UpWord) -> bool:

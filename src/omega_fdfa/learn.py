@@ -84,56 +84,30 @@ class QueryLog:
         self.lines.append(f"EQ -> ce {u} {v}")
 
 
-def _least_period(h: Fdfa, r: Fdfa, q: int, c: int,
-                  bound: int | None) -> Word | None:
-    """The least nonempty v, in length-lex order and of length at most
-    ``bound`` (None: any), that leads h's leading state q back to q and r's
-    leading state c back to c while q's and c's progress DFAs disagree on
-    it; breadth-first over (h leading, r leading, h progress, r progress)."""
+def _least_period(h: Fdfa, r: Fdfa, q: int, c: int) -> Word | None:
+    """The least nonempty v, in length-lex order, that leads h's leading
+    state q back to q and r's leading state c back to c while q's and c's
+    progress DFAs disagree on it; breadth-first over (h leading, r leading,
+    h progress, r progress)."""
     n, m = h.progress[q], r.progress[c]
     hd, rd, nd, md = h.leading.delta, r.leading.delta, n.ts.delta, m.ts.delta
     nf, mf = n.finals, m.finals
     letters = range(h.leading.alphabet.size)
     # the start is reached by epsilon only until a nonempty v returns to it
     seen: set[tuple[int, int, int, int]] = set()
-    layer = [((q, c, n.ts.initial, m.ts.initial), ())]
-    depth = 0
-    while layer and (bound is None or depth < bound):
-        depth += 1
-        after = []
-        for (x, y, s, t), v in layer:
-            for a in letters:
-                state = (hd[x][a], rd[y][a], nd[s][a], md[t][a])
-                if state in seen:
-                    continue
-                seen.add(state)
-                w = v + (a,)
-                x1, y1, s1, t1 = state
-                if x1 == q and y1 == c and (s1 in nf) != (t1 in mf):
-                    return w
-                after.append((state, w))
-        layer = after
+    queue = [((q, c, n.ts.initial, m.ts.initial), ())]
+    for (x, y, s, t), v in queue:  # queue grows while it is walked
+        for a in letters:
+            state = (hd[x][a], rd[y][a], nd[s][a], md[t][a])
+            if state in seen:
+                continue
+            seen.add(state)
+            w = v + (a,)
+            x1, y1, s1, t1 = state
+            if x1 == q and y1 == c and (s1 in nf) != (t1 in mf):
+                return w
+            queue.append((state, w))
     return None
-
-
-def _memo_period(periods: dict, h: Fdfa, r: Fdfa, q: int, c: int,
-                 bound: int | None) -> Word | None:
-    """``_least_period(h, r, q, c, bound)``, reusing ``periods``, a memo
-    for one leading DFA of h and one r, keyed by q, c and q's progress DFA.
-    A period found is the least of any length, so it is reused under any
-    bound; a None is reused only under a bound no larger than the one it
-    was searched to (None: unbounded)."""
-    n = h.progress[q]
-    key = (q, c, n.ts.delta, n.ts.initial, n.finals)
-    if key in periods:
-        v, searched = periods[key]
-        if v is not None:
-            return v if bound is None or len(v) <= bound else None
-        if searched is None or bound is not None and bound <= searched:
-            return None
-    v = _least_period(h, r, q, c, bound)
-    periods[key] = v, bound
-    return v
 
 
 def _pair_search(h: Fdfa, r: Fdfa, periods: dict) -> UpWord | None:
@@ -143,9 +117,11 @@ def _pair_search(h: Fdfa, r: Fdfa, periods: dict) -> UpWord | None:
 
     Only the length-lex least u of each pair (q, c) can be least, so the
     pairs are searched breadth-first, each once, and the search stops once
-    |u| + 1 exceeds the best total.  ``periods`` is a memo of least
-    periods for h's leading DFA and r (see ``_memo_period``); a fresh
-    ``{}`` searches every pair anew."""
+    |u| + 1 exceeds the best total.  A period longer than the best total
+    less |u| cannot win, so each pair's least period is searched without a
+    bound and kept in ``periods``, a memo for h's leading DFA and r keyed
+    by q, c and q's progress DFA; a fresh ``{}`` searches every pair
+    anew."""
     hd, rd = h.leading.delta, r.leading.delta
     root = (h.leading.initial, r.leading.initial)
     access = {root: ()}
@@ -155,12 +131,15 @@ def _pair_search(h: Fdfa, r: Fdfa, periods: dict) -> UpWord | None:
         u = access[q, c]
         if best is not None and len(u) + 1 > best[0]:
             break
-        bound = None if best is None else best[0] - len(u)
-        v = _memo_period(periods, h, r, q, c, bound)
+        n = h.progress[q]
+        key = (q, c, n.ts.delta, n.ts.initial, n.finals)
+        if key not in periods:
+            periods[key] = _least_period(h, r, q, c)
+        v = periods[key]
         if v is not None:
-            key = (len(u) + len(v), u, v)
-            if best is None or key < best:
-                best = key
+            found = (len(u) + len(v), u, v)
+            if best is None or found < best:
+                best = found
         for a, pair in enumerate(zip(hd[q], rd[c])):
             if pair not in access:
                 access[pair] = u + (a,)
@@ -183,10 +162,9 @@ class _Teacher:
        their progress DFAs, which is a counterexample since R is saturated.
        A pair's least period depends only on H's leading DFA, on the
        pair's progress DFA in H and on R, so the teacher keeps a memo of
-       them (``periods``, see ``_memo_period``) while H's leading DFA stays
-       the same: a query after a progress refinement searches again the
-       pairs of the refined state, and others only where a larger bound
-       than before meets a period not found.
+       them (``periods``) while H's leading DFA stays the same: a query
+       after a progress refinement searches again only the pairs of the
+       refined state.
     2. If there is none, H is accepted when its leading DFA is isomorphic
        to R's.  A decomposition is then normalized in H exactly when it is
        in R, and step 1 found their progress DFAs agreeing on every period
@@ -200,7 +178,7 @@ class _Teacher:
        one whose verdict in R is not H's is returned.  Step 3 walks a
        transition monoid, so it shares ``congruence.PROFILE_CAP``."""
 
-    def __init__(self, reference: Fdfa, log: QueryLog | None):
+    def __init__(self, reference: Fdfa, log: QueryLog | None = None):
         self.reference = reference
         self.alphabet = reference.leading.alphabet
         self.log = log
@@ -263,9 +241,6 @@ class FdfaTeacher(_Teacher):
     """Oracle backed by a saturated FDFA (for targets no DBA recognizes),
     which is the reference R that answers every query."""
 
-    def __init__(self, ref: Fdfa, log: QueryLog | None = None):
-        super().__init__(ref, log)
-
 
 class _Table:
     """An observation table: rows, the representatives among them, and the
@@ -284,15 +259,16 @@ class _Table:
     refinements.  ``close`` visits the rows once each in length-lex order:
     a row whose vector is new is promoted, and its successors, which sort
     after it, join the pass.  ``vecs`` keeps the vectors of the last
-    close, and ``delta``, each representative's successor representatives
-    by letter, is read off them."""
+    close, and ``ts``, each representative's successor representatives by
+    letter, is read off them, so a table that is not closed again keeps
+    the same DetTS."""
 
-    def __init__(self, nletters: int, exps: list):
-        self.nletters = nletters
+    def __init__(self, alphabet: Alphabet, exps: list):
+        self.alphabet = alphabet
         self.rows: set[Word] = {()}
         self.reps: list[Word] = [()]
         self.exps = exps
-        self.delta: tuple[tuple[int, ...], ...] = ()
+        self.ts: DetTS | None = None
         self.vecs: dict[Word, int] = {}
         self.answers: dict[Word, tuple[int, int]] = {}
 
@@ -318,6 +294,7 @@ class _Table:
         return bits & mask
 
     def close(self, vector_of: Callable[[Word], int]) -> None:
+        letters = range(self.alphabet.size)
         vecs: dict[Word, int] = {}
 
         def vector(row: Word) -> int:
@@ -338,16 +315,16 @@ class _Table:
             _, row = heapq.heappop(heap)
             if reps.setdefault(vector(row), row) != row:
                 continue
-            for a in range(self.nletters):
+            for a in letters:
                 if row + (a,) not in self.rows:
                     self.rows.add(row + (a,))
                     heapq.heappush(heap, (len(row) + 1, row + (a,)))
         self.vecs = vecs
         self.reps = list(reps.values())
         index = {vec: i for i, vec in enumerate(reps)}
-        self.delta = tuple([tuple([index[vecs[rep + (a,)]]
-                                   for a in range(self.nletters)])
-                            for rep in self.reps])
+        self.ts = DetTS(self.alphabet, len(self.reps), 0, tuple([
+            tuple([index[vecs[rep + (a,)]] for a in letters])
+            for rep in self.reps]))
 
 
 def _breakpoint(value, n: int) -> int | None:
@@ -391,8 +368,8 @@ class _Session:
         self.teacher = teacher
         self.alphabet: Alphabet = teacher.alphabet
         self.cache: dict[tuple[Word, Word], bool] = {}
-        k = self.alphabet.size
-        self.lead = _Table(k, [((), (a,)) for a in range(k)])
+        self.lead = _Table(self.alphabet,
+                           [((), (a,)) for a in range(self.alphabet.size)])
         self.progress: list[_Table] = []
         self.close_leading()
 
@@ -415,18 +392,16 @@ class _Session:
         return lead.answer(row, (1 << len(lead.exps)) - 1,
                            lambda row, exp: self.mq(row + exp[0], exp[1]))
 
-    def _progress_cells(self, q: int, x: Word) -> Callable[[Word], bool]:
-        """Row x of q's progress table as a function of the experiment v:
-        true where x + v leads q elsewhere, else the verdict on
-        rep_q (x + v)^omega.  q . x is run once, each cell runs only v."""
-        p = run_word(self.leading, q, x)
-        rep = self.lead.reps[q]
-        return lambda v: run_word(self.leading, p, v) != q \
-            or self.mq(rep, x + v)
+    def _progress_cell(self, q: int, w: Word) -> bool:
+        """The entry of q's progress table on w, a row followed by an
+        experiment: true where w leads q elsewhere, else the verdict on
+        rep_q w^omega."""
+        return run_word(self.leading, q, w) != q \
+            or self.mq(self.lead.reps[q], w)
 
     def _progress_vector(self, q: int, ret: list[tuple[int, int]],
                          ask: Callable[[Word, Word], bool], x: Word) -> int:
-        """Row x of q's progress table, as ``_progress_cells`` gives it:
+        """Row x of q's progress table, as ``_progress_cell`` gives it:
         ``ret[p]`` pairs the mask of the experiments that lead leading state
         p back to q with its complement.  With p = q . x, the bits outside
         the mask are 1 and those inside are the kept answers on
@@ -450,21 +425,19 @@ class _Session:
         entries depend on it, so every progress table is re-closed, from
         the answers it keeps."""
         self.lead.close(self._lead_vector)
-        self.leading = DetTS(self.alphabet, len(self.lead.reps), 0,
-                             self.lead.delta)
+        self.leading = self.lead.ts
         for _ in range(len(self.progress), len(self.lead.reps)):
-            self.progress.append(_Table(self.alphabet.size, [()]))
+            self.progress.append(_Table(self.alphabet, [()]))
         for q in range(len(self.progress)):
             self._close_progress(q)
 
     def hypothesis(self) -> Fdfa:
-        # the experiment () is column 0 of every progress table
-        progress = []
-        for t in self.progress:
-            ts = DetTS(self.alphabet, len(t.reps), 0, t.delta)
-            progress.append(Dfa(ts, frozenset(
-                i for i, rep in enumerate(t.reps) if t.vecs[rep] & 1)))
-        return Fdfa(self.leading, tuple(progress),
+        # the experiment () is column 0 of every progress table; a table
+        # that was not closed again since the last hypothesis keeps its ts
+        progress = tuple([Dfa(t.ts, frozenset(
+            i for i, rep in enumerate(t.reps) if t.vecs[rep] & 1))
+            for t in self.progress])
+        return Fdfa(self.leading, progress,
                     labels=tuple(self.lead.reps), flavor=LIMIT)
 
     # --- counterexample analysis ------------------------------------------
@@ -488,7 +461,7 @@ class _Session:
     def _refine_progress(self, q: int, progress: Dfa, y: Word) -> None:
         table = self.progress[q]
         s = [table.reps[p] for p in _states_along(progress.ts, y)]
-        j = _breakpoint(lambda i: self._progress_cells(q, s[i])(y[i:]),
+        j = _breakpoint(lambda i: self._progress_cell(q, s[i] + y[i:]),
                         len(y))
         if j is None:
             raise CounterexampleError("no flip found in the progress scan")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import replace
-from functools import partial
 from typing import Callable, Collection, Hashable, Iterable, Sequence
 
 from omega_fdfa import (
@@ -161,10 +160,11 @@ def scc_least_lasso(graph: Sequence[Sequence[Edge]],
 def explored_monoid(ts: DetTS, marks: Collection[tuple[int, int]], cap: int,
                     as_bytes: bool,
                     domain: Sequence[int] | None = None) -> Monoid:
-    """``core_automata.transition_monoid`` in the given profile encoding,
-    explored by ``explore`` with one successor list per profile.  Raises
-    ResourceLimitError once a profile beyond the first ``cap`` is walked,
-    which happens iff more than ``cap`` profiles are reachable."""
+    """``core_automata.transition_monoid`` of the automaton with transition
+    system ts and accepting transitions ``marks``, in the given profile
+    encoding, explored by ``explore`` with one successor list per profile.
+    Raises ResourceLimitError once a profile beyond the first ``cap`` is
+    walked, which happens iff more than ``cap`` profiles are reachable."""
     states, moves = explore([ts.initial], ts.delta.__getitem__)
     entries = range(2 * len(states))
     steps = [[(moves[x >> 1][a] << 1) | (x & 1)
@@ -195,16 +195,18 @@ def restart_scan_close(session, table) -> None:
     length-lex order from the start, evaluating each row's vector afresh,
     cell by cell, whatever the table kept from an earlier close: a leading
     cell is the session's membership query, a progress cell
-    ``_Session._progress_cells``.  Then recompute every representative's
-    and successor's vector to read off ``delta``.  It leaves the
+    ``_Session._progress_cell``.  Then recompute every representative's
+    and successor's vector to read off ``ts``.  It leaves the
     representatives' vectors in the table as bit masks over every
     experiment, since the learner reads progress finality from bit 0."""
     if table is session.lead:
         def cells(row):
             return lambda exp: session.mq(row + exp[0], exp[1])
     else:
-        cells = partial(session._progress_cells,
-                        session.progress.index(table))
+        q = session.progress.index(table)
+
+        def cells(row):
+            return lambda v: session._progress_cell(q, row + v)
 
     def vector(row):
         cell = cells(row)
@@ -220,7 +222,7 @@ def restart_scan_close(session, table) -> None:
     table.reps = kept
     while True:
         for rep in table.reps:
-            for a in range(table.nletters):
+            for a in range(table.alphabet.size):
                 table.rows.add(rep + (a,))
         for row in sorted(table.rows, key=lambda w: (len(w), w)):
             vec = vector(row)
@@ -231,11 +233,12 @@ def restart_scan_close(session, table) -> None:
         else:
             break
     index = {vector(r): i for i, r in enumerate(table.reps)}
-    succ = [[vector(rep + (a,)) for a in range(table.nletters)]
+    succ = [[vector(rep + (a,)) for a in range(table.alphabet.size)]
             for rep in table.reps]
     if any(vec not in index for row in succ for vec in row):
         raise AssertionError("observation table is not closed")
-    table.delta = tuple(tuple(index[vec] for vec in row) for row in succ)
+    table.ts = DetTS(table.alphabet, len(table.reps), 0,
+                     tuple(tuple(index[vec] for vec in row) for row in succ))
     table.vecs = {rep: sum(bit << i for i, bit in enumerate(vec))
                   for vec, rep in zip(index, table.reps)}
 

@@ -152,7 +152,7 @@ def test_periodic_lang_dfa_cap_on_an_explored_monoid(monkeypatch):
     # own monoid, which the cap bounds on its own, inclusively
     capped = 0
     for c in classes:
-        local = len(congruence._explore_profiles(d, size,
+        local = len(congruence.transition_monoid(d, size,
                                                  _members(lq, c))[0])
         assert local < size
         monkeypatch.setattr(congruence, "PROFILE_CAP", local)
@@ -210,13 +210,13 @@ def test_cached_work_stays_outside_equality_hash_and_repr():
 def test_profile_monoid_explored_once_per_construction(monkeypatch,
                                                        flavor):
     calls = []
-    explore_profiles = congruence._explore_profiles
+    transition_monoid = congruence.transition_monoid
 
     def counting(d, cap, domain=None):
         calls.append(domain)
-        return explore_profiles(d, cap, domain)
+        return transition_monoid(d, cap, domain)
 
-    monkeypatch.setattr(congruence, "_explore_profiles", counting)
+    monkeypatch.setattr(congruence, "transition_monoid", counting)
     d = gen_fig1()
     lq = compute_leading(d)
     assert lq.leading.state_count == 5
@@ -471,7 +471,7 @@ def _with_length_counter(d: DetOmega, m: int) -> DetOmega:
 def test_profiles_are_tuples_above_128_reachable_states():
     fig1 = gen_fig1()
     big = _with_length_counter(fig1, 43)
-    profiles, _, states = congruence._explore_profiles(big, 10_000)
+    profiles, _, states = congruence.transition_monoid(big, 10_000)
     assert len(states) > core_automata.BYTE_PROFILES == 128
     assert {type(p) for p in profiles} == {tuple}
     for flavor in FLAVORS:
@@ -500,7 +500,7 @@ def test_minimized_on_rows_equals_dfa_minimize(monkeypatch, byte_profiles):
     for name, d in _exactness_cases():
         lq = compute_leading(d)
         for c, members in enumerate(lq.members):
-            monoid = congruence._explore_profiles(d, congruence.PROFILE_CAP,
+            monoid = congruence.transition_monoid(d, congruence.PROFILE_CAP,
                                                   members)
             _assert_minimized_on_rows_as_dfa_minimize(
                 monoid[1], congruence._limit_finals(monoid, members),
@@ -548,20 +548,20 @@ def test_shared_steps_give_the_monoids_of_a_fresh_walk(monkeypatch):
         for byte_profiles, kind in ((128, bytes), (0, tuple)):
             monkeypatch.setattr(core_automata, "BYTE_PROFILES", byte_profiles)
             for domain in (None, *lq.members):
-                got = congruence._explore_profiles(d, cap, domain)
+                got = congruence.transition_monoid(d, cap, domain)
                 assert {type(p) for p in got[0]} == {kind}
                 assert got == core_automata.transition_monoid(
-                    d.ts, d.acc, cap, domain), (d, domain)
+                    DetOmega(d.ts, d.acc), cap, domain), (d, domain)
 
 
 def test_bytes_and_tuple_profiles_number_the_monoid_alike(monkeypatch):
     cap = congruence.PROFILE_CAP
     for d in (gen_fig1(), gen_ln(3), gen_random_dba(0, 7, 3),
               gen_random_dba(5, 8, 3)):
-        as_bytes = congruence._explore_profiles(d, cap)
+        as_bytes = congruence.transition_monoid(d, cap)
         fdfas = [build_canonical_fdfa(d, flavor) for flavor in FLAVORS]
         monkeypatch.setattr(core_automata, "BYTE_PROFILES", 0)
-        as_tuples = congruence._explore_profiles(d, cap)
+        as_tuples = congruence.transition_monoid(d, cap)
         assert {type(p) for p in as_bytes[0]} == {bytes}
         assert [tuple(p) for p in as_bytes[0]] == as_tuples[0]
         assert as_bytes[1:] == as_tuples[1:]
@@ -579,8 +579,8 @@ def test_profiles_cover_only_reachable_states(monkeypatch):
     acc = fig1.acc | {(s, 0) for s in range(5, n)}
     padded = DetOmega(replace(fig1.ts, state_count=n, delta=delta), acc,
                       BUCHI)
-    profiles, ts, states = congruence._explore_profiles(padded, 100)
-    assert (profiles, ts, states) == congruence._explore_profiles(fig1, 100)
+    profiles, ts, states = congruence.transition_monoid(padded, 100)
+    assert (profiles, ts, states) == congruence.transition_monoid(fig1, 100)
     assert {len(p) for p in profiles} == {5}
     monkeypatch.setattr(congruence, "PROFILE_CAP", len(profiles))
     for flavor in FLAVORS:
@@ -592,7 +592,7 @@ def _assert_limit_finals_match_the_oracle(d, profile_type):
     lq = compute_leading(d)
     for u in range(len(lq.reps)):
         members = _members(lq, u)
-        monoid = congruence._explore_profiles(d, congruence.PROFILE_CAP,
+        monoid = congruence.transition_monoid(d, congruence.PROFILE_CAP,
                                               members)
         profiles, ts, _ = monoid
         assert {type(p) for p in profiles} == {profile_type}

@@ -166,10 +166,10 @@ def test_transition_monoid_matches_the_generic_explorer(monkeypatch,
             want = explored_monoid(d.ts, d.acc, cap, as_bytes)
         except ResourceLimitError:
             with pytest.raises(ResourceLimitError):
-                transition_monoid(d.ts, d.acc, cap)
+                transition_monoid(d, cap)
             refused += 1
             continue
-        got = transition_monoid(d.ts, d.acc, cap)
+        got = transition_monoid(d, cap)
         assert {type(p) for p in got[0]} == {bytes if as_bytes else tuple}
         assert got == want, d
     assert 0 < refused < 10
@@ -188,13 +188,13 @@ def test_transition_monoid_on_a_domain_restricts_the_whole_monoid(
            for seed in range(60)]
     for d in dbas:
         try:
-            profiles, ts, states = transition_monoid(d.ts, d.acc, 5_000)
+            profiles, ts, states = transition_monoid(d, 5_000)
         except ResourceLimitError:
             continue
         for domain in (states[::2], states[1::2][::-1], states[-1:]):
             if not domain:
                 continue
-            got = transition_monoid(d.ts, d.acc, 5_000, domain)
+            got = transition_monoid(d, 5_000, domain)
             assert got == explored_monoid(d.ts, d.acc, 5_000, as_bytes,
                                           domain), (d, domain)
             local, local_ts, local_states = got
@@ -212,21 +212,23 @@ def test_transition_monoid_on_a_domain_restricts_the_whole_monoid(
                        for a, t in enumerate(row))
             # the cap is inclusive with a domain too
             size = len(local)
-            assert transition_monoid(d.ts, d.acc, size, domain) == got
+            assert transition_monoid(d, size, domain) == got
             if size > 1:
                 with pytest.raises(ResourceLimitError,
-                                   match=f"^more than {size - 1} profiles$"):
-                    transition_monoid(d.ts, d.acc, size - 1, domain)
+                                   match=f"^profile DFA exceeded cap of "
+                                         f"{size - 1} states$"):
+                    transition_monoid(d, size - 1, domain)
 
 
 def test_transition_monoid_cap_is_inclusive():
     for d in (gen_fig1(), gen_ln(3), gen_random_dba(0, 5, 2)):
-        profiles, ts, states = transition_monoid(d.ts, d.acc, 10_000)
+        profiles, ts, states = transition_monoid(d, 10_000)
         size = len(profiles)
-        assert transition_monoid(d.ts, d.acc, size) == (profiles, ts, states)
+        assert transition_monoid(d, size) == (profiles, ts, states)
         with pytest.raises(ResourceLimitError,
-                           match=f"^more than {size - 1} profiles$"):
-            transition_monoid(d.ts, d.acc, size - 1)
+                           match=f"^profile DFA exceeded cap of "
+                                 f"{size - 1} states$"):
+            transition_monoid(d, size - 1)
 
 
 def _dfa_suffix_a():

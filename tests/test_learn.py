@@ -265,6 +265,33 @@ def test_answers_reach_the_teacher_once_per_run(monkeypatch):
     assert len(refined) > 40 and max(refined) > 10
 
 
+def test_progress_refinement_rebuilds_only_its_own_table(monkeypatch):
+    """A progress refinement of q re-closes q's table only: the next
+    hypothesis keeps the leading DetTS and every other progress DetTS as
+    the same objects, and q's is built anew."""
+    refine_progress = learn._Session._refine_progress
+    kept = []
+
+    def checked_refine_progress(session, q, progress, y):
+        before = session.hypothesis()
+        refine_progress(session, q, progress, y)
+        after = session.hypothesis()
+        assert after.leading is before.leading
+        assert after.progress[q].ts is not before.progress[q].ts
+        others = [p for p in range(len(before.progress)) if p != q]
+        assert all(after.progress[p].ts is before.progress[p].ts
+                   for p in others)
+        kept.append(len(others))
+
+    monkeypatch.setattr(learn._Session, "_refine_progress",
+                        checked_refine_progress)
+    for d in (gen_fig1(), gen_ln(2), gen_random_dba(1, 5, 3),
+              gen_random_dba(22, 6, 2)):
+        learn_limit_fdfa(DbaTeacher(d))
+    learn_limit_fdfa(FdfaTeacher(gen_fig5_fdfa()))
+    assert len(kept) > 40 and sum(kept) > 100
+
+
 def _logged_run(teacher_class, ref, alphabet) -> tuple:
     """The learned FDFA's text, the query log and the counts of one run, or
     the error it ended with."""
@@ -492,54 +519,9 @@ def test_memoized_pair_search_returns_what_a_fresh_one_does(monkeypatch):
     monkeypatch.setattr(learn, "_pair_search", checked)
     for teacher_class, ref, _ in _parity_cases():
         learn_limit_fdfa(teacher_class(ref))
-    # 373 queries; 1,184 period searches with the memo, 1,612 without
+    # 373 queries; 1,071 period searches with the memo, 1,612 without
     assert searches["eq"] > 300
     assert searches["memo"] < 0.8 * searches["fresh"]
-
-
-def test_memo_reuses_a_period_under_any_bound_and_a_none_under_its_own(
-        monkeypatch):
-    teacher = DbaTeacher(gen_fig1())
-    r = teacher.reference
-    hypotheses = eq_hypotheses(teacher)
-    h, q, c, v = next((h, q, c, v) for h in hypotheses
-                      for q in range(h.leading.state_count)
-                      for c in range(r.leading.state_count)
-                      for v in [learn._least_period(h, r, q, c, None)]
-                      if v is not None and len(v) >= 2)
-    n = len(v)
-    least_period = learn._least_period
-    bounds = []
-
-    def counted(*args):
-        bounds.append(args[-1])
-        return least_period(*args)
-
-    monkeypatch.setattr(learn, "_least_period", counted)
-
-    def memo(periods, bound):
-        return learn._memo_period(periods, h, r, q, c, bound)
-
-    periods = {}
-    # a None searched to bound n - 1 answers bounds up to n - 1 ...
-    assert memo(periods, n - 1) is None and memo(periods, n - 1) is None
-    assert memo(periods, 1) is None and bounds == [n - 1]
-    # ... and is searched again for a larger bound
-    assert memo(periods, n) == v and bounds == [n - 1, n]
-    # a period found reads as None under a bound it exceeds
-    assert memo(periods, n - 1) is None and memo(periods, None) == v
-    assert memo(periods, n + 3) == v and bounds == [n - 1, n]
-    # a None searched to a bound is searched again unbounded
-    periods = {}
-    assert memo(periods, n - 1) is None and memo(periods, None) == v
-    assert bounds == [n - 1, n, n - 1, None]
-    # a None searched unbounded answers every bound
-    last = hypotheses[-1]
-    root = (last.leading.initial, r.leading.initial)
-    periods = {}
-    assert learn._memo_period(periods, last, r, *root, None) is None
-    assert learn._memo_period(periods, last, r, *root, 50) is None
-    assert bounds[4:] == [None]
 
 
 def _flipped_hypotheses(f):
