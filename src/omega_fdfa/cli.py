@@ -72,9 +72,10 @@ def _read_block(lines: list[str], pos: int, alphabet: Alphabet | None,
                 fdfa_block: str = "") -> tuple[Dfa | DetOmega | Nba, int]:
     """Read and build one automaton block starting at lines[pos]; returns
     the automaton and the next position.  Every field but ``trans:`` appears
-    at most once, and acc marks only in a buchi or cobuchi block.  An FDFA
-    block (``fdfa_block`` "leading" or "progress") has no acceptance line and
-    a leading block no finals; a progress block inherits ``alphabet`` and may
+    at most once, as does every (source, letter, target) of ``trans:``, and
+    acc marks only in a buchi or cobuchi block.  An FDFA block
+    (``fdfa_block`` "leading" or "progress") has no acceptance line and a
+    leading block no finals; a progress block inherits ``alphabet`` and may
     restate it.  Partial tables are completed with a fresh rejecting sink."""
     fields: dict = {}
     trans: list[tuple[int, str, int, bool]] = []
@@ -139,7 +140,10 @@ def _read_block(lines: list[str], pos: int, alphabet: Alphabet | None,
         a = alphabet.index(letter)
         if not (0 <= s < n and 0 <= t < n):
             raise ParseError("transition state out of range")
-        table.setdefault((s, a), []).append((t, acc))
+        targets = table.setdefault((s, a), [])
+        if any(t == u for u, _ in targets):
+            raise ParseError(f"repeated transition {s} {letter} {t}")
+        targets.append((t, acc))
 
     if not all(len(v) == 1 for v in table.values()):
         if acceptance != "buchi":

@@ -16,16 +16,18 @@ Conventions used across the package:
   it came from.  A process that runs many commands, and rarely a full
   collection, then holds up to 2,000 idle tuples of every small size.
 
-Every omega-emptiness question (emptiness, inclusion in a DBA,
-intersection) is one product explored by ``_product`` and one search by
-``_least_lasso``; NBA membership explores the same kind of product and only
-asks whether an accepting edge lies on a cycle.  Witnesses depend on the
-order of that search, so the contract is: product states are numbered in
-breadth-first discovery order from the distinct roots, each state's new
-successors in the order ``moves`` lists them; each state's edges are
-sorted by (letter, target id); breadth-first words take the first state
-dequeued on ties; and the least lasso is the one with the least (total
-length, stem length, stem, loop).
+Every omega-emptiness question (NBA membership, emptiness, inclusion in a
+DBA, intersection) is one product explored by ``_product`` and one search
+by ``_least_lasso``.  Witnesses depend on the order of that search, so the
+contract is: product states are numbered in breadth-first discovery order
+from the distinct roots, each state's new successors in the order ``moves``
+lists them; each state's edges are sorted by (letter, target id);
+breadth-first words take the first state dequeued on ties; and the least
+lasso is the one with the least (total length, stem length, stem, loop)
+among the lassos whose loop begins with its accepting edge.  The least
+total over all lassos can be smaller: with 0 -a-> 1 -a-> 2 and an
+accepting 2 -a-> 1, stem a and loop aa take the accepting edge second,
+so the search returns stem aa and loop aa.
 A product state is keyed by an integer code (``qa * nb + qb`` for a pair,
 ``2 * pair + phase`` in the phase graph), which only names the state: the
 ids are those that (qa, qb) and (pair, phase) tuple keys gave.  The
@@ -395,8 +397,8 @@ def member_det_from(a: DetOmega, s: int, v: Word) -> bool:
 def member_upword_nba(a: Nba, w: UpWord) -> bool:
     """Decide membership by producting a with the positions of the lasso
     word (u, v): position i reads letter i and moves to i+1, the last one
-    wraps back to the start of v.  Every product state is reachable, so the
-    word is accepted iff an accepting edge of the product lies on a cycle."""
+    wraps back to the start of v.  The word is accepted iff the product has
+    a lasso whose loop takes an accepting edge."""
     letters = (*w.prefix, *w.period)
     m, succ = len(letters), a._succ
     if not all(0 <= letter < a.alphabet.size for letter in letters):
@@ -408,10 +410,8 @@ def member_upword_nba(a: Nba, w: UpWord) -> bool:
         return [(letters[pos], t * m + nxt, marked, False)
                 for t, marked in succ[q][letters[pos]]]
 
-    graph, _ = _product([q * m for q in sorted(a.initials)], moves)
-    comp = _scc_ids([[t for _, t, _, _ in row] for row in graph])
-    return any(accepting and comp[s] == comp[t] for s, row in enumerate(graph)
-               for _, t, accepting, _ in row)
+    return _least_lasso(*_product([q * m for q in sorted(a.initials)],
+                                  moves)) is not None
 
 
 def dfa_product(a: Dfa, b: Dfa, final_rule: Callable[[bool, bool], bool]) -> Dfa:
@@ -528,86 +528,59 @@ def _scc_ids(succ: Sequence[Iterable[int]]) -> list[int]:
     return ids
 
 
-def _bfs_words(graph: Sequence[Sequence[Edge]],
-               sources: Iterable[int]) -> dict[int, Word]:
+def _bfs_words(graph: Sequence[Sequence[Edge]], sources: Iterable[int],
+               comp: Sequence[int] | None = None) -> dict[int, Word]:
     """Breadth-first words from the sorted sources to each reachable state;
     ``graph[s]`` lists s's edges sorted by (letter, target).  Words are
-    shortest, and ties go to the state dequeued first."""
+    shortest, and ties go to the state dequeued first.  With ``comp``, only
+    edges that are not second-marked and stay in the one source's SCC
+    ``comp[source]`` are taken."""
     words: dict[int, Word] = {}
     queue: deque[int] = deque()
     for s in sorted(set(sources)):
         words[s] = ()
         queue.append(s)
+    scc = None if comp is None else comp[queue[0]]
     while queue:
         s = queue.popleft()
-        for letter, t, _, _ in graph[s]:
-            if t not in words:
+        for letter, t, _, second in graph[s]:
+            if t not in words and (comp is None
+                                   or not second and comp[t] == scc):
                 words[t] = words[s] + (letter,)
                 queue.append(t)
     return words
 
 
-def _loop_words(graph: Sequence[Sequence[Edge]], t: int,
-                targets: set[int]) -> dict[int, Word]:
-    """Breadth-first words from t over the edges that are not second-marked,
-    as in _bfs_words, searched until every state of ``targets`` has one."""
-    words: dict[int, Word] = {t: ()}
-    queue = deque([t])
-    missing = targets - {t}
-    while missing and queue:
-        s = queue.popleft()
-        for letter, u, _, second in graph[s]:
-            if not second and u not in words:
-                words[u] = words[s] + (letter,)
-                queue.append(u)
-                missing.discard(u)
-    return words
-
-
 def _least_lasso(graph: Sequence[Sequence[Edge]],
                  roots: Iterable[int]) -> Lasso | None:
-    """The least lasso from ``roots`` whose loop takes an accepting edge and
-    no second-marked edge (stems may take them); None when there is none.
-    ``graph[s]`` lists s's edges sorted by (letter, target).
+    """The least lasso from ``roots`` whose loop begins with an accepting
+    edge and takes no second-marked edge (stems may take them); None when
+    there is none.  ``graph[s]`` lists s's edges sorted by (letter, target).
 
-    A candidate is an accepting, unmarked edge s -l-> t with s reachable and
-    t reaching s over unmarked edges: its stem is the breadth-first word from
-    the roots to s, its loop is l and then the breadth-first word from t to
-    s over unmarked edges.  Candidates are compared by (total length, stem
-    length, stem, loop).  Grouped by t, they are searched in the order of a
-    lower bound on each group's totals, len(stem) + 1, plus 1 unless s is t,
-    until a bound exceeds the best total; each search from t stops once
-    every s of its group has its word.  It is not confined to the SCC of s
-    and t over unmarked edges, yet gives the words a confined search would:
-    t reaches s only within that SCC, and every state that t reaches and
-    that has an edge into the SCC lies in it, so no state outside it is the
-    breadth-first parent of one inside."""
-    entries: dict[int, list[tuple[int, int]]] = {}
-    for s, row in enumerate(graph):
-        for l, t, accepting, second in row:
-            if accepting and not second:
-                entries.setdefault(t, []).append((s, l))
-    if not entries:
+    A candidate is an accepting, unmarked edge s -l-> t inside an SCC of the
+    unmarked edges, with s reachable: its stem is the breadth-first word
+    from the roots to s, its loop is l and then the breadth-first word from
+    t back to s within that SCC.  Candidates are compared by (total length,
+    stem length, stem, loop)."""
+    comp = _scc_ids([[t for _, t, _, second in row if not second]
+                     for row in graph])
+    loops = [(s, l, t) for s, row in enumerate(graph)
+             for l, t, accepting, second in row
+             if accepting and not second and comp[s] == comp[t]]
+    if not loops:
         return None
     stems = _bfs_words(graph, roots)
-    groups = []
-    for t, edges in entries.items():
-        edges = [(s, l) for s, l in edges if s in stems]
-        if edges:
-            bound = min(len(stems[s]) + (s != t) for s, _ in edges) + 1
-            groups.append((bound, t, edges))
-    groups.sort()  # loop entries t are distinct, so edges are never compared
+    backs: dict[int, dict[int, Word]] = {}
     best: tuple[int, int, Word, Word] | None = None
-    for bound, t, edges in groups:
-        if best is not None and bound > best[0]:
-            break
-        backs = _loop_words(graph, t, {s for s, _ in edges})
-        for s, l in edges:
-            if s in backs:
-                stem, loop = stems[s], (l,) + backs[s]
-                key = (len(stem) + len(loop), len(stem), stem, loop)
-                if best is None or key < best:
-                    best = key
+    for s, l, t in loops:
+        if s not in stems:
+            continue
+        if t not in backs:
+            backs[t] = _bfs_words(graph, [t], comp)
+        stem, loop = stems[s], (l,) + backs[t][s]
+        key = (len(stem) + len(loop), len(stem), stem, loop)
+        if best is None or key < best:
+            best = key
     return None if best is None else Lasso(best[2], best[3])
 
 

@@ -4,7 +4,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import compress, count
 
 from .core_automata import (
     AutomatonError,
@@ -37,12 +37,10 @@ def _assemble(f: Fdfa, duplicate: bool) -> Nba:
     initial triple is not kept is left out with the leading copy's jumps
     into it.
 
-    All components of one q come from a single breadth-first walk from every
-    (q, init, f) at once, f in sorted order, so the k-th root has id k.  The
-    useful triples of (q, f, f) are a backward closure over that walk.  A
-    predecessor of a useful triple is useful, so a breadth-first search from
-    the root over the useful triples alone numbers them in the order of the
-    component's own breadth-first walk."""
+    Each component is its own breadth-first walk from (q, init, f), and its
+    useful triples a backward closure over that walk.  They keep the walk's
+    order, which is that of a breadth-first search over the useful triples
+    alone, since every predecessor of a useful triple is useful."""
     m = f.leading
     lead = m.delta
     trans: set[tuple[int, int, int]] = set()
@@ -51,48 +49,39 @@ def _assemble(f: Fdfa, duplicate: bool) -> Nba:
     comp_inits: list[list[int]] = [[] for _ in range(m.state_count)]
     for q, p in enumerate(f.progress):
         prog = p.ts.delta
-        finals = sorted(p.finals)
-        triples, rows = explore(
-            [(q, p.ts.initial, fstate) for fstate in finals],
-            lambda x: zip(lead[x[0]], prog[x[1]], prog[x[2]]))
-        index = {x: i for i, x in enumerate(triples)}
-        preds: list[list[int]] = [[] for _ in rows]
-        for s, row in enumerate(rows):
-            for t in row:
-                preds[t].append(s)
-        for root, fstate in enumerate(finals):
-            final = index.get((q, fstate, fstate))
-            if final is None:
-                continue  # no walk reaches it, so no component takes it
-            useful = bytearray(len(rows))
+        for fstate in sorted(p.finals):
+            triples, rows = explore(
+                [(q, p.ts.initial, fstate)],
+                lambda x: zip(lead[x[0]], prog[x[1]], prog[x[2]]))
+            if (q, fstate, fstate) not in triples:
+                continue  # no edge of the component accepts
+            final = triples.index((q, fstate, fstate))
+            preds: list[list[int]] = [[] for _ in rows]
+            for s, row in enumerate(rows):
+                for t in row:
+                    preds[t].append(s)
+            useful = [False] * len(rows)
             stack = preds[final][:]
             while stack:
                 s = stack.pop()
                 if not useful[s]:
-                    useful[s] = 1
+                    useful[s] = True
                     stack += preds[s]
-            if not useful[root]:
+            if not useful[0]:
                 continue  # the component could never take an accepting edge
-            # breadth-first over the useful triples; 2 marks a numbered one
-            order = [root]
-            useful[root] = 2
-            for s in order:  # order grows while it is walked
-                for t in rows[s]:
-                    if useful[t] == 1:
-                        useful[t] = 2
-                        order.append(t)
             if not duplicate:
                 # no edge enters (q, f, f) unless it is the start, so only
                 # the useful triples the start reaches without it are kept
-                kept, stack = {root}, [root]
+                kept, stack = [False] * len(rows), [0]
+                kept[0] = True
                 while stack:
                     for t in rows[stack.pop()]:
-                        if useful[t] and t not in kept and t != final:
-                            kept.add(t)
+                        if useful[t] and not kept[t] and t != final:
+                            kept[t] = True
                             stack.append(t)
-                order = [s for s in order if s in kept]
-            base = offset  # the component's initial state, its root
-            ids = dict(zip(order, count(base)))
+                useful = kept
+            base = offset  # the component's initial state, triple 0
+            ids = dict(zip(compress(range(len(rows)), useful), count(base)))
             offset += len(ids)
             comp_inits[q].append(base)
             for s, i in ids.items():

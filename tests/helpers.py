@@ -3,10 +3,10 @@ and FDFA renumbering and isomorphism, counters with resets, a one-pair Rabin
 emptiness check, a transition monoid explored by the generic ``explore``,
 the learner's former restart-scan table closing, the former nested-product
 assembly of the Buchi translations and a trim of its useless component
-states, the former round-by-round partition refinement, the former
-SCC-based least-lasso search, the co-safety language V_u of criterion 8,
-the hypotheses that a learner's equivalence queries receive, and a
-saturated FDFA teacher whose leading DFA is not the residual quotient.  Unlike
+states, the former round-by-round partition refinement, the co-safety
+language V_u of criterion 8, the hypotheses that a learner's equivalence
+queries receive, and a saturated FDFA teacher whose leading DFA is not the
+residual quotient.  Unlike
 ``oracles.py`` most of these reuse the package's own search (``explore``,
 ``_scc_ids``, ``_least_lasso``, ``dfa_product``, ``dfa_minimize``), so
 they pin its results rather than check them independently."""
@@ -14,7 +14,6 @@ they pin its results rather than check them independently."""
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import replace
 from typing import Callable, Collection, Hashable, Iterable, Sequence
 
@@ -38,7 +37,6 @@ from omega_fdfa import (
 from omega_fdfa.core_automata import (
     Edge,
     Monoid,
-    Word,
     _least_lasso,
     _scc_ids,
     dfa_minimize,
@@ -105,56 +103,6 @@ def one_pair_rabin_empty(a: Nba,
     for tr in sorted(a.trans):
         graph[tr[0]].append((tr[1], tr[2], tr in a.acc, tr in avoid))
     return _least_lasso(graph, a.initials)
-
-
-def _scc_bfs_words(graph: Sequence[Sequence[Edge]], sources: Iterable[int],
-                   comp: Sequence[int] | None = None) -> dict[int, Word]:
-    """``core_automata._bfs_words`` as it was with its ``comp`` argument:
-    with ``comp``, only edges that are not second-marked and stay in the one
-    source's SCC ``comp[source]`` are taken."""
-    words: dict[int, Word] = {}
-    queue: deque[int] = deque()
-    for s in sorted(set(sources)):
-        words[s] = ()
-        queue.append(s)
-    scc = None if comp is None else comp[queue[0]]
-    while queue:
-        s = queue.popleft()
-        for letter, t, _, second in graph[s]:
-            if t not in words and (comp is None
-                                   or not second and comp[t] == scc):
-                words[t] = words[s] + (letter,)
-                queue.append(t)
-    return words
-
-
-def scc_least_lasso(graph: Sequence[Sequence[Edge]],
-                    roots: Iterable[int]) -> Lasso | None:
-    """``core_automata._least_lasso`` as it was before its bounded search:
-    Tarjan over the unmarked edges, then for every accepting, unmarked edge
-    s -l-> t inside an SCC with s reachable, the breadth-first word from t
-    back to s within that SCC; the least (total length, stem length, stem,
-    loop) wins."""
-    comp = _scc_ids([[t for _, t, _, second in row if not second]
-                     for row in graph])
-    loops = [(s, l, t) for s, row in enumerate(graph)
-             for l, t, accepting, second in row
-             if accepting and not second and comp[s] == comp[t]]
-    if not loops:
-        return None
-    stems = _scc_bfs_words(graph, roots)
-    backs: dict[int, dict[int, Word]] = {}
-    best: tuple[int, int, Word, Word] | None = None
-    for s, l, t in loops:
-        if s not in stems:
-            continue
-        if t not in backs:
-            backs[t] = _scc_bfs_words(graph, [t], comp)
-        stem, loop = stems[s], (l,) + backs[t][s]
-        key = (len(stem) + len(loop), len(stem), stem, loop)
-        if best is None or key < best:
-            best = key
-    return None if best is None else Lasso(best[2], best[3])
 
 
 def explored_monoid(ts: DetTS, marks: Collection[tuple[int, int]], cap: int,

@@ -1,8 +1,9 @@
 """Independent oracles used to validate the library: step-by-step
 ultimately-periodic membership checks for DBAs and NBAs, a brute-force
 word-partition oracle for the four progress congruences, a brute-force
-limit-finality oracle over words and a bounded saturation scan of FDFAs.
-Everything here is deliberately naive and shares no logic with the package
+limit-finality oracle over words, a bounded saturation scan of FDFAs, and
+a least-lasso measure of edge graphs by set simulation with a replay of a
+given lasso.  Everything here is deliberately naive and shares no logic with the package
 beyond raw transition lookups."""
 
 from __future__ import annotations
@@ -272,3 +273,58 @@ def saturation_pair_upto(f: Fdfa, bound: int) -> tuple[UpWord, UpWord] | None:
                             return (first[0], d) if first[1] \
                                 else (d, first[0])
     return None
+
+
+# an edge graph as the package's omega-products give it: graph[s] lists s's
+# edges as (letter, target, accepting, second mark)
+Graph = list[list[tuple[int, int, bool, bool]]]
+
+
+def least_lasso_measure(graph: Graph, roots) -> tuple[int, int] | None:
+    """The least (|stem| + |loop|, |stem|) over the lassos from ``roots``
+    whose loop starts at a state s with an accepting edge that is not
+    second-marked and returns to s over edges that are not second-marked;
+    stems may take any edge.  None when there is no such lasso.
+
+    Every total length up to 2n is tried, each stem length from 0 up, by
+    set simulation: the states some k-edge stem ends in, and for each such
+    state s the states some j-edge loop from s ends in.  A least lasso has
+    a stem of at most n - 1 edges and a loop of at most n, so 2n is
+    enough."""
+    n = len(graph)
+    stems = [set(roots)]  # stems[k]: where some k-edge stem ends
+    loops: dict[int, list[set[int]]] = {}  # loops[s][j - 1]: same for loops
+
+    def loop_ends(s: int, j: int) -> set[int]:
+        ends = loops.setdefault(s, [{t for _, t, accepting, second in graph[s]
+                                     if accepting and not second}])
+        while len(ends) < j:
+            ends.append({t for u in ends[-1]
+                         for _, t, _, second in graph[u] if not second})
+        return ends[j - 1]
+
+    for total in range(1, 2 * n + 1):
+        for k in range(total):
+            while len(stems) <= k:
+                stems.append({t for s in stems[-1] for _, t, _, _ in graph[s]})
+            if any(s in loop_ends(s, total - k) for s in stems[k]):
+                return total, k
+    return None
+
+
+def is_lasso_run(graph: Graph, roots, stem: Word, loop: Word) -> bool:
+    """Whether some run reads ``stem`` from one of ``roots`` to a state s
+    and then ``loop`` from s back to s, first over an accepting edge that
+    is not second-marked and then over edges that are not second-marked."""
+    now = set(roots)
+    for letter in stem:
+        now = {t for s in now for l, t, _, _ in graph[s] if l == letter}
+    for s in now:
+        here = {t for l, t, accepting, second in graph[s]
+                if l == loop[0] and accepting and not second}
+        for letter in loop[1:]:
+            here = {t for u in here for l, t, _, second in graph[u]
+                    if l == letter and not second}
+        if s in here:
+            return True
+    return False

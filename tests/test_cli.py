@@ -572,6 +572,27 @@ def test_malformed_fdfa_exits_2(cli, tmp_path, text, message):
         assert message in err
 
 
+ONE_STATE = "alphabet: a b\nstates: 1\ninitial: 0\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    # a DBA with one line written twice must not read as an NBA
+    (("canon",), ONE_STATE + "acceptance: buchi\ntrans: 0 a 0 acc\n"
+     "trans: 0 b 0\ntrans: 0 a 0 acc\n"),
+    # nor the same repeat as nondeterminism outside buchi
+    (("canon",), ONE_STATE + "acceptance: cobuchi\ntrans: 0 a 0 acc\n"
+     "trans: 0 b 0\ntrans: 0 a 0 acc\n"),
+    # nor an unmarked and a marked copy as one accepting edge
+    (("accepts", "-", "a"), ONE_STATE + "acceptance: buchi\n"
+     "trans: 0 a 0\ntrans: 0 a 0 acc\n"),
+])
+def test_repeated_transition_exits_2(cli, tmp_path, argv, text):
+    path = _write(tmp_path, "repeat.aut", text)
+    code, out, err = cli(argv[0], path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert "repeated transition 0 a 0" in err
+
+
 # --------------------------------------------------------------------------
 # one parser per process
 

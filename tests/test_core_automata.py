@@ -58,10 +58,15 @@ from helpers import (
     explored_monoid,
     moore_quotient,
     one_pair_rabin_empty,
-    scc_least_lasso,
     sccs,
 )
-from oracles import naive_member, naive_nba_member, words_upto
+from oracles import (
+    is_lasso_run,
+    least_lasso_measure,
+    naive_member,
+    naive_nba_member,
+    words_upto,
+)
 
 AB = Alphabet(("a", "b"))
 
@@ -679,15 +684,27 @@ def _random_graph(rng, n):
     return graph + [[(0, n + 1, True, False)], [(1, n, False, False)]]
 
 
-def test_least_lasso_matches_the_scc_search_on_random_graphs():
+def _oracle_checked_lasso(graph, roots):
+    """_least_lasso of the graph, once the oracle has confirmed its total
+    and stem length and the lasso has been replayed on the graph."""
+    lasso = _least_lasso(graph, roots)
+    if lasso is None:
+        assert least_lasso_measure(graph, roots) is None
+    else:
+        assert least_lasso_measure(graph, roots) \
+            == (len(lasso.stem) + len(lasso.loop), len(lasso.stem))
+        assert is_lasso_run(graph, roots, lasso.stem, lasso.loop)
+    return lasso
+
+
+def test_least_lasso_matches_the_lasso_oracle_on_random_graphs():
     rng = random.Random(23)
     found = empty = 0
     for _ in range(600):
         n = rng.randint(1, 8)
         graph = _random_graph(rng, n)
         roots = rng.choices(range(n), k=rng.randint(1, 3))  # duplicates too
-        lasso = _least_lasso(graph, roots)
-        assert lasso == scc_least_lasso(graph, roots)
+        lasso = _oracle_checked_lasso(graph, roots)
         found += lasso is not None
         empty += lasso is None
     assert found > 100 and empty > 100
@@ -696,7 +713,7 @@ def test_least_lasso_matches_the_scc_search_on_random_graphs():
 def test_least_lasso_loop_search_leaves_the_scc_without_changing_words():
     # the candidate 2 -a-> 1: from 1, state 3 lies outside the unmarked SCC
     # {1, 2, 5} (it reaches 2 only by the second-marked 3 -b-> 2) and is
-    # dequeued before 5, yet the loop's word from 1 to 2 is ba, not ab
+    # dequeued before 5, so the loop's word from 1 to 2 is ba, not ab
     f = False
     graph = [[(0, 1, f, f)],
              [(0, 3, f, f), (1, 5, f, f)],
@@ -704,25 +721,33 @@ def test_least_lasso_loop_search_leaves_the_scc_without_changing_words():
              [(0, 4, f, f), (1, 2, f, True)],
              [(0, 4, f, f)],
              [(0, 2, f, f)]]
-    lasso = _least_lasso(graph, [0])
-    assert lasso == scc_least_lasso(graph, [0]) == Lasso((0, 0, 1), (0, 1, 0))
+    lasso = _oracle_checked_lasso(graph, [0])
+    assert lasso == Lasso((0, 0, 1), (0, 1, 0))
 
 
 def test_least_lasso_searches_a_later_group_of_equal_bound():
     # loop entry 2 (stem aa, self-loop a) and loop entry 4 (stem b, loop aa)
-    # both have bound and total 3; entry 4 comes later and wins on its
-    # shorter stem, so an equal bound must not end the search
+    # both have total 3; entry 4 comes later in row order and wins on its
+    # shorter stem
     f = False
     graph = [[(0, 1, f, f), (1, 3, f, f)],
              [(0, 2, f, f)],
              [(0, 2, True, f)],
              [(0, 4, True, f)],
              [(0, 3, f, f)]]
-    lasso = _least_lasso(graph, [0])
-    assert lasso == scc_least_lasso(graph, [0]) == Lasso((1,), (0, 0))
+    lasso = _oracle_checked_lasso(graph, [0])
+    assert lasso == Lasso((1,), (0, 0))
 
 
-def test_least_lasso_matches_the_scc_search_on_engine_products():
+def test_least_lasso_loops_begin_with_their_accepting_edge():
+    # 0 -a-> 1 -a-> 2 and an accepting 2 -a-> 1: stem a with loop aa is
+    # shorter, but takes the accepting edge second
+    f = False
+    graph = [[(0, 1, f, f)], [(0, 2, f, f)], [(0, 1, True, f)]]
+    assert _oracle_checked_lasso(graph, [0]) == Lasso((0, 0), (0, 0))
+
+
+def test_least_lasso_matches_the_lasso_oracle_on_engine_products():
     nbas = _engine_nbas(random.Random(8))
     for i, a in enumerate(nbas):
         for b in (nbas[(i + 7) % len(nbas)], det_to_nba(gen_fig1()),
@@ -731,8 +756,7 @@ def test_least_lasso_matches_the_scc_search_on_engine_products():
                 continue
             for graph, roots in (_pair_graph(a, b),
                                  _phase_graph(*_pair_graph(a, b))):
-                assert _least_lasso(graph, roots) \
-                    == scc_least_lasso(graph, roots)
+                _oracle_checked_lasso(graph, roots)
 
 
 def test_sorted_product_rows_pin_an_intersection_witness():
