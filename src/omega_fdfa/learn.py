@@ -1,5 +1,6 @@
 """Active learning of limit FDFAs from membership and equivalence oracles:
-observation tables, table closing, hypothesis construction, counterexample
+an observation table for the leading DFA, a discriminator tree for each
+progress DFA, table closing, hypothesis construction, counterexample
 analysis, two teacher realizations, and exact equivalence queries by a
 search over the hypothesis paired with a saturated reference FDFA.  A
 learning run returns the canonical limit form of the hypothesis it
@@ -9,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 from . import congruence
@@ -246,28 +246,37 @@ class _Table:
     """An observation table: rows, the representatives among them, and the
     experiments.  The leading table and every progress table are instances.
     Row vectors are given by the ``vector_of(row)`` that ``close`` is
-    passed, bit i the entry of the i-th experiment: a table keeps no
-    function of its session, so a finished session holds no reference
-    cycle and is freed as soon as it is dropped.
+    passed: a table keeps no function of its session, so a finished
+    session holds no reference cycle and is freed as soon as it is dropped.
+
+    A leading row's vector has bit i the entry of the i-th experiment.  A
+    progress table is a discriminator tree instead: ``tree`` maps each
+    inner node to the index of the experiment asked there, and a row's
+    vector is the leaf its entries sift it to.  A node is its path from
+    the root, k entries written as the int with bit i the i-th entry and
+    bit k set; the root, 1, asks the experiment (), so bit 0 of a leaf is
+    the finality of its rows.  One experiment may be asked at several
+    nodes.  The leading table leaves ``tree`` unread.
 
     ``answers`` keeps, for the whole run, each row's membership-query
     answers as (known bits, answer bits) over the experiments; ``answer``
     asks only the columns of a mask that are not known yet, in ascending
     order.  A leading entry is its answer; a progress entry is its answer
     only where the experiment returns to the table's leading state (see
-    ``_Session._progress_vector``), so answers outlive leading
-    refinements.  ``close`` visits the rows once each in length-lex order:
-    a row whose vector is new is promoted, and its successors, which sort
-    after it, join the pass.  ``vecs`` keeps the vectors of the last
-    close, and ``ts``, each representative's successor representatives by
-    letter, is read off them, so a table that is not closed again keeps
-    the same DetTS."""
+    ``_Session._close_progress``), so answers outlive leading refinements.
+    ``close`` visits the rows it is given once each in length-lex order: a
+    row whose vector is new is promoted, and its successors, which sort
+    after it, join the pass.  ``vecs`` keeps every row's vector, and
+    ``ts``, each representative's successor representatives by letter, is
+    read off them, so a table that is not closed again keeps the same
+    DetTS."""
 
     def __init__(self, alphabet: Alphabet, exps: list):
         self.alphabet = alphabet
         self.rows: set[Word] = {()}
         self.reps: list[Word] = [()]
         self.exps = exps
+        self.tree: dict[int, int] = {1: 0}
         self.ts: DetTS | None = None
         self.vecs: dict[Word, int] = {}
         self.answers: dict[Word, tuple[int, int]] = {}
@@ -293,14 +302,22 @@ class _Table:
             self.answers[row] = known, bits
         return bits & mask
 
-    def close(self, vector_of: Callable[[Word], int]) -> None:
+    def close(self, vector_of: Callable[[Word], int],
+              rows: set[Word] | None = None) -> None:
+        """Close the table once the vectors of ``rows``, or of every row
+        when None, may have changed: ``vector_of`` is asked of them and of
+        the rows the pass adds, and every other row keeps its vector.  With
+        None, ``vecs`` is emptied first, so a progress row is sifted from
+        the root."""
         letters = range(self.alphabet.size)
-        vecs: dict[Word, int] = {}
+        vecs = self.vecs
+        if rows is None:
+            vecs.clear()
+            rows = self.rows
 
         def vector(row: Word) -> int:
-            if row not in vecs:
-                vecs[row] = vector_of(row)
-            return vecs[row]
+            vecs[row] = vec = vector_of(row)
+            return vec
 
         # progress entries depend on the leading DFA, so representatives
         # promoted before a leading refinement may have collapsed; drop the
@@ -308,8 +325,8 @@ class _Table:
         # Leading entries are plain membership queries and never collapse.
         reps: dict[int, Word] = {}
         for rep in self.reps:
-            reps.setdefault(vector(rep), rep)
-        heap = [(len(w), w) for w in self.rows]
+            reps.setdefault(vector(rep) if rep in rows else vecs[rep], rep)
+        heap = [(len(w), w) for w in rows]
         heapq.heapify(heap)
         while heap:
             _, row = heapq.heappop(heap)
@@ -319,7 +336,6 @@ class _Table:
                 if row + (a,) not in self.rows:
                     self.rows.add(row + (a,))
                     heapq.heappush(heap, (len(row) + 1, row + (a,)))
-        self.vecs = vecs
         self.reps = list(reps.values())
         index = {vec: i for i, vec in enumerate(reps)}
         self.ts = DetTS(self.alphabet, len(self.reps), 0, tuple([
@@ -357,7 +373,7 @@ def _shape(h: Fdfa) -> tuple:
 
 class _Session:
     """One learning run: the membership-query cache, the leading table, and
-    one progress table per leading state.
+    one progress table, a discriminator tree, per leading state.
 
     Leading entries are plain membership queries, so leading rows never
     collapse: representative ``lead.reps[q]`` keeps index q through every
@@ -399,31 +415,44 @@ class _Session:
         return run_word(self.leading, q, w) != q \
             or self.mq(self.lead.reps[q], w)
 
-    def _progress_vector(self, q: int, ret: list[tuple[int, int]],
-                         ask: Callable[[Word, Word], bool], x: Word) -> int:
-        """Row x of q's progress table, as ``_progress_cell`` gives it:
-        ``ret[p]`` pairs the mask of the experiments that lead leading state
-        p back to q with its complement.  With p = q . x, the bits outside
-        the mask are 1 and those inside are the kept answers on
-        rep_q (x + v)^omega, which no leading refinement changes."""
-        mask, ones = ret[run_word(self.leading, q, x)]
-        return ones | self.progress[q].answer(x, mask, ask)
-
-    def _close_progress(self, q: int) -> None:
+    def _close_progress(self, q: int, rows: set[Word] | None = None
+                        ) -> None:
+        """Close q's tree after a split of the leaf that ``rows`` sat at,
+        or after a leading close (``rows`` None).  A row x is sifted down
+        from its vector, the node it sits at, or from the root if it has
+        none.  Each entry is ``_progress_cell``'s: 1 where the experiment
+        leads p = q . x elsewhere than q, else the kept answer on
+        rep_q (x + v)^omega, which no leading refinement changes; the mask
+        of the experiments that lead p back to q is computed once per
+        close, for each p met."""
         table, m, rep = self.progress[q], self.leading, self.lead.reps[q]
-        full = (1 << len(table.exps)) - 1
-        ret = []
-        for p in range(m.state_count):
-            mask = sum(1 << i for i, v in enumerate(table.exps)
-                       if run_word(m, p, v) == q)
-            ret.append((mask, full & ~mask))
-        table.close(partial(self._progress_vector, q, ret,
-                            lambda x, v: self.mq(rep, x + v)))
+        tree, exps, vecs = table.tree, table.exps, table.vecs
+        back: dict[int, int] = {}
+
+        def ask(x: Word, v: Word) -> bool:
+            return self.mq(rep, x + v)
+
+        def sift(x: Word) -> int:
+            path = vecs.get(x, 1)
+            if path not in tree:
+                return path
+            p = run_word(m, q, x)
+            if p not in back:
+                back[p] = sum(1 << i for i, v in enumerate(exps)
+                              if run_word(m, p, v) == q)
+            mask = back[p]
+            while path in tree:
+                bit = 1 << tree[path]
+                one = not mask & bit or table.answer(x, bit, ask)
+                path += (2 if one else 1) << (path.bit_length() - 1)
+            return path
+
+        table.close(sift, rows)
 
     def close_leading(self) -> None:
         """Close the leading table and rebuild the leading DFA; progress
-        entries depend on it, so every progress table is re-closed, from
-        the answers it keeps."""
+        entries depend on it, so every progress tree is re-sifted from its
+        root, from the answers it keeps."""
         self.lead.close(self._lead_vector)
         self.leading = self.lead.ts
         for _ in range(len(self.progress), len(self.lead.reps)):
@@ -432,8 +461,9 @@ class _Session:
             self._close_progress(q)
 
     def hypothesis(self) -> Fdfa:
-        # the experiment () is column 0 of every progress table; a table
-        # that was not closed again since the last hypothesis keeps its ts
+        # every progress tree asks the experiment () at its root, so bit 0
+        # of a leaf is its finality; a table that was not closed again since
+        # the last hypothesis keeps its ts
         progress = tuple([Dfa(t.ts, frozenset(
             i for i, rep in enumerate(t.reps) if t.vecs[rep] & 1))
             for t in self.progress])
@@ -465,8 +495,14 @@ class _Session:
                         len(y))
         if j is None:
             raise CounterexampleError("no flip found in the progress scan")
-        table.add_exp(y[j:])
-        self._close_progress(q)
+        # s[j - 1] . y[j - 1] sits at s[j]'s leaf and e = y[j:] tells them
+        # apart; e may already be asked at another node of the tree
+        leaf, e = table.vecs[s[j]], y[j:]
+        if e not in table.exps:
+            table.exps.append(e)
+        table.tree[leaf] = table.exps.index(e)
+        self._close_progress(
+            q, {row for row, vec in table.vecs.items() if vec == leaf})
 
 
 def learn_limit_fdfa(teacher, *, max_iterations: int = 500

@@ -1,15 +1,15 @@
 """Test-only helpers over the package's graph algorithms: SCC listing, DFA
 and FDFA renumbering and isomorphism, counters with resets, a one-pair Rabin
 emptiness check, a transition monoid explored by the generic ``explore``,
-the learner's former restart-scan table closing, the former nested-product
-assembly of the Buchi translations and a trim of its useless component
-states, the former round-by-round partition refinement, the co-safety
-language V_u of criterion 8, the hypotheses that a learner's equivalence
-queries receive, and a saturated FDFA teacher whose leading DFA is not the
-residual quotient.  Unlike
-``oracles.py`` most of these reuse the package's own search (``explore``,
-``_scc_ids``, ``_least_lasso``, ``dfa_product``, ``dfa_minimize``), so
-they pin its results rather than check them independently."""
+a from-scratch restart-scan close of the learner's tables and trees, the
+former nested-product assembly of the Buchi translations and a trim of its
+useless component states, the former round-by-round partition refinement,
+the co-safety language V_u of criterion 8, the hypotheses that a learner's
+equivalence queries receive, and a saturated FDFA teacher whose leading DFA
+is not the residual quotient.  Unlike ``oracles.py`` most of these reuse
+the package's own search (``explore``, ``_scc_ids``, ``_least_lasso``,
+``dfa_product``, ``dfa_minimize``), so they pin its results rather than
+check them independently."""
 
 from __future__ import annotations
 
@@ -138,29 +138,32 @@ def explored_monoid(ts: DetTS, marks: Collection[tuple[int, int]], cap: int,
 
 
 def restart_scan_close(session, table) -> None:
-    """``learn._Table.close`` as it was before the one-pass close, for a
-    table of ``session``: after each promotion, rescan every row in
-    length-lex order from the start, evaluating each row's vector afresh,
-    cell by cell, whatever the table kept from an earlier close: a leading
-    cell is the session's membership query, a progress cell
-    ``_Session._progress_cell``.  Then recompute every representative's
-    and successor's vector to read off ``ts``.  It leaves the
-    representatives' vectors in the table as bit masks over every
-    experiment, since the learner reads progress finality from bit 0."""
+    """``learn._Table.close`` as a from-scratch scan, for a table of
+    ``session``: after each promotion, rescan every row in length-lex order
+    from the start, evaluating each row's vector afresh, cell by cell,
+    whatever the table kept from an earlier close.  A leading row's vector
+    has bit i its membership query on the i-th experiment; a progress row
+    is sifted from the root of the table's tree, each cell
+    ``_Session._progress_cell``, and its vector is the leaf it reaches, a
+    path of k cells written as the int with bit i the i-th cell and bit k
+    set.  Then recompute every row's vector to read off ``ts`` and leave
+    them in ``table.vecs``."""
     if table is session.lead:
-        def cells(row):
-            return lambda exp: session.mq(row + exp[0], exp[1])
+        def vector(row):
+            return sum(session.mq(row + u, v) << i
+                       for i, (u, v) in enumerate(table.exps))
     else:
         q = session.progress.index(table)
 
-        def cells(row):
-            return lambda v: session._progress_cell(q, row + v)
+        def vector(row):
+            path = 1
+            while path in table.tree:
+                exp = table.exps[table.tree[path]]
+                bit = session._progress_cell(q, row + exp)
+                path += (2 if bit else 1) << (path.bit_length() - 1)
+            return path
 
-    def vector(row):
-        cell = cells(row)
-        return tuple(cell(exp) for exp in table.exps)
-
-    rep_vecs: list[tuple[bool, ...]] = []
+    rep_vecs: list[int] = []
     kept = []
     for rep in table.reps:
         vec = vector(rep)
@@ -180,15 +183,14 @@ def restart_scan_close(session, table) -> None:
                 break
         else:
             break
-    index = {vector(r): i for i, r in enumerate(table.reps)}
-    succ = [[vector(rep + (a,)) for a in range(table.alphabet.size)]
+    table.vecs = {row: vector(row) for row in table.rows}
+    index = {vec: i for i, vec in enumerate(rep_vecs)}
+    succ = [[table.vecs[rep + (a,)] for a in range(table.alphabet.size)]
             for rep in table.reps]
     if any(vec not in index for row in succ for vec in row):
         raise AssertionError("observation table is not closed")
     table.ts = DetTS(table.alphabet, len(table.reps), 0,
                      tuple(tuple(index[vec] for vec in row) for row in succ))
-    table.vecs = {rep: sum(bit << i for i, bit in enumerate(vec))
-                  for vec, rep in zip(index, table.reps)}
 
 
 def nested_product_nba(f: Fdfa, duplicate: bool) -> Nba:

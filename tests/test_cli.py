@@ -457,6 +457,18 @@ def test_cmd_learn_iteration_cap(cli, fig1_file):
     assert code == 4
 
 
+def test_cmd_learn_dba_teacher_exits_4_at_the_profile_cap(cli, tmp_path):
+    # the DBA teacher builds the canonical limit FDFA of its DBA before the
+    # first query, and on gen_random_dba(101, 7, 3) that build exceeds the
+    # profile cap, so learn refuses without asking anything
+    src = _write(tmp_path, "capped.aut",
+                 format_automaton(gen_random_dba(101, 7, 3)))
+    log = tmp_path / "queries.log"
+    assert cli("learn", "--teacher", f"dba:{src}", "--log", str(log)) == (
+        4, "", "error: profile DFA exceeded cap of 200000 states\n")
+    assert not log.exists()
+
+
 @pytest.mark.parametrize("seed", [2061, 2115])
 def test_learned_family_is_decided_recognizable(cli, tmp_path, seed):
     # learn once wrote these DBAs' learned progress DFAs, which differ from

@@ -1,5 +1,6 @@
 """Tests for the limit-FDFA learner and its teachers."""
 
+import functools
 import gc
 import hashlib
 import re
@@ -214,9 +215,11 @@ def test_learn_one_letter_alphabet():
 def test_answers_reach_the_teacher_once_per_run(monkeypatch):
     """Tables keep their answers for the whole run: no (table, row,
     experiment) answer is asked of ``_Session.mq`` twice, also across
-    leading closes, which re-close every progress table; and a progress
-    refinement asks only the new experiment, of exactly those rows its
-    table had before that return on it."""
+    leading closes, which re-sift every progress table from its root.  A
+    progress refinement splits one leaf and adds no column: of the rows its
+    table had before, it asks only the split's experiment, of exactly those
+    rows at the split leaf that return on it and were never asked it; the
+    rows its close adds are asked whatever their sifts need."""
     asked = Counter()  # (table, row, experiment) over the whole run
     leads = set()
     closes = []
@@ -238,17 +241,20 @@ def test_answers_reach_the_teacher_once_per_run(monkeypatch):
 
     def checked_refine_progress(session, q, progress, y):
         table = session.progress[q]
-        rows = set(table.rows)
+        vecs, tree = dict(table.vecs), dict(table.tree)
         before = asked.copy()
         refine_progress(session, q, progress, y)
         new = asked - before
         assert all(t is table for t, _, _ in new)
-        exp = table.exps[-1]
+        [leaf] = set(table.tree) - set(tree)
+        assert leaf in vecs.values()
+        exp = table.exps[table.tree[leaf]]
         assert Counter({(row, e): n for (_, row, e), n in new.items()
-                        if row in rows}) \
-            == Counter({(row, exp): 1 for row in rows
-                        if run_word(session.leading, q, row + exp) == q})
-        refined.append(len(rows))
+                        if row in vecs}) \
+            == Counter({(row, exp): 1 for row, vec in vecs.items()
+                        if vec == leaf and not before[table, row, exp]
+                        and run_word(session.leading, q, row + exp) == q})
+        refined.append(len(vecs))
 
     monkeypatch.setattr(learn._Table, "answer", counting_answer)
     monkeypatch.setattr(learn._Session, "close_leading", counted_close_leading)
@@ -260,9 +266,69 @@ def test_answers_reach_the_teacher_once_per_run(monkeypatch):
     learn_limit_fdfa(FdfaTeacher(gen_fig5_fdfa()))
     assert max(asked.values()) == 1
     assert any(t in leads for t, _, _ in asked)
-    # leading refinements re-close progress tables that already have rows
+    # leading refinements re-sift progress tables that already have rows
     assert len(leads) == 5 and sum(n > 0 for n in closes) >= 5
     assert len(refined) > 40 and max(refined) > 10
+
+
+def test_a_split_sifts_again_only_the_rows_at_its_leaf(monkeypatch):
+    """A progress refinement splits the leaf of one row and closes its
+    table from there: the close is given exactly the rows at that leaf,
+    asks vectors of them and of the rows it adds only, and every other row
+    keeps its vector."""
+    close = learn._Table.close
+    splits = []
+
+    def checked_close(table, vector_of, rows=None):
+        if rows is None:
+            return close(table, vector_of)
+        vecs, before = dict(table.vecs), set(table.rows)
+        leaves = {vecs[row] for row in rows}
+        asked = set()
+
+        def recorded(row):
+            asked.add(row)
+            return vector_of(row)
+
+        close(table, recorded, rows)
+        [leaf] = leaves
+        assert leaf in table.tree
+        assert rows == {row for row, vec in vecs.items() if vec == leaf}
+        assert asked <= rows | (table.rows - before)
+        assert all(table.vecs[row] == vec for row, vec in vecs.items()
+                   if vec != leaf)
+        splits.append(len(vecs) - len(rows))
+
+    monkeypatch.setattr(learn._Table, "close", checked_close)
+    for d in (gen_fig1(), gen_ln(2), gen_random_dba(1, 5, 3),
+              gen_random_dba(22, 6, 2)):
+        learn_limit_fdfa(DbaTeacher(d))
+    learn_limit_fdfa(FdfaTeacher(gen_fig5_fdfa()))
+    assert len(splits) > 40 and sum(splits) > 100
+
+
+@pytest.mark.parametrize("seed, exp, nodes", [(35, (0,), 2), (33, (0,), 4)])
+def test_one_experiment_at_several_nodes_of_one_tree(monkeypatch, seed, exp,
+                                                     nodes):
+    """A split whose experiment the tree already asks at another node
+    reuses its index: in the first progress tree of gen_random_dba(seed, 3,
+    2) ``exp`` sits at ``nodes`` nodes, and the target is learned
+    exactly."""
+    sessions = []
+    init = learn._Session.__init__
+
+    def recording_init(session, teacher):
+        sessions.append(session)
+        init(session, teacher)
+
+    monkeypatch.setattr(learn._Session, "__init__", recording_init)
+    d = gen_random_dba(seed, 3, 2)
+    h, _ = learn_limit_fdfa(DbaTeacher(d))
+    table = sessions[-1].progress[0]
+    assert Counter(table.tree.values())[table.exps.index(exp)] == nodes
+    assert _first_disagreement(h, lambda w: naive_member(d, w), 2,
+                               _oracle_bound(2)) is None
+    assert fdfas_isomorphic(h, build_canonical_fdfa(d, LIMIT))
 
 
 def test_progress_refinement_rebuilds_only_its_own_table(monkeypatch):
@@ -317,6 +383,11 @@ def _parity_cases():
 
 
 def test_one_pass_close_learns_as_the_restart_scan(monkeypatch):
+    """The learner, whose closes visit only rows whose vectors may have
+    changed and sift a split leaf's rows on from that leaf, asks the same
+    queries in the same order and learns the same families as with
+    ``helpers.restart_scan_close``, which sifts every row from the root
+    after each promotion."""
     cases = list(_parity_cases())
     one_pass = [_logged_run(*case) for case in cases]
     sessions = []  # the session being built or run; its tables close
@@ -327,7 +398,8 @@ def test_one_pass_close_learns_as_the_restart_scan(monkeypatch):
         init(session, teacher)
 
     monkeypatch.setattr(learn._Session, "__init__", recording_init)
-    monkeypatch.setattr(learn._Table, "close", lambda table, vector_of:
+    monkeypatch.setattr(learn._Table, "close",
+                        lambda table, vector_of, rows=None:
                         restart_scan_close(sessions[-1], table))
     restart_scan = [_logged_run(*case) for case in cases]
     assert len(cases) > 100
@@ -349,22 +421,41 @@ def _digest_cases():
         yield FdfaTeacher, f, f.leading.alphabet
 
 
-def test_learned_outputs_and_query_logs_are_pinned():
-    """The written FDFA, the query log and the counts of 315 seeded runs
-    hash to the digest they had before the learner kept its progress
-    answers and its least periods: any change to a query, its order or a
-    learned family shows up here."""
+@functools.cache
+def _digest_runs() -> tuple:
+    return tuple(_logged_run(*case) for case in _digest_cases())
+
+
+def _digest(parts) -> str:
     digest = hashlib.sha256()
+    for part in parts:
+        digest.update(repr(part).encode())
+    return digest.hexdigest()
+
+
+def test_learned_outputs_are_pinned():
+    """The written FDFAs of 315 seeded runs (the error of the one whose
+    reference exceeds the profile cap) hash to the digest they had before
+    the progress tables became discriminator trees: a change to what the
+    learner writes shows up here."""
+    assert _digest(result[0] if len(result) == 5 else result[:2]
+                   for result in _digest_runs()) == \
+        "25440ebb1c8490e7c1ee205d74a086d9b7a878c6ff47474829bd86c40a1604db"
+
+
+def test_query_logs_are_pinned():
+    """The query logs and counts of the same runs hash to the digest they
+    have since the progress tables became discriminator trees: any change
+    to a query or its order shows up here."""
     learned = mqs = 0
-    for case in _digest_cases():
-        result = _logged_run(*case)
-        digest.update(repr(result).encode())
+    for result in _digest_runs():
         if len(result) == 5:  # one reference exceeds the profile cap
             learned += 1
             mqs += result[2]
-    assert (learned, mqs) == (314, 30_044)
-    assert digest.hexdigest() == \
-        "bab519b97c9536782382dffc32f2c0066ae893c76c7e50e391cc9a2668b89c43"
+    assert (learned, mqs) == (314, 20_208)
+    assert _digest(result[1:] if len(result) == 5 else result[2:]
+                   for result in _digest_runs()) == \
+        "61cb0f68f487aa29284a8303541d9ecc364c8c0c668aa41912ce77def454c317"
 
 
 # --------------------------------------------------------------------------
