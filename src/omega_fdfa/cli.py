@@ -76,7 +76,8 @@ def _read_block(lines: list[str], pos: int, alphabet: Alphabet | None,
     acc marks only in a buchi or cobuchi block.  An FDFA block
     (``fdfa_block`` "leading" or "progress") has no acceptance line and a
     leading block no finals; a progress block inherits ``alphabet`` and may
-    restate it.  Partial tables are completed with a fresh rejecting sink."""
+    restate it.  Partial tables are completed with a fresh rejecting sink,
+    except a leading block's, which must be total."""
     fields: dict = {}
     trans: list[tuple[int, str, int, bool]] = []
     while pos < len(lines) and ":" in lines[pos]:
@@ -157,6 +158,12 @@ def _read_block(lines: list[str], pos: int, alphabet: Alphabet | None,
     delta = [tuple([table[s, a][0][0] if (s, a) in table else n
                     for a in range(alphabet.size)]) for s in range(n)]
     if len(table) < n * alphabet.size:  # partial: add the sink, state n
+        if fdfa_block == "leading":  # the sink would have no progress block
+            s, a = next((s, a) for s in range(n) for a in range(alphabet.size)
+                        if (s, a) not in table)
+            letter = alphabet.letters[a]
+            raise ParseError("the leading block must be total: state "
+                             f"{s} has no transition on {letter!r}")
         delta.append((n,) * alphabet.size)
     ts = DetTS(alphabet, len(delta), initial, tuple(delta))
     if acceptance == "finals":

@@ -1,10 +1,10 @@
 """Active learning of limit FDFAs from membership and equivalence oracles:
 an observation table for the leading DFA, a discriminator tree for each
-progress DFA, table closing, hypothesis construction, counterexample
-analysis, two teacher realizations, and exact equivalence queries by a
-search over the hypothesis paired with a saturated reference FDFA.  A
-learning run returns the canonical limit form of the hypothesis it
-accepts."""
+progress DFA, both reading every entry from one membership cache per run,
+table closing, hypothesis construction, counterexample analysis, two
+teacher realizations, and exact equivalence queries by a search over the
+hypothesis paired with a saturated reference FDFA.  A learning run returns
+the canonical limit form of the hypothesis it accepts."""
 
 from __future__ import annotations
 
@@ -258,18 +258,13 @@ class _Table:
     the finality of its rows.  One experiment may be asked at several
     nodes.  The leading table leaves ``tree`` unread.
 
-    ``answers`` keeps, for the whole run, each row's membership-query
-    answers as (known bits, answer bits) over the experiments; ``answer``
-    asks only the columns of a mask that are not known yet, in ascending
-    order.  A leading entry is its answer; a progress entry is its answer
-    only where the experiment returns to the table's leading state (see
-    ``_Session._close_progress``), so answers outlive leading refinements.
-    ``close`` visits the rows it is given once each in length-lex order: a
-    row whose vector is new is promoted, and its successors, which sort
-    after it, join the pass.  ``vecs`` keeps every row's vector, and
-    ``ts``, each representative's successor representatives by letter, is
-    read off them, so a table that is not closed again keeps the same
-    DetTS."""
+    Every entry is read from the session's membership cache (see
+    ``_Session.mq``), so a table keeps no answers of its own.  ``close``
+    visits the rows it is given once each in length-lex order: a row whose
+    vector is new is promoted, and its successors, which sort after it,
+    join the pass.  ``vecs`` keeps every row's vector, and ``ts``, each
+    representative's successor representatives by letter, is read off
+    them, so a table that is not closed again keeps the same DetTS."""
 
     def __init__(self, alphabet: Alphabet, exps: list):
         self.alphabet = alphabet
@@ -279,28 +274,11 @@ class _Table:
         self.tree: dict[int, int] = {1: 0}
         self.ts: DetTS | None = None
         self.vecs: dict[Word, int] = {}
-        self.answers: dict[Word, tuple[int, int]] = {}
 
     def add_exp(self, exp) -> None:
         if exp in self.exps:
             raise CounterexampleError("experiment already present")
         self.exps.append(exp)
-
-    def answer(self, row: Word, mask: int,
-               ask: Callable[[Word, object], bool]) -> int:
-        """Row's answers on the experiments of ``mask``, asking
-        ``ask(row, exp)`` for each one not known yet."""
-        known, bits = self.answers.get(row, (0, 0))
-        need = mask & ~known
-        if need:
-            known |= need
-            while need:
-                low = need & -need  # the lowest column still to ask
-                if ask(row, self.exps[low.bit_length() - 1]):
-                    bits |= low
-                need ^= low
-            self.answers[row] = known, bits
-        return bits & mask
 
     def close(self, vector_of: Callable[[Word], int],
               rows: set[Word] | None = None) -> None:
@@ -373,7 +351,9 @@ def _shape(h: Fdfa) -> tuple:
 
 class _Session:
     """One learning run: the membership-query cache, the leading table, and
-    one progress table, a discriminator tree, per leading state.
+    one progress table, a discriminator tree, per leading state.  The cache
+    is the run's one store of membership answers: every table entry is read
+    through ``mq``, so no (prefix, period) reaches the teacher twice.
 
     Leading entries are plain membership queries, so leading rows never
     collapse: representative ``lead.reps[q]`` keeps index q through every
@@ -404,9 +384,8 @@ class _Session:
         return run_word(self.leading, 0, w)
 
     def _lead_vector(self, row: Word) -> int:
-        lead = self.lead
-        return lead.answer(row, (1 << len(lead.exps)) - 1,
-                           lambda row, exp: self.mq(row + exp[0], exp[1]))
+        return sum(self.mq(row + u, v) << i
+                   for i, (u, v) in enumerate(self.lead.exps))
 
     def _progress_cell(self, q: int, w: Word) -> bool:
         """The entry of q's progress table on w, a row followed by an
@@ -421,16 +400,13 @@ class _Session:
         or after a leading close (``rows`` None).  A row x is sifted down
         from its vector, the node it sits at, or from the root if it has
         none.  Each entry is ``_progress_cell``'s: 1 where the experiment
-        leads p = q . x elsewhere than q, else the kept answer on
+        leads p = q . x elsewhere than q, else the cached verdict on
         rep_q (x + v)^omega, which no leading refinement changes; the mask
         of the experiments that lead p back to q is computed once per
-        close, for each p met."""
+        close, for each p met, so only those cells are read."""
         table, m, rep = self.progress[q], self.leading, self.lead.reps[q]
         tree, exps, vecs = table.tree, table.exps, table.vecs
         back: dict[int, int] = {}
-
-        def ask(x: Word, v: Word) -> bool:
-            return self.mq(rep, x + v)
 
         def sift(x: Word) -> int:
             path = vecs.get(x, 1)
@@ -442,8 +418,8 @@ class _Session:
                               if run_word(m, p, v) == q)
             mask = back[p]
             while path in tree:
-                bit = 1 << tree[path]
-                one = not mask & bit or table.answer(x, bit, ask)
+                i = tree[path]
+                one = not mask >> i & 1 or self.mq(rep, x + exps[i])
                 path += (2 if one else 1) << (path.bit_length() - 1)
             return path
 
@@ -452,7 +428,7 @@ class _Session:
     def close_leading(self) -> None:
         """Close the leading table and rebuild the leading DFA; progress
         entries depend on it, so every progress tree is re-sifted from its
-        root, from the answers it keeps."""
+        root, from the membership cache."""
         self.lead.close(self._lead_vector)
         self.leading = self.lead.ts
         for _ in range(len(self.progress), len(self.lead.reps)):

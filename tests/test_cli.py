@@ -575,6 +575,9 @@ def test_cmd_accepts_well_formed_fdfa(cli, tmp_path):
     (A_OMEGA.replace("finals: 0\n", "finals: 0 3\n"),
      "final state out of range"),
     (A_OMEGA + "finals:\n", "repeated field"),
+    # a partial leading block would get a sink with no progress block
+    (A_OMEGA.replace("alphabet: a\n", "alphabet: a b\n"),
+     "the leading block must be total: state 0 has no transition on 'b'"),
 ])
 def test_malformed_fdfa_exits_2(cli, tmp_path, text, message):
     path = _write(tmp_path, "bad.fdfa", text)

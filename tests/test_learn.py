@@ -213,61 +213,63 @@ def test_learn_one_letter_alphabet():
 
 
 def test_answers_reach_the_teacher_once_per_run(monkeypatch):
-    """Tables keep their answers for the whole run: no (table, row,
-    experiment) answer is asked of ``_Session.mq`` twice, also across
-    leading closes, which re-sift every progress table from its root.  A
-    progress refinement splits one leaf and adds no column: of the rows its
-    table had before, it asks only the split's experiment, of exactly those
-    rows at the split leaf that return on it and were never asked it; the
-    rows its close adds are asked whatever their sifts need."""
-    asked = Counter()  # (table, row, experiment) over the whole run
-    leads = set()
+    """The session cache is the run's one store of membership answers: no
+    (prefix, period) reaches the teacher twice, also across leading closes,
+    which re-sift every progress tree from its root.  A progress
+    refinement splits one leaf and adds no column, so its close sends the
+    teacher only (rep_q, row + e), for each row at the split leaf that
+    returns to q on the leaf's experiment e and was never asked it, and
+    queries for the rows the close adds."""
+    asked = Counter()  # (teacher, prefix, period) over the whole run
     closes = []
     refined = []
-    answer = learn._Table.answer
+    mq = learn._Teacher.mq
     close_leading = learn._Session.close_leading
-    refine_progress = learn._Session._refine_progress
+    close_progress = learn._Session._close_progress
 
-    def counting_answer(table, row, mask, ask):
-        def counted(row, exp):
-            asked[table, row, exp] += 1
-            return ask(row, exp)
-        return answer(table, row, mask, counted)
+    def counted_mq(teacher, prefix, period):
+        asked[teacher, prefix, period] += 1
+        return mq(teacher, prefix, period)
 
     def counted_close_leading(session):
-        leads.add(session.lead)
         closes.append(len(session.progress))
         close_leading(session)
 
-    def checked_refine_progress(session, q, progress, y):
-        table = session.progress[q]
-        vecs, tree = dict(table.vecs), dict(table.tree)
-        before = asked.copy()
-        refine_progress(session, q, progress, y)
-        new = asked - before
-        assert all(t is table for t, _, _ in new)
-        [leaf] = set(table.tree) - set(tree)
-        assert leaf in vecs.values()
-        exp = table.exps[table.tree[leaf]]
-        assert Counter({(row, e): n for (_, row, e), n in new.items()
-                        if row in vecs}) \
-            == Counter({(row, exp): 1 for row, vec in vecs.items()
-                        if vec == leaf and not before[table, row, exp]
-                        and run_word(session.leading, q, row + exp) == q})
+    def checked_close_progress(session, q, rows=None):
+        if rows is None:
+            return close_progress(session, q)
+        table, teacher = session.progress[q], session.teacher
+        rep, vecs = session.lead.reps[q], dict(table.vecs)
+        before, known = set(table.rows), set(asked)
+        # the split leaf is the one node that is both a vector and inner now
+        [leaf] = set(vecs.values()) & set(table.tree)
+        e = table.exps[table.tree[leaf]]
+        expected = {(teacher, rep, row + e) for row, vec in vecs.items()
+                    if vec == leaf and row + e
+                    and run_word(session.leading, q, row + e) == q
+                    and (teacher, rep, row + e) not in known}
+        close_progress(session, q, rows)
+        new = set(asked) - known
+        added = table.rows - before
+        assert expected <= new
+        for t, prefix, period in new - expected:
+            assert t is teacher and prefix == rep
+            assert any(period[:len(row)] == row
+                       and period[len(row):] in table.exps for row in added)
         refined.append(len(vecs))
 
-    monkeypatch.setattr(learn._Table, "answer", counting_answer)
+    monkeypatch.setattr(learn._Teacher, "mq", counted_mq)
     monkeypatch.setattr(learn._Session, "close_leading", counted_close_leading)
-    monkeypatch.setattr(learn._Session, "_refine_progress",
-                        checked_refine_progress)
+    monkeypatch.setattr(learn._Session, "_close_progress",
+                        checked_close_progress)
     for d in (gen_fig1(), gen_ln(2), gen_random_dba(1, 5, 3),
               gen_random_dba(22, 6, 2)):
         learn_limit_fdfa(DbaTeacher(d))
     learn_limit_fdfa(FdfaTeacher(gen_fig5_fdfa()))
     assert max(asked.values()) == 1
-    assert any(t in leads for t, _, _ in asked)
+    assert len({teacher for teacher, _, _ in asked}) == 5
     # leading refinements re-sift progress tables that already have rows
-    assert len(leads) == 5 and sum(n > 0 for n in closes) >= 5
+    assert sum(n > 0 for n in closes) >= 5
     assert len(refined) > 40 and max(refined) > 10
 
 
