@@ -6,7 +6,6 @@ from .congruence import (
     LeadingQuotient,
     build_canonical_fdfa,
     compute_leading,
-    cu_dfa,
     periodic_lang_dfa,
     progress_dfa,
 )
@@ -49,6 +48,7 @@ from .fdfa import (
     complement_finals,
     extract_fb,
     normalize,
+    returning_product,
     saturation_witness,
     sink_final_state,
     size_report,

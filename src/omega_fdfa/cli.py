@@ -445,7 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("learn", help="learn a limit FDFA from a teacher")
-    p.add_argument("--teacher", required=True, metavar="dba:FILE|fdfa:FILE")
+    p.add_argument("--teacher", required=True, metavar="dba:FILE|fdfa:FILE",
+                   help="a DBA, or an FDFA that must be saturated, which "
+                   "the first equivalence-query step relies on")
     p.add_argument("--log")
     p.add_argument("--out")
     p.add_argument("--max-iterations", type=_positive_int, default=500)

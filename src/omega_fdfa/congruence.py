@@ -29,9 +29,10 @@ congruence.  So each class's limit DFA is its class-local monoid, whose
 profiles hold entries for the class members only (still pointing to any
 reachable state), labelled by ``_limit_finals`` and minimized on its rows.
 Syntactic and recurrent need no monoid of their own: on nonempty periods
-both are limit_u intersected with C_u = {v : u . v ~ u}, the product of the
-leading TS rooted at u with the limit DFA, and recurrent is that product
-minimized by ``dfa_minimize``.
+both are limit_u intersected with C_u = {v : u . v ~ u}, the returning
+product of the leading TS rooted at u with the limit DFA
+(``fdfa.returning_product``, which also places epsilon), and recurrent is
+that product minimized by ``dfa_minimize``.
 
 The periodic work is cached on the ``LeadingQuotient`` and lives as long as
 it; nothing is kept for limit beyond the reference's step lists.  The
@@ -41,7 +42,7 @@ leading pair graph and each monoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -59,12 +60,13 @@ from .core_automata import (
     dba_equiv_table,
     dba_state_equiv,  # noqa: F401  (fdfabench/spans.py wraps it here)
     dfa_minimize,
-    dfa_product,
+    dfa_product,  # noqa: F401  (fdfabench/spans.py wraps it here)
     explore,
     shortest_state_words,
     transition_monoid,
 )
-from .fdfa import Fdfa, LIMIT, PERIODIC, RECURRENT, SYNTACTIC
+from .fdfa import (Fdfa, LIMIT, PERIODIC, RECURRENT, SYNTACTIC,
+                   returning_product)
 
 PROFILE_CAP = 200_000
 PAIR_CAP = 1_000_000
@@ -204,34 +206,6 @@ def periodic_lang_dfa(lq: LeadingQuotient, u_class: int) -> Dfa:
                                         if v in accepted))
 
 
-def cu_dfa(lq: LeadingQuotient, u_class: int) -> Dfa:
-    """Leading TS rooted and final at u_class; its language minus epsilon is
-    {v : u . v ~ u}."""
-    if not 0 <= u_class < lq.leading.state_count:
-        raise AutomatonError("invalid leading class")
-    return Dfa(replace(lq.leading, initial=u_class), frozenset([u_class]))
-
-
-def _epsilon_joins_accepted_returns(d: Dfa) -> Dfa:
-    """Copy of d whose initial state is final iff L(d) contains a nonempty
-    word, realized with a fresh initial state so no other word is affected.
-
-    FDFA acceptance only ever runs a progress DFA on nonempty periods, so
-    the membership of epsilon is a free choice; the recurrent progress DFA
-    places epsilon with the accepted returns whenever any exist, which keeps
-    the automaton at its canonical size."""
-    ts = d.ts
-    # the states reached by nonempty words
-    reached, _ = explore(ts.delta[ts.initial], ts.delta.__getitem__)
-    nonempty = any(s in d.finals for s in reached)
-    if not nonempty:
-        return Dfa(ts, d.finals - {ts.initial})
-    iota = ts.state_count
-    delta = ts.delta + (ts.delta[ts.initial],)
-    new_ts = DetTS(ts.alphabet, iota + 1, iota, delta)
-    return Dfa(new_ts, d.finals | {iota})
-
-
 def _limit_finals(monoid: Monoid, members: Sequence[int]) -> frozenset[int]:
     """The ids of the profiles of u's class-local monoid that are limit-final
     for u, where ``members`` are u's states in increasing order, the domain
@@ -285,12 +259,10 @@ def progress_dfa(lq: LeadingQuotient, u_class: int, flavor: str) -> Dfa:
         # on nonempty periods both are limit_u restricted to
         # C_u = {v : u . v ~ u}.  The syntactic DFA's classes are exactly the
         # reachable (leading-from-u, limit-class) pairs, so its product stays
-        # unminimized; the recurrent DFA places epsilon and is minimized.
-        limit = progress_dfa(lq, u_class, LIMIT)
-        product = dfa_product(cu_dfa(lq, u_class), limit, lambda c, p: c and p)
-        if flavor == SYNTACTIC:
-            return product
-        return dfa_minimize(_epsilon_joins_accepted_returns(product))
+        # unminimized; the recurrent DFA is minimized.
+        product = returning_product(lq.leading, u_class,
+                                    progress_dfa(lq, u_class, LIMIT), flavor)
+        return product if flavor == SYNTACTIC else dfa_minimize(product)
     if flavor not in (PERIODIC, LIMIT):
         raise AutomatonError(f"unknown flavor {flavor!r}")
     if not 0 <= u_class < lq.leading.state_count:

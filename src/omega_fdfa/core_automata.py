@@ -8,7 +8,7 @@ Conventions used across the package:
 - Every predicate of the form "u . z^omega is in L" is false for z = epsilon.
   (FDFA acceptance never evaluates an empty period, so progress DFAs may
   still resolve the membership of epsilon itself either way; see
-  congruence.progress_dfa.)
+  fdfa.returning_product.)
 - Tuples are built from lists (``tuple([...])``), not from generators or
   ``map``/``zip`` iterators.  ``tuple()`` gives an iterator of unknown
   length ten slots and shrinks the result, so each such tuple, once freed,
@@ -76,6 +76,9 @@ class Alphabet:
         if len(set(self.letters)) != len(self.letters):
             raise AlphabetError("duplicate letters in alphabet")
         for t in self.letters:
+            if t.split() != [t] or "#" in t:
+                raise AlphabetError(f"letter {t!r} cannot be written: letters "
+                                    "are nonempty, without whitespace or '#'")
             if t == "-" or "." in t:
                 raise AlphabetError(f"letter {t!r} cannot be spelled in a "
                                     "word: '-' and '.' are reserved")

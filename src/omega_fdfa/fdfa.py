@@ -1,6 +1,7 @@
 """Families of DFAs: acceptance semantics, normalization, an exact
-saturation check, sink-final analysis, final-set surgery, the canonical
-limit form of a family, and isomorphism of leading DFAs."""
+saturation check, sink-final analysis, final-set surgery, the returning
+product that derives limit, syntactic and recurrent progress DFAs, the
+canonical limit form of a family, and isomorphism of leading DFAs."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from .core_automata import (
     Word,
     dfa_minimize,
     dfa_product,
+    explore,
     run_word,
     shortest_state_words,
 )
@@ -211,19 +213,40 @@ def complement_finals(f: Fdfa) -> Fdfa:
     return replace(f, progress=new_progress)
 
 
+def returning_product(leading: DetTS, q: int, d: Dfa, flavor: str) -> Dfa:
+    """The reachable product of the leading TS rooted at q with d.  It keeps
+    d's verdict on the periods that return to q, the only ones acceptance
+    asks a progress DFA about; limit also accepts every period that leaves
+    q, syntactic and recurrent none.  epsilon is final only for recurrent,
+    and there iff a nonempty period is accepted; a fresh initial state
+    carries it where the initial pair's finality differs.  Minimized, the
+    limit and recurrent products of any canonical family's progress DFAs
+    are canonical; so is the unminimized syntactic product of the
+    canonical limit DFA."""
+    if flavor not in (LIMIT, SYNTACTIC, RECURRENT):
+        raise AutomatonError(f"no returning product for flavor {flavor!r}")
+    limit = flavor == LIMIT
+    product = dfa_product(
+        Dfa(replace(leading, initial=q), frozenset([q])), d,
+        lambda back, final: (final or not back) if limit else (back and final))
+    ts, finals = product.ts, product.finals
+    # for recurrent, whether a state reached by a nonempty word is final
+    epsilon = flavor == RECURRENT and not finals.isdisjoint(
+        explore(ts.delta[0], ts.delta.__getitem__)[0])
+    if epsilon == (0 in finals):
+        return product
+    fresh = ts.state_count
+    return Dfa(DetTS(ts.alphabet, fresh + 1, fresh, ts.delta + (ts.delta[0],)),
+               finals | {fresh} if epsilon else finals)
+
+
 def limit_canonical_form(f: Fdfa) -> Fdfa:
-    """The limit family that keeps f's verdict on every period returning to
-    its leading state: per leading state q, the leading TS rooted at q times
-    q's progress DFA, final where the leading component is not back at q or
-    where the progress DFA is final, minimized.  Acceptance runs a progress
-    DFA only on returning periods, so f and the result accept the same
-    UP-words; when f's leading DFA is the residual quotient of a language
-    that f recognizes exactly, the result is its canonical limit FDFA."""
-    m = f.leading
-    progress = tuple([
-        dfa_minimize(dfa_product(Dfa(replace(m, initial=q), frozenset([q])), p,
-                                 lambda back, final: final or not back))
-        for q, p in enumerate(f.progress)])
+    """Per leading state q, the minimized limit ``returning_product`` of q's
+    progress DFA: it accepts what f accepts, and when f's leading DFA is the
+    residual quotient of a language f recognizes, as in every canonical
+    flavor, it is that language's canonical limit FDFA."""
+    progress = tuple([dfa_minimize(returning_product(f.leading, q, p, LIMIT))
+                      for q, p in enumerate(f.progress)])
     return replace(f, progress=progress, flavor=LIMIT)
 
 

@@ -24,7 +24,6 @@ from omega_fdfa import (
     UpWord,
     build_canonical_fdfa,
     compute_leading,
-    cu_dfa,
     dfa_lang_equal,
     dfa_minimize,
     dfa_product,
@@ -302,7 +301,8 @@ def _minimized_on_the_whole_monoid(lq, c, flavor):
     on the whole profile TS, then minimized."""
     if flavor == SYNTACTIC:
         limit = _minimized_on_the_whole_monoid(lq, c, LIMIT)
-        return dfa_product(cu_dfa(lq, c), limit, lambda x, y: x and y)
+        back = Dfa(replace(lq.leading, initial=c), frozenset([c]))
+        return dfa_product(back, limit, lambda x, y: x and y)
     per = periodic_lang_dfa(lq, c)
     # profile entry i is the i-th of the reference's reachable states
     profiles, _, states = lq._monoid
@@ -313,8 +313,14 @@ def _minimized_on_the_whole_monoid(lq, c, flavor):
     returns = frozenset(i for i, p in enumerate(profiles)
                         if lq.class_of[states[p[rep] >> 1]] == c)
     if flavor == RECURRENT:
-        return dfa_minimize(congruence._epsilon_joins_accepted_returns(
-            Dfa(per.ts, per.finals & returns)))
+        # epsilon joins the accepted returns: a fresh initial state, final
+        # iff some profile is, since every profile but the identity (state
+        # 0, never final) is reached by a nonempty word
+        finals = per.finals & returns
+        n = per.ts.state_count
+        ts = DetTS(per.ts.alphabet, n + 1, n,
+                   tuple(per.ts.delta) + (per.ts.delta[0],))
+        return dfa_minimize(Dfa(ts, finals | {n} if finals else finals))
     leaves = frozenset(range(len(profiles))) - returns
     return dfa_minimize(Dfa(per.ts, per.finals | leaves))
 
@@ -412,7 +418,7 @@ def test_shared_quotient_built_once_per_construction_and_flavor(
     classes = range(lq.leading.state_count)
     # periodic refines the whole monoid once for every class, then each
     # class's DFA on the rows of that quotient; limit, and syntactic and
-    # recurrent (products of cu_dfa with limit), refine each class-local
+    # recurrent (returning products of limit), refine each class-local
     # monoid once
     for flavor, built in ((PERIODIC, 7), (SYNTACTIC, 12), (LIMIT, 17),
                           (RECURRENT, 22)):
@@ -632,18 +638,6 @@ def test_recurrent_from_limit_matches_recurrent_on_the_whole_monoid():
         for c in range(lq.leading.state_count):
             assert progress_dfa(lq, c, RECURRENT) == \
                 _minimized_on_the_whole_monoid(ref, c, RECURRENT), (d, c)
-
-
-def test_cu_dfa_language(fig1):
-    lq = compute_leading(fig1)
-    for c in range(lq.leading.state_count):
-        cu = cu_dfa(lq, c)
-        rep = lq.reps[c]
-        for v in words_upto(2, 5):
-            returns = lq.class_of[run_word(fig1.ts, rep, v)] == c
-            assert cu.accepts(v) == returns
-    with pytest.raises(AutomatonError):
-        cu_dfa(lq, 9)
 
 
 def test_fig1_progress_sizes(fig1):

@@ -4,6 +4,7 @@ membership, and the emptiness/inclusion engines."""
 import functools
 import pickle
 import random
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -96,6 +97,17 @@ def test_alphabet_rejects_duplicates_and_unknown_letters():
         Alphabet(("a", "a"))
     with pytest.raises(AlphabetError):
         AB.parse_word("ac")
+
+
+@pytest.mark.parametrize("letters", [("a b", "c"), ("a\tb",), ("a#", "b"),
+                                     ("", "b"), ("a\nb",)])
+def test_alphabet_refuses_letters_the_text_format_cannot_carry(letters):
+    # the text format splits a line at whitespace and cuts it at '#', so
+    # such a letter would be written into a block that reads back wrong
+    bad = next(t for t in letters if t.split() != [t] or "#" in t)
+    with pytest.raises(AlphabetError,
+                       match=re.escape(f"letter {bad!r} cannot be written")):
+        Alphabet(letters)
 
 
 def test_alphabet_size_is_cached_outside_eq_hash_pickle_and_replace():

@@ -1,6 +1,6 @@
 """Tests for FDFA structure, acceptance semantics, normalization, the
-saturation check, sink-final analysis, final-set surgery, and leading-DFA
-isomorphism."""
+saturation check, sink-final analysis, final-set surgery, the returning
+product and the canonical limit form, and leading-DFA isomorphism."""
 
 import random
 from collections import Counter
@@ -17,25 +17,34 @@ from omega_fdfa import (
     FLAVORS,
     Fdfa,
     LIMIT,
+    PERIODIC,
+    RECURRENT,
+    ResourceLimitError,
+    SYNTACTIC,
     SinkFinalMissing,
     UpWord,
     accepts_decomposition,
     accepts_upword,
     build_canonical_fdfa,
     complement_finals,
+    compute_leading,
     extract_fb,
     gen_fig1,
+    gen_ln,
     gen_random_dba,
     gen_sigma_star_aa,
     member_upword_det,
     normalize,
+    returning_product,
     run_word,
     saturation_witness,
     sink_final_state,
     size_report,
 )
 from omega_fdfa.congruence import PROFILE_CAP
-from omega_fdfa.fdfa import accepts_from, leading_isomorphic
+from omega_fdfa.cli import format_fdfa
+from omega_fdfa.fdfa import (accepts_from, leading_isomorphic,
+                             limit_canonical_form)
 
 from helpers import eq_hypotheses, split_leading_state
 from oracles import saturation_pair_upto, words_upto
@@ -262,6 +271,67 @@ def test_size_report(fig1_limit):
     assert report.leading == 5
     assert report.progress == (2, 2, 1, 2, 2)
     assert report.total == 14
+
+
+def test_returning_product_rules_and_epsilon(fig1):
+    """Limit accepts every period that leaves q and the returning ones d
+    accepts, syntactic and recurrent only the latter; epsilon is non-final
+    for limit and syntactic and joins the accepted returns for recurrent,
+    through a fresh initial state only where the initial pair disagrees."""
+    lq = compute_leading(fig1)
+    m = lq.leading
+    every = Dfa(DetTS(AB, 1, 0, ((0, 0),)), frozenset([0]))
+    none = replace(every, finals=frozenset())
+    words = words_upto(2, 5)
+    for c in range(m.state_count):
+        rep = lq.reps[c]
+        back = {v: lq.class_of[run_word(fig1.ts, rep, v)] == c
+                for v in words[1:]}
+        # a least return to c runs a simple cycle of the 5-state leading DFA,
+        # so the returns up to 5 letters decide recurrent's epsilon
+        returning = any(back.values())
+        syntactic = returning_product(m, c, every, SYNTACTIC)
+        recurrent = returning_product(m, c, every, RECURRENT)
+        leaves = returning_product(m, c, none, LIMIT)
+        limit = returning_product(m, c, every, LIMIT)
+        for v, returns in back.items():
+            assert syntactic.accepts(v) == recurrent.accepts(v) == returns
+            assert leaves.accepts(v) == (not returns)
+            assert limit.accepts(v)
+        assert recurrent.accepts(()) == returning
+        assert not syntactic.accepts(()) and not leaves.accepts(())
+        assert not limit.accepts(())
+        # the initial pair (c, 0) is final where d is every, so only
+        # recurrent with a return keeps it as its epsilon state
+        assert leaves.ts.initial == 0
+        assert limit.ts.initial == limit.ts.state_count - 1
+        assert syntactic.ts.initial == syntactic.ts.state_count - 1
+        assert recurrent.ts.initial == (0 if returning
+                                        else recurrent.ts.state_count - 1)
+    for q, flavor in ((m.state_count, LIMIT), (-1, RECURRENT),
+                      (0, PERIODIC)):
+        with pytest.raises(AutomatonError):
+            returning_product(m, q, every, flavor)
+
+
+def test_limit_canonical_form_is_exact_on_every_canonical_flavor():
+    """Each canonical flavor's family of a DBA has the residual quotient as
+    its leading DFA and recognizes the DBA's language, so its canonical
+    limit form is the canonical limit FDFA, byte for byte."""
+    dbas = [gen_random_dba(s, 2 + s % 6, 1 + s % 3) for s in range(150)]
+    dbas += [gen_ln(n) for n in range(1, 7)]
+    exact = capped = 0
+    for d in dbas:
+        try:
+            families = [build_canonical_fdfa(d, flavor) for flavor in FLAVORS]
+        except ResourceLimitError:
+            capped += 1
+            continue
+        want = format_fdfa(families[FLAVORS.index(LIMIT)])
+        for f in families:
+            assert format_fdfa(limit_canonical_form(f)) == want, (d, f.flavor)
+        exact += 1
+    assert (exact, capped) == (155, 1)
 
 
 def test_leading_isomorphic(fig1_limit):
