@@ -84,66 +84,94 @@ class QueryLog:
         self.lines.append(f"EQ -> ce {u} {v}")
 
 
-def _least_period(h: Fdfa, r: Fdfa, q: int, c: int) -> Word | None:
-    """The least nonempty v, in length-lex order, that leads h's leading
-    state q back to q and r's leading state c back to c while q's and c's
-    progress DFAs disagree on it; breadth-first over (h leading, r leading,
-    h progress, r progress)."""
+class _PairGraph:
+    """The pairs (q, c) of a leading DFA's states and R's that some u
+    reaches, numbered breadth-first: ``pairs[i]``, its least u
+    ``access[i]``, its successors' numbers by letter ``succ[i]``, and
+    ``periods[i]``, None until its least period is searched, then the
+    progress DFA of q it was searched for and the period."""
+
+    def __init__(self, leading: DetTS, r: Fdfa):
+        self.leading = leading
+        hd, rd = leading.delta, r.leading.delta
+        root = (leading.initial, r.leading.initial)
+        ids = {root: 0}
+        self.pairs = [root]
+        self.access: list[Word] = [()]
+        self.succ: list[tuple[int, ...]] = []
+        for i, (q, c) in enumerate(self.pairs):  # pairs grows while walked
+            row = []
+            for a, pair in enumerate(zip(hd[q], rd[c])):
+                if pair not in ids:
+                    ids[pair] = len(self.pairs)
+                    self.pairs.append(pair)
+                    self.access.append(self.access[i] + (a,))
+                row.append(ids[pair])
+            self.succ.append(tuple(row))
+        self.periods: list = [None] * len(self.pairs)
+
+
+def _least_period(graph: _PairGraph, h: Fdfa, r: Fdfa, i: int
+                  ) -> Word | None:
+    """The least nonempty v, in length-lex order, that leads pair i of
+    ``graph``, (q, c), back to itself while the progress DFAs of h's q and
+    r's c disagree on it; breadth-first over (pair, h progress, r progress)
+    triples, each linked to the one it was reached from, so v is spelled
+    only on a hit."""
+    q, c = graph.pairs[i]
     n, m = h.progress[q], r.progress[c]
-    hd, rd, nd, md = h.leading.delta, r.leading.delta, n.ts.delta, m.ts.delta
+    succ, nd, md = graph.succ, n.ts.delta, m.ts.delta
     nf, mf = n.finals, m.finals
     letters = range(h.leading.alphabet.size)
     # the start is reached by epsilon only until a nonempty v returns to it
-    seen: set[tuple[int, int, int, int]] = set()
-    queue = [((q, c, n.ts.initial, m.ts.initial), ())]
-    for (x, y, s, t), v in queue:  # queue grows while it is walked
+    seen: set[tuple[int, int, int]] = set()
+    queue = [(i, n.ts.initial, m.ts.initial)]
+    links = [(0, 0)]  # (index of the previous triple, letter) per triple
+    for k, (p, s, t) in enumerate(queue):  # queue grows while it is walked
+        row, ns, mt = succ[p], nd[s], md[t]
         for a in letters:
-            state = (hd[x][a], rd[y][a], nd[s][a], md[t][a])
+            state = (row[a], ns[a], mt[a])
             if state in seen:
                 continue
             seen.add(state)
-            w = v + (a,)
-            x1, y1, s1, t1 = state
-            if x1 == q and y1 == c and (s1 in nf) != (t1 in mf):
-                return w
-            queue.append((state, w))
+            if state[0] == i and (state[1] in nf) != (state[2] in mf):
+                v = [a]
+                while k:
+                    k, b = links[k]
+                    v.append(b)
+                return tuple(reversed(v))
+            queue.append(state)
+            links.append((k, a))
     return None
 
 
-def _pair_search(h: Fdfa, r: Fdfa, periods: dict) -> UpWord | None:
+def _pair_search(h: Fdfa, r: Fdfa, graph: _PairGraph) -> UpWord | None:
     """The least (|u| + |v|, u, v) such that u leads h and r to leading
     states q and c, v leads q back to q and c back to c, and the progress
     DFAs of q and c disagree on v; None if there is none.
 
     Only the length-lex least u of each pair (q, c) can be least, so the
-    pairs are searched breadth-first, each once, and the search stops once
-    |u| + 1 exceeds the best total.  A period longer than the best total
-    less |u| cannot win, so each pair's least period is searched without a
-    bound and kept in ``periods``, a memo for h's leading DFA and r keyed
-    by q, c and q's progress DFA; a fresh ``{}`` searches every pair
-    anew."""
-    hd, rd = h.leading.delta, r.leading.delta
-    root = (h.leading.initial, r.leading.initial)
-    access = {root: ()}
-    pairs = [root]
+    pairs of ``graph``, of h's leading DFA and r, are walked in its order,
+    and the walk stops once |u| + 1 exceeds the best total.  A period
+    longer than the best total less |u| cannot win, so each pair's least
+    period is searched without a bound and kept in ``graph.periods``; it is
+    searched again only when h's progress DFA of q is not the object it was
+    searched for; a fresh graph searches every pair it walks."""
+    access, periods = graph.access, graph.periods
     best: tuple[int, Word, Word] | None = None
-    for q, c in pairs:  # pairs grows while it is walked
-        u = access[q, c]
+    for i, (q, _) in enumerate(graph.pairs):
+        u = access[i]
         if best is not None and len(u) + 1 > best[0]:
             break
         n = h.progress[q]
-        key = (q, c, n.ts.delta, n.ts.initial, n.finals)
-        if key not in periods:
-            periods[key] = _least_period(h, r, q, c)
-        v = periods[key]
+        known = periods[i]
+        if known is None or known[0] is not n:
+            known = periods[i] = (n, _least_period(graph, h, r, i))
+        v = known[1]
         if v is not None:
             found = (len(u) + len(v), u, v)
             if best is None or found < best:
                 best = found
-        for a, pair in enumerate(zip(hd[q], rd[c])):
-            if pair not in access:
-                access[pair] = u + (a,)
-                pairs.append(pair)
     return None if best is None else UpWord(best[1], best[2])
 
 
@@ -161,10 +189,11 @@ class _Teacher:
        v) with u . v^omega normalized in both H and R and judged unlike by
        their progress DFAs, which is a counterexample since R is saturated.
        A pair's least period depends only on H's leading DFA, on the
-       pair's progress DFA in H and on R, so the teacher keeps a memo of
-       them (``periods``) while H's leading DFA stays the same: a query
-       after a progress refinement searches again only the pairs of the
-       refined state.
+       pair's progress DFA in H and on R, so the teacher keeps one
+       ``_PairGraph`` while H's leading DFA is the same object.  The
+       learner keeps the DFA of every table it did not close again, so a
+       query after a progress refinement searches again only the pairs of
+       the refined state.
     2. If there is none, H is accepted when its leading DFA is isomorphic
        to R's.  A decomposition is then normalized in H exactly when it is
        in R, and step 1 found their progress DFAs agreeing on every period
@@ -184,8 +213,7 @@ class _Teacher:
         self.log = log
         self.mq_count = 0
         self.eq_count = 0
-        self.periods: dict = {}
-        self.periods_leading: DetTS | None = None
+        self.pairs: _PairGraph | None = None
 
     def mq(self, prefix: Word, period: Word) -> bool:
         """Membership of prefix . period^omega; a refused query is neither
@@ -213,9 +241,9 @@ class _Teacher:
         return ce
 
     def _find_counterexample(self, h: Fdfa) -> UpWord | None:
-        if h.leading != self.periods_leading:
-            self.periods, self.periods_leading = {}, h.leading
-        ce = _pair_search(h, self.reference, self.periods)
+        if self.pairs is None or self.pairs.leading is not h.leading:
+            self.pairs = _PairGraph(h.leading, self.reference)
+        ce = _pair_search(h, self.reference, self.pairs)
         if ce is not None or leading_isomorphic(h, self.reference):
             return ce
         found = saturation_witness(h, congruence.PROFILE_CAP)
@@ -264,7 +292,8 @@ class _Table:
     vector is new is promoted, and its successors, which sort after it,
     join the pass.  ``vecs`` keeps every row's vector, and ``ts``, each
     representative's successor representatives by letter, is read off
-    them, so a table that is not closed again keeps the same DetTS."""
+    them, so a table that is not closed again keeps the same DetTS.  A
+    progress table's close also builds its ``dfa`` on that DetTS."""
 
     def __init__(self, alphabet: Alphabet, exps: list):
         self.alphabet = alphabet
@@ -273,6 +302,7 @@ class _Table:
         self.exps = exps
         self.tree: dict[int, int] = {1: 0}
         self.ts: DetTS | None = None
+        self.dfa: Dfa | None = None
         self.vecs: dict[Word, int] = {}
 
     def add_exp(self, exp) -> None:
@@ -343,10 +373,12 @@ def _states_along(ts: DetTS, w: Word) -> list[int]:
     return states
 
 
-def _shape(h: Fdfa) -> tuple:
-    """Transitions and finals of a hypothesis, and with them its size."""
-    return (h.leading.delta,
-            tuple([(p.ts.delta, tuple(sorted(p.finals))) for p in h.progress]))
+def _same_shape(g: Fdfa, h: Fdfa) -> bool:
+    """Whether two hypotheses have the same transitions and finals; the
+    sizes of their tables are compared first."""
+    return [p.ts.state_count for p in g.progress] == \
+        [p.ts.state_count for p in h.progress] \
+        and g.leading == h.leading and g.progress == h.progress
 
 
 class _Session:
@@ -424,6 +456,9 @@ class _Session:
             return path
 
         table.close(sift, rows)
+        # the root asks (), so bit 0 of a leaf is the finality of its rows
+        table.dfa = Dfa(table.ts, frozenset(
+            i for i, rep in enumerate(table.reps) if table.vecs[rep] & 1))
 
     def close_leading(self) -> None:
         """Close the leading table and rebuild the leading DFA; progress
@@ -437,13 +472,10 @@ class _Session:
             self._close_progress(q)
 
     def hypothesis(self) -> Fdfa:
-        # every progress tree asks the experiment () at its root, so bit 0
-        # of a leaf is its finality; a table that was not closed again since
-        # the last hypothesis keeps its ts
-        progress = tuple([Dfa(t.ts, frozenset(
-            i for i, rep in enumerate(t.reps) if t.vecs[rep] & 1))
-            for t in self.progress])
-        return Fdfa(self.leading, progress,
+        """The hypothesis of the tables.  Each progress DFA is the one its
+        table's last close built, so a table not closed again keeps the same
+        object, which the teacher's memo of least periods checks for."""
+        return Fdfa(self.leading, tuple([t.dfa for t in self.progress]),
                     labels=tuple(self.lead.reps), flavor=LIMIT)
 
     # --- counterexample analysis ------------------------------------------
@@ -495,10 +527,10 @@ def learn_limit_fdfa(teacher, *, max_iterations: int = 500
             stats.mq = teacher.mq_count
             stats.eq = teacher.eq_count
             return limit_canonical_form(h), stats
-        before = _shape(h)
+        before = h
         session.analyze(h, ce)
         h = session.hypothesis()
-        if _shape(h) == before:
+        if _same_shape(h, before):
             raise CounterexampleError(
                 "counterexample analysis did not change the hypothesis")
     raise LearnLimitExceeded(

@@ -5,9 +5,12 @@ class-local monoid of its limit FDFA has one-entry profiles.  State
 numbering reaches these outputs through unminimized products (syntactic
 progress DFAs), the DBA translation and the decision witness, so any change
 to exploration order shows up here.  The learner's logs pin every membership query in order; the
-5-state random DBA's run is one where progress representatives collapse
-after a leading refinement, and the 6-state one's re-closes progress
-tables after leading refinements between many progress refinements; the
+5-state random DBA of seed 1's run is one where progress representatives
+collapse after a leading refinement, the one of seed 6, the heaviest
+learn benchmark target, makes the teacher build a new pair graph at each
+of its 4 leading refinements between 42 progress refinements, and the
+6-state one's re-closes progress tables after leading refinements between
+many progress refinements; the
 FDFA teacher on Figure 1's periodic family, saturated but not
 limit-canonical, is accepted by comparing leading DFAs.  ``lassos.txt`` pins the witnesses of the emptiness,
 inclusion and intersection engines, which the CLI outputs reach only in
@@ -40,8 +43,8 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 CASES = ["canon-periodic", "canon-syntactic", "canon-recurrent", "canon-limit",
          "canon-counter12",
          "translate-nba", "translate-ldba", "translate-dba", "decide-fig5",
-         "learn-fig1", "learn-fig5", "learn-rand-5x3-s1", "learn-rand-6x2-s22",
-         "learn-fig1-periodic"]
+         "learn-fig1", "learn-fig5", "learn-rand-5x3-s1", "learn-rand-5x3-s6",
+         "learn-rand-6x2-s22", "learn-fig1-periodic"]
 
 
 def run_case(case: str, tmp: pathlib.Path, capsys) -> str:
@@ -54,6 +57,8 @@ def run_case(case: str, tmp: pathlib.Path, capsys) -> str:
     fig5.write_text(format_fdfa(gen_fig5_fdfa()), encoding="utf-8")
     rand = tmp / "rand.aut"
     rand.write_text(format_automaton(gen_random_dba(1, 5, 3)), encoding="utf-8")
+    rand6 = tmp / "rand6.aut"
+    rand6.write_text(format_automaton(gen_random_dba(6, 5, 3)), encoding="utf-8")
     rand22 = tmp / "rand22.aut"
     rand22.write_text(format_automaton(gen_random_dba(22, 6, 2)),
                       encoding="utf-8")
@@ -78,6 +83,7 @@ def run_case(case: str, tmp: pathlib.Path, capsys) -> str:
                          "--out", str(periodic)]) == 0
         teacher = {"fig1": f"dba:{fig1}", "fig5": f"fdfa:{fig5}",
                    "rand-5x3-s1": f"dba:{rand}",
+                   "rand-5x3-s6": f"dba:{rand6}",
                    "rand-6x2-s22": f"dba:{rand22}",
                    "fig1-periodic": f"fdfa:{periodic}"}[arg]
         argv = ["learn", "--teacher", teacher, "--out", str(out),
