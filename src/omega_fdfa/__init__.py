@@ -18,7 +18,6 @@ from .core_automata import (
     DetOmega,
     DetTS,
     Dfa,
-    Lasso,
     Nba,
     ResourceLimitError,
     UpWord,

@@ -312,9 +312,9 @@ def cmd_decide(args: argparse.Namespace) -> int:
     print(f"reason: {result.reason}")
     if result.witness is not None:
         alphabet = f.leading.alphabet
-        stem = alphabet.format_word(result.witness.stem) or "-"
-        loop = alphabet.format_word(result.witness.loop)
-        print(f"witness: {stem} {loop}")
+        prefix = alphabet.format_word(result.witness.prefix) or "-"
+        period = alphabet.format_word(result.witness.period)
+        print(f"witness: {prefix} {period}")
     return EXIT_NO
 
 
@@ -361,8 +361,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     else:
         raise ParseError("teacher must be dba:FILE or fdfa:FILE")
     log = QueryLog(alphabet) if args.log else None
-    hypothesis, stats = learn_limit_fdfa(
-        make_teacher(ref, log=log), max_iterations=args.max_iterations)
+    hypothesis, stats = learn_limit_fdfa(make_teacher(ref, log=log))
     if args.out:
         _write_out(format_fdfa(hypothesis), args.out)
     if log is not None:
@@ -412,13 +411,6 @@ def cmd_accepts(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
-    return value
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The workbench's argument parser, built once per process on first use
@@ -450,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "the first equivalence-query step relies on")
     p.add_argument("--log")
     p.add_argument("--out")
-    p.add_argument("--max-iterations", type=_positive_int, default=500)
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("bench-ln", help="size/time table for the L_n family")

@@ -154,10 +154,8 @@ class DetOmega:
 
     ``acc`` holds (state, letter) pairs.  Buchi polarity accepts runs taking
     marked transitions infinitely often; coBuchi accepts runs taking them
-    only finitely often.  ``_nba``, the automaton viewed as an NBA (Buchi
-    polarity only), ``_marked``, whose ``_marked[s][a]`` tells whether
-    (s, a) is in ``acc``, and ``_steps``, the ``profile_steps`` that every
-    ``transition_monoid`` of the automaton walks, are built on first use,
+    only finitely often.  ``_steps``, the ``profile_steps`` that every
+    ``transition_monoid`` of the automaton walks, is built on first use,
     outside ``==``, ``hash`` and ``repr``.
     """
 
@@ -171,23 +169,6 @@ class DetOmega:
         for s, a in self.acc:
             if not (0 <= s < self.ts.state_count and 0 <= a < self.ts.alphabet.size):
                 raise AutomatonError("acc pair out of range")
-
-    @cached_property
-    def _nba(self) -> Nba:
-        if self.polarity != BUCHI:
-            raise AutomatonError("det_to_nba expects Buchi polarity")
-        ts = self.ts
-        trans = frozenset((s, a, ts.delta[s][a]) for s in range(ts.state_count)
-                          for a in range(ts.alphabet.size))
-        acc = frozenset((s, a, ts.delta[s][a]) for s, a in self.acc)
-        return Nba(ts.alphabet, ts.state_count, frozenset([ts.initial]),
-                   trans, acc)
-
-    @cached_property
-    def _marked(self) -> tuple[tuple[bool, ...], ...]:
-        return tuple([tuple([(s, a) in self.acc
-                             for a in range(self.ts.alphabet.size)])
-                      for s in range(self.ts.state_count)])
 
     @cached_property
     def _steps(self) -> Steps:
@@ -242,21 +223,6 @@ class UpWord:
     def __post_init__(self) -> None:
         if not self.period:
             raise AutomatonError("period must be nonempty")
-
-
-@dataclass(frozen=True)
-class Lasso:
-    """An emptiness witness: stem into a loop."""
-
-    stem: Word
-    loop: Word
-
-    def __post_init__(self) -> None:
-        if not self.loop:
-            raise AutomatonError("loop must be nonempty")
-
-    def upword(self) -> UpWord:
-        return UpWord(self.stem, self.loop)
 
 
 def run_word(ts: DetTS, state: int, w: Word) -> int:
@@ -371,25 +337,19 @@ def transition_monoid(d: DetOmega, cap: int,
 
 
 def member_upword_det(a: DetOmega, w: UpWord) -> bool:
-    """Decide u . v^omega in L(a): run u, then see member_det_from."""
+    """Decide u . v^omega in L(a), in either polarity: run u, then iterate
+    the period until the state sequence at period boundaries cycles."""
     s = run_word(a.ts, a.ts.initial, w.prefix)
     if min(w.period) < 0 or max(w.period) >= a.ts.alphabet.size:
         raise AlphabetError("word letter outside alphabet")
-    return member_det_from(a, s, w.period)
-
-
-def member_det_from(a: DetOmega, s: int, v: Word) -> bool:
-    """Decide v^omega in L(a) from state s, in either polarity, by iterating
-    the period until the state sequence at period boundaries cycles.  The
-    letters of v are not checked."""
-    delta, marked = a.ts.delta, a._marked
+    delta, acc = a.ts.delta, a.acc
     seen: dict[int, int] = {}
     flags: list[bool] = []
     while s not in seen:
         seen[s] = len(flags)
         hit = False
-        for letter in v:
-            if marked[s][letter]:
+        for letter in w.period:
+            if (s, letter) in acc:
                 hit = True
             s = delta[s][letter]
         flags.append(hit)
@@ -555,10 +515,11 @@ def _bfs_words(graph: Sequence[Sequence[Edge]], sources: Iterable[int],
 
 
 def _least_lasso(graph: Sequence[Sequence[Edge]],
-                 roots: Iterable[int]) -> Lasso | None:
+                 roots: Iterable[int]) -> UpWord | None:
     """The least lasso from ``roots`` whose loop begins with an accepting
-    edge and takes no second-marked edge (stems may take them); None when
-    there is none.  ``graph[s]`` lists s's edges sorted by (letter, target).
+    edge and takes no second-marked edge (stems may take them), as the word
+    stem . loop^omega; None when there is none.  ``graph[s]`` lists s's
+    edges sorted by (letter, target).
 
     A candidate is an accepting, unmarked edge s -l-> t inside an SCC of the
     unmarked edges, with s reachable: its stem is the breadth-first word
@@ -584,13 +545,19 @@ def _least_lasso(graph: Sequence[Sequence[Edge]],
         key = (len(stem) + len(loop), len(stem), stem, loop)
         if best is None or key < best:
             best = key
-    return None if best is None else Lasso(best[2], best[3])
+    return None if best is None else UpWord(best[2], best[3])
 
 
 def det_to_nba(d: DetOmega) -> Nba:
-    """View a deterministic Buchi automaton as an NBA, built once per
-    automaton."""
-    return d._nba
+    """View a deterministic Buchi automaton as an NBA."""
+    if d.polarity != BUCHI:
+        raise AutomatonError("det_to_nba expects Buchi polarity")
+    ts = d.ts
+    trans = frozenset((s, a, ts.delta[s][a]) for s in range(ts.state_count)
+                      for a in range(ts.alphabet.size))
+    acc = frozenset((s, a, ts.delta[s][a]) for s, a in d.acc)
+    return Nba(ts.alphabet, ts.state_count, frozenset([ts.initial]),
+               trans, acc)
 
 
 def _product(roots: Iterable[int], moves: Callable[[int], Iterable[Move]]
@@ -658,22 +625,22 @@ def _phase_graph(pairs: list[list[Edge]], roots: range
     return _product([2 * q for q in roots], moves)
 
 
-def nba_dba_included(a: Nba, b: DetOmega) -> Lasso | bool:
-    """True iff L(a) is a subset of L(b); otherwise a lasso in L(a) \\ L(b)."""
+def nba_dba_included(a: Nba, b: DetOmega) -> UpWord | bool:
+    """True iff L(a) is a subset of L(b); otherwise a word in L(a) \\ L(b)."""
     if b.polarity != BUCHI:
         raise AutomatonError("nba_dba_included expects a Buchi right side")
     return _least_lasso(*_pair_graph(a, det_to_nba(b))) or True
 
 
-def nba_dba_intersection_witness(a: Nba, b: DetOmega) -> Lasso | None:
-    """A lasso in L(a) /\\ L(b), or None if the intersection is empty."""
+def nba_dba_intersection_witness(a: Nba, b: DetOmega) -> UpWord | None:
+    """A word in L(a) /\\ L(b), or None if the intersection is empty."""
     if b.polarity != BUCHI:
         raise AutomatonError("intersection expects a Buchi right side")
     return nba_nba_intersection_witness(a, det_to_nba(b))
 
 
-def nba_nba_intersection_witness(a: Nba, b: Nba) -> Lasso | None:
-    """A lasso in L(a) /\\ L(b) of two NBAs, or None when empty."""
+def nba_nba_intersection_witness(a: Nba, b: Nba) -> UpWord | None:
+    """A word in L(a) /\\ L(b) of two NBAs, or None when empty."""
     return _least_lasso(*_phase_graph(*_pair_graph(a, b)))
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core_automata import AutomatonError, Lasso, nba_dba_included
+from .core_automata import AutomatonError, UpWord, nba_dba_included
 from .fdfa import Fdfa, LIMIT, RECURRENT, SinkFinalMissing, extract_fb
 from .translate import fdfa_to_dba, fdfa_to_nba
 
@@ -13,13 +13,13 @@ from .translate import fdfa_to_dba, fdfa_to_nba
 class DecideResult:
     recognizable: bool
     reason: str
-    witness: Lasso | None = None
+    witness: UpWord | None = None
 
 
 def decide_dba_recognizable(f: Fdfa) -> DecideResult:
     """Three steps: (1) every progress DFA with finals must have a sink final
     (else No); (2) build the NBA of f and the DBA of its sink-final variant;
-    (3) language inclusion decides the verdict, a failing lasso witnesses No.
+    (3) language inclusion decides the verdict, a word it misses witnesses No.
 
     Recurrent-flavor inputs are refused: the algorithm is unsound for them.
     """

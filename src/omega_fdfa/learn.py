@@ -44,8 +44,10 @@ from .fdfa import (
 )
 from .translate import fdfa_to_nba  # noqa: F401  (fdfabench/spans.py wraps it)
 
-# Membership queries one learning run may ask; read at call time.
+# Membership queries and equivalence-query rounds one learning run may
+# take; read at call time.
 MAX_MQ = 200_000
+MAX_ITERATIONS = 500
 
 
 class LearnLimitExceeded(ResourceLimitError):
@@ -513,14 +515,13 @@ class _Session:
             q, {row for row, vec in table.vecs.items() if vec == leaf})
 
 
-def learn_limit_fdfa(teacher, *, max_iterations: int = 500
-                     ) -> tuple[Fdfa, LearnStats]:
+def learn_limit_fdfa(teacher) -> tuple[Fdfa, LearnStats]:
     """Run the limit-FDFA learner to convergence against the teacher, and
     return the canonical limit form of the hypothesis it accepts."""
     session = _Session(teacher)
     h = session.hypothesis()
     stats = LearnStats()
-    for iteration in range(max_iterations):
+    for iteration in range(MAX_ITERATIONS):
         stats.iterations = iteration + 1
         ce = teacher.eq(h)
         if ce is None:
@@ -534,4 +535,4 @@ def learn_limit_fdfa(teacher, *, max_iterations: int = 500
             raise CounterexampleError(
                 "counterexample analysis did not change the hypothesis")
     raise LearnLimitExceeded(
-        f"no convergence within {max_iterations} iterations")
+        f"no convergence within {MAX_ITERATIONS} iterations")

@@ -132,7 +132,9 @@ def fdfa_to_dba(f: Fdfa) -> DetOmega:
     progress final, reset the progress component and mark the transition.
     Only a reset moves the run on to the next leading class, so syntactic and
     recurrent families, which reject every period that leaves its class, are
-    refused; limit and periodic families are not."""
+    refused by their flavor.  A family of any flavor is refused unless every
+    progress DFA with finals has exactly one, and it is a sink; the limit
+    family that canon writes for gen_random_dba(1, 5, 3) is refused too."""
     if f.flavor in (SYNTACTIC, RECURRENT):
         raise AutomatonError(
             f"the DBA translation is unsound for {f.flavor} FDFAs")

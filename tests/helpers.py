@@ -25,11 +25,11 @@ from omega_fdfa import (
     DetTS,
     Dfa,
     Fdfa,
-    Lasso,
     LeadingQuotient,
     Nba,
     PERIODIC,
     ResourceLimitError,
+    UpWord,
     build_canonical_fdfa,
     gen_fig1,
     learn_limit_fdfa,
@@ -93,12 +93,12 @@ def fdfas_isomorphic(a: Fdfa, b: Fdfa) -> bool:
 
 def one_pair_rabin_empty(a: Nba,
                          avoid: frozenset[tuple[int, int, int]] = frozenset()
-                         ) -> Lasso | None:
+                         ) -> UpWord | None:
     """Search for a reachable cycle containing a transition of a.acc and no
     transition of ``avoid``.  Stems may still cross ``avoid`` transitions.
 
-    Returns None when empty, else the least lasso over a's own state ids
-    (see _least_lasso)."""
+    Returns None when empty, else the word of the least lasso over a's own
+    state ids (see _least_lasso)."""
     graph: list[list[Edge]] = [[] for _ in range(a.state_count)]
     for tr in sorted(a.trans):
         graph[tr[0]].append((tr[1], tr[2], tr in a.acc, tr in avoid))

@@ -98,7 +98,7 @@ def test_criterion_3_decision_algorithm():
     fig5 = gen_fig5_fdfa()
     result = decide_dba_recognizable(fig5)
     assert not result.recognizable and result.witness is not None
-    w = result.witness.upword()
+    w = result.witness
     assert set(w.prefix) <= {1} and set(w.period) == {1}  # 2^omega
     from omega_fdfa import fdfa_to_dba
     assert member_upword_nba(fdfa_to_nba(fig5), w)

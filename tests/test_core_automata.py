@@ -5,7 +5,7 @@ import functools
 import pickle
 import random
 import re
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +19,6 @@ from omega_fdfa import (
     DetOmega,
     DetTS,
     Dfa,
-    Lasso,
     LIMIT,
     Nba,
     ResourceLimitError,
@@ -48,7 +47,6 @@ from omega_fdfa.core_automata import (
     dba_state_equiv,
     det_to_nba,
     explore,
-    member_det_from,
     shortest_state_words,
     transition_monoid,
 )
@@ -127,10 +125,6 @@ def test_alphabet_size_is_cached_outside_eq_hash_pickle_and_replace():
 def test_upword_requires_nonempty_period():
     with pytest.raises(AutomatonError):
         UpWord((), ())
-
-
-def test_lasso_to_upword():
-    assert Lasso((0,), (1, 0)).upword() == up("a", "ba")
 
 
 # --------------------------------------------------------------------------
@@ -382,8 +376,8 @@ def test_member_matches_naive_oracle_on_random_dbas():
                            for w in words)
 
 
-def test_member_det_from_matches_naive_oracle_from_every_state():
-    # the verdict from a state s is the oracle's on the DBA started at s
+def test_member_upword_det_matches_naive_oracle_from_every_state():
+    # unreachable states too: each DBA is started at every one of its states
     dbas = [gen_fig1(), gen_ln(2)] + [gen_random_dba(seed, 2 + seed % 4,
                                                      2 + seed % 2)
                                       for seed in range(12)]
@@ -395,8 +389,9 @@ def test_member_det_from_matches_naive_oracle_from_every_state():
             for s in range(d.ts.state_count):
                 rooted = replace(dp, ts=replace(dp.ts, initial=s))
                 for v in periods:
-                    assert member_det_from(dp, s, v) \
-                        == naive_member(rooted, UpWord((), v)), (d, s, v)
+                    w = UpWord((), v)
+                    assert member_upword_det(rooted, w) \
+                        == naive_member(rooted, w), (d, s, v)
                     checked += 1
     assert checked > 8_000
 
@@ -423,20 +418,6 @@ def test_det_membership_rejects_prefix_letters_outside_the_alphabet():
             member_upword_det(d, UpWord((0, letter), (0,)))
 
 
-def test_mark_table_is_built_once_outside_equality_hash_and_repr():
-    for polarity in (BUCHI, COBUCHI):
-        d = replace(gen_fig1(), polarity=polarity)
-        marked = d._marked
-        assert d._marked is marked
-        assert marked == tuple(tuple((s, a) in d.acc for a in range(2))
-                               for s in range(d.ts.state_count))
-        assert set(vars(d)) > {f.name for f in fields(d)}
-        fresh = replace(gen_fig1(), polarity=polarity)
-        assert d == fresh and hash(d) == hash(fresh) \
-            and repr(d) == repr(fresh)
-        assert fresh._marked == marked and fresh._marked is not marked
-
-
 def test_nba_membership_agrees_with_det_view():
     for seed in range(8):
         d = gen_random_dba(seed, 3, 2)
@@ -446,22 +427,9 @@ def test_nba_membership_agrees_with_det_view():
                 if v:
                     w = UpWord(u, v)
                     assert member_upword_nba(nba, w) == member_upword_det(d, w)
-
-
-def test_det_to_nba_is_built_once_per_dba():
-    d = gen_fig1()
-    nba = det_to_nba(d)
-    assert det_to_nba(d) is nba
-    # the cached view stays outside ==, hash and repr
-    assert set(vars(d)) > {f.name for f in fields(d)}
-    fresh = gen_fig1()
-    assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
-    assert det_to_nba(fresh) == nba and det_to_nba(fresh) is not nba
-    # a refused view caches nothing
-    cobuchi = replace(d, polarity=COBUCHI)
-    with pytest.raises(AutomatonError):
-        det_to_nba(cobuchi)
-    assert set(vars(cobuchi)) == {f.name for f in fields(cobuchi)}
+    # only Buchi polarity has an NBA view
+    with pytest.raises(AutomatonError, match="expects Buchi polarity"):
+        det_to_nba(replace(d, polarity=COBUCHI))
 
 
 # --------------------------------------------------------------------------
@@ -486,9 +454,8 @@ def test_one_pair_rabin_witness_is_lex_least_shortest():
     d = gen_fig1()
     witness = one_pair_rabin_empty(det_to_nba(d))
     # shortest lasso through an accepting transition: aa into the a-loop
-    assert witness == Lasso((0, 0), (0,))
-    w = witness.upword()
-    assert member_upword_det(d, w)
+    assert witness == UpWord((0, 0), (0,))
+    assert member_upword_det(d, witness)
 
 
 def test_one_pair_rabin_avoid_set():
@@ -496,8 +463,7 @@ def test_one_pair_rabin_avoid_set():
     nba = det_to_nba(d)
     avoid = frozenset({(2, 0, 2)})  # forbid the a-loop at state 2
     witness = one_pair_rabin_empty(nba, avoid)
-    assert witness is not None
-    assert (witness.stem, witness.loop) == ((0, 1), (1,))  # ab into the b-loop
+    assert witness == UpWord((0, 1), (1,))  # ab into the b-loop
 
 
 def test_nba_dba_included_positive_and_witness():
@@ -505,9 +471,8 @@ def test_nba_dba_included_positive_and_witness():
     assert nba_dba_included(det_to_nba(d), d) is True
     # drop the b-loop acceptance: a.b^omega escapes the smaller language
     smaller = DetOmega(d.ts, frozenset({(2, 0)}), BUCHI)
-    verdict = nba_dba_included(det_to_nba(d), smaller)
-    assert verdict is not True
-    w = verdict.upword()
+    w = nba_dba_included(det_to_nba(d), smaller)
+    assert w is not True
     assert member_upword_det(d, w) and not member_upword_det(smaller, w)
 
 
@@ -520,7 +485,7 @@ def test_nba_dba_intersection_witness():
     only_a = DetOmega(d.ts, frozenset({(2, 0)}), BUCHI)
     only_ab = DetOmega(d.ts, frozenset({(3, 1)}), BUCHI)
     assert nba_dba_intersection_witness(det_to_nba(only_a), only_ab) is None
-    w = nba_dba_intersection_witness(det_to_nba(only_a), d).upword()
+    w = nba_dba_intersection_witness(det_to_nba(only_a), d)
     assert member_upword_det(only_a, w) and member_upword_det(d, w)
 
 
@@ -531,7 +496,7 @@ def test_nba_nba_intersection_witness():
     assert nba_nba_intersection_witness(only_a, only_ab) is None
     w = nba_nba_intersection_witness(only_a, det_to_nba(d))
     assert w is not None
-    assert member_upword_nba(only_a, w.upword())
+    assert member_upword_nba(only_a, w)
 
 
 def test_dba_state_equiv_is_an_equivalence():
@@ -612,7 +577,7 @@ def test_nba_engines_agree_with_independent_oracles():
         if result is None or result is True:
             assert not any(all(lang(w) for lang in langs) for w in words)
         else:
-            assert all(lang(result.upword()) for lang in langs)
+            assert all(lang(result) for lang in langs)
 
     rng = random.Random(8)
     nbas = _engine_nbas(rng)
@@ -682,7 +647,7 @@ def test_product_counts_a_duplicated_root_once():
     moves = {0: [(0, 1, False, False)], 1: [(1, 1, True, False)]}
     graph, roots = _product([0, 0], moves.__getitem__)
     assert list(roots) == [0]
-    assert _least_lasso(graph, roots) == Lasso((0,), (1,))
+    assert _least_lasso(graph, roots) == UpWord((0,), (1,))
 
 
 def _random_graph(rng, n):
@@ -704,8 +669,8 @@ def _oracle_checked_lasso(graph, roots):
         assert least_lasso_measure(graph, roots) is None
     else:
         assert least_lasso_measure(graph, roots) \
-            == (len(lasso.stem) + len(lasso.loop), len(lasso.stem))
-        assert is_lasso_run(graph, roots, lasso.stem, lasso.loop)
+            == (len(lasso.prefix) + len(lasso.period), len(lasso.prefix))
+        assert is_lasso_run(graph, roots, lasso.prefix, lasso.period)
     return lasso
 
 
@@ -734,7 +699,7 @@ def test_least_lasso_loop_search_leaves_the_scc_without_changing_words():
              [(0, 4, f, f)],
              [(0, 2, f, f)]]
     lasso = _oracle_checked_lasso(graph, [0])
-    assert lasso == Lasso((0, 0, 1), (0, 1, 0))
+    assert lasso == UpWord((0, 0, 1), (0, 1, 0))
 
 
 def test_least_lasso_searches_a_later_group_of_equal_bound():
@@ -748,7 +713,7 @@ def test_least_lasso_searches_a_later_group_of_equal_bound():
              [(0, 4, True, f)],
              [(0, 3, f, f)]]
     lasso = _oracle_checked_lasso(graph, [0])
-    assert lasso == Lasso((1,), (0, 0))
+    assert lasso == UpWord((1,), (0, 0))
 
 
 def test_least_lasso_loops_begin_with_their_accepting_edge():
@@ -756,7 +721,7 @@ def test_least_lasso_loops_begin_with_their_accepting_edge():
     # shorter, but takes the accepting edge second
     f = False
     graph = [[(0, 1, f, f)], [(0, 2, f, f)], [(0, 1, True, f)]]
-    assert _oracle_checked_lasso(graph, [0]) == Lasso((0, 0), (0, 0))
+    assert _oracle_checked_lasso(graph, [0]) == UpWord((0, 0), (0, 0))
 
 
 def test_least_lasso_matches_the_lasso_oracle_on_engine_products():
@@ -777,4 +742,4 @@ def test_sorted_product_rows_pin_an_intersection_witness():
     rng = random.Random(761)
     a = _random_nba(rng, rng.randint(2, 6))
     b = _random_nba(rng, rng.randint(2, 6))
-    assert nba_nba_intersection_witness(a, b) == Lasso((1,), (1, 0, 0))
+    assert nba_nba_intersection_witness(a, b) == UpWord((1,), (1, 0, 0))

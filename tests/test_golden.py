@@ -106,8 +106,8 @@ def test_cli_output_matches_golden(case, tmp_path, capsys):
 def _lasso_text(result, alphabet) -> str:
     if result is None or result is True:
         return str(result)
-    return (f"{alphabet.format_word(result.stem)} "
-            f"({alphabet.format_word(result.loop)})^w")
+    return (f"{alphabet.format_word(result.prefix)} "
+            f"({alphabet.format_word(result.period)})^w")
 
 
 def lasso_lines() -> str:

@@ -124,9 +124,11 @@ def test_mq_cap(fig1, monkeypatch):
         learn_limit_fdfa(DbaTeacher(fig1))
 
 
-def test_iteration_cap(fig1):
-    with pytest.raises(LearnLimitExceeded):
-        learn_limit_fdfa(DbaTeacher(fig1), max_iterations=1)
+def test_iteration_cap(fig1, monkeypatch):
+    monkeypatch.setattr(learn, "MAX_ITERATIONS", 1)
+    with pytest.raises(LearnLimitExceeded,
+                       match="^no convergence within 1 iterations$"):
+        learn_limit_fdfa(DbaTeacher(fig1))
 
 
 def test_dba_teacher_refuses_a_cobuchi_reference_before_any_query(
